@@ -8,13 +8,19 @@ emitting a contraction term at every matching pair:
 
 Fermionic signs are accumulated as exact integer factors before any floating
 multiplication, so antisymmetry cancellations are exact.
+
+``CompiledPolynomial.vacuum_blocks`` evaluates vacuum expectations of
+substituted products without ordering, as signed sums over precomputed
+matching tables (Wick's theorem), batching all terms of one degree and all
+probes together.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,10 +55,6 @@ class LinearOperator:
     @property
     def n_modes(self) -> int:
         return self.creation.shape[0]
-
-    @classmethod
-    def zero(cls, n: int) -> "LinearOperator":
-        return cls(np.zeros(n, complex), np.zeros(n, complex))
 
     @classmethod
     def unit_creation(cls, n: int, i: int) -> "LinearOperator":
@@ -226,85 +228,155 @@ def vacuum_expectation(poly: WickPolynomial) -> complex:
     return poly.terms.get(((), ()), 0j)
 
 
+def _matchings(positions: tuple, partial: bool):
+    """Every perfect (or, if ``partial``, any) matching as (pairs, unmatched)."""
+    if not positions:
+        yield (), ()
+        return
+    first, rest = positions[0], positions[1:]
+    if partial:
+        for pairs, alone in _matchings(rest, partial):
+            yield pairs, (first,) + alone
+    for k, other in enumerate(rest):
+        for pairs, alone in _matchings(rest[:k] + rest[k + 1:], partial):
+            yield ((first, other),) + pairs, alone
+
+
+@functools.cache
+def _matching_table(probes: int, d: int, fermi: bool, partial: bool):
+    """Wick expansion of  <p_0 .. p_{probes-1} O_0 .. O_{d-1}>  as arrays.
+
+    The probes (positions -probes .. -1) are pure annihilators, so each
+    contracts with a factor and none is left unmatched.  Matching e becomes
+    row e of ``index``, pointing into the ``_pair_values`` vector (factor
+    contractions, unmatched scalars, padding 1), and row e of ``scatter``: its
+    sign, (-1)^crossings for fermions, in the column of the probes' partners
+    (k, or k * d + l).
+    """
+    rows, targets, signs = [], [], []
+    for pairs, alone in _matchings(tuple(range(-probes, d)), partial):
+        if any(u < 0 for u in alone) or any(b < 0 for _, b in pairs):
+            continue
+        # pairs come sorted by first position, so the probes' pairs lead
+        targets.append(sum(b * d ** (probes - 1 - p) for p, (_, b) in enumerate(pairs[:probes])))
+        rows.append([a * d + b for a, b in pairs[probes:]] + [d * d + u for u in alone])
+        crossings = sum(a < c < b < e for a, b in pairs for c, e in pairs)
+        signs.append(-1.0 if fermi and crossings % 2 else 1.0)
+    width = max([1] + [len(r) for r in rows])
+    index = np.array([r + [d * d + d] * (width - len(r)) for r in rows], int).reshape(-1, width)
+    scatter = np.zeros((len(rows), d**probes))
+    scatter[np.arange(len(rows)), targets] = signs
+    index.setflags(write=False)
+    scatter.setflags(write=False)
+    return index, scatter
+
+
+def _pair_values(cre: np.ndarray, ann: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+    """Per product of d factors: contractions ann_k . cre_l, scalars, then 1."""
+    t, d = scalars.shape
+    contractions = np.matmul(ann, cre.transpose(0, 2, 1)).reshape(t, d * d)
+    return np.concatenate([contractions, scalars, np.ones((t, 1))], axis=1)
+
+
+def _matching_sums(values: np.ndarray, table) -> np.ndarray:
+    """Signed sums over the table's matchings, per product and probe partners."""
+    index, scatter = table
+    weights = values[:, index[:, 0]]
+    for column in index.T[1:]:
+        weights = weights * values[:, column]
+    return weights @ scatter
+
+
 def product_vacuum_expectation(stats: Statistics, ops: Sequence[LinearOperator]) -> complex:
     """Vacuum expectation of an ordered product of affine ladder combinations.
 
-    Evaluated by the pairing expansion: scalars factor out and every ordered
-    contraction pairs the annihilation part of an earlier factor with the
-    creation part of a later one, with the fermionic crossing sign.  This is
-    an independent route to the same number as normal ordering the product
-    and reading off its constant term.
+    Evaluated as a sum over matchings (a loop hafnian for bosons, a Pfaffian
+    with scalar loops for fermions): every pair contracts the annihilation
+    part of an earlier factor with the creation part of a later one, with the
+    fermionic crossing sign, and every unmatched factor contributes its
+    scalar.  This is an independent route to the same number as normal
+    ordering the product and reading off its constant term.
     """
-    m = len(ops)
-    if m == 0:
+    if not ops:
         return 1.0 + 0j
-    n = ops[0].n_modes
-    for op in ops:
-        if op.n_modes != n:
-            raise StatisticsMismatchError("operators must share one mode count")
-    contraction = [
-        [complex(np.dot(ops[i].annihilation, ops[j].creation)) for j in range(m)]
-        for i in range(m)
-    ]
-    cache: dict[tuple, complex] = {}
+    if any(op.n_modes != ops[0].n_modes for op in ops):
+        raise StatisticsMismatchError("operators must share one mode count")
+    values = _pair_values(
+        np.array([[op.creation for op in ops]]),
+        np.array([[op.annihilation for op in ops]]),
+        np.array([[op.scalar for op in ops]]),
+    )
+    table = _matching_table(0, len(ops), stats is Statistics.FERMI, True)
+    return complex(_matching_sums(values, table)[0, 0])
 
-    if stats is Statistics.BOSE:
-        # No ordering signs: scalar parts can be taken inline.
-        scalars = [op.scalar for op in ops]
 
-        def rec(idx: tuple) -> complex:
-            if not idx:
-                return 1.0 + 0j
-            hit = cache.get(idx)
-            if hit is not None:
-                return hit
-            i0 = idx[0]
-            rest = idx[1:]
-            total = scalars[i0] * rec(rest) if scalars[i0] != 0 else 0j
-            row = contraction[i0]
-            for pos, jj in enumerate(rest):
-                c = row[jj]
-                if c != 0:
-                    total += c * rec(rest[:pos] + rest[pos + 1:])
-            cache[idx] = total
-            return total
+class VacuumBlocks(NamedTuple):
+    """Constant, linear and pairing blocks at one map, as ``TransformedBlocks``."""
 
-        return rec(tuple(range(m)))
+    stats: Statistics
+    constant: complex
+    linear: np.ndarray
+    pairing: np.ndarray
 
-    def ladder(idx: tuple) -> complex:
-        # pure-ladder Wick sum; crossing signs count positions within idx only
-        if not idx:
-            return 1.0 + 0j
-        if len(idx) % 2:
-            return 0j
-        hit = cache.get(idx)
-        if hit is not None:
-            return hit
-        i0 = idx[0]
-        rest = idx[1:]
-        total = 0j
-        sgn = 1.0
-        row = contraction[i0]
-        for pos, jj in enumerate(rest):
-            c = row[jj]
-            if c != 0:
-                total += sgn * c * ladder(rest[:pos] + rest[pos + 1:])
-            sgn = -sgn
-        cache[idx] = total
-        return total
 
-    # Fermionic scalars commute out without sign: expand over the subset of
-    # factors contributing their scalar part, then Wick-contract the rest.
-    # (Operators built from fermionic maps never carry scalars, so the subset
-    # loop is almost always a single pass.)
-    scalar_positions = [k for k in range(m) if ops[k].scalar != 0]
-    total = 0j
-    for mask in range(1 << len(scalar_positions)):
-        coeff = 1.0 + 0j
-        dropped = set()
-        for bit, k in enumerate(scalar_positions):
-            if mask >> bit & 1:
-                coeff *= ops[k].scalar
-                dropped.add(k)
-        total += coeff * ladder(tuple(k for k in range(m) if k not in dropped))
-    return total
+class CompiledPolynomial:
+    """A polynomial's terms as index arrays, grouped by degree d.
+
+    Each group is (rows (T, d), coefficients (T,)); a row lists a term's
+    factors as rows of the stacked image table in ``vacuum_blocks``: a*_i at
+    i - 1, a_i at n_modes + i - 1.  Built once, evaluated at many maps.
+    """
+
+    def __init__(self, poly: WickPolynomial):
+        self.stats, self.n_modes = poly.stats, poly.n_modes
+        by_degree: dict[int, tuple[list, list]] = {}
+        for (cr, an), c in poly.items():
+            rows, coeffs = by_degree.setdefault(len(cr) + len(an), ([], []))
+            rows.append([i - 1 for i in cr] + [self.n_modes + i - 1 for i in an])
+            coeffs.append(c)
+        self.groups = [
+            (np.array(rows, int).reshape(len(rows), d), np.array(coeffs, complex))
+            for d, (rows, coeffs) in sorted(by_degree.items())
+        ]
+
+    def vacuum_blocks(self, inv, linear: bool, pairing: bool = True) -> VacuumBlocks:
+        """Low-degree blocks after a_i -> sum_j u_ij b_j + v_ij b*_j + shift_i.
+
+        ``inv`` carries (u, v, shift), as the inverse of a Bogoliubov map
+        does.  The blocks are those of ``wick.extract_blocks`` on the
+        rewritten polynomial: with <.> the b vacuum and O_t the rewritten
+        product of term t,
+
+            constant  = sum_t c_t <O_t>,
+            linear[i] = sum_t c_t <b_i O_t>               (zero unless ``linear``),
+            pairing   = (P +- P^T) / 4 with P[i, j] = sum_t c_t <b_j b_i O_t>
+                        (- for fermions; zero unless ``pairing``),
+
+        evaluating all terms of one degree, and all probes b, in one batch.
+        """
+        n = self.n_modes
+        fermi = self.stats is Statistics.FERMI
+        cre = np.concatenate([np.conj(inv.u), inv.v])
+        ann = np.concatenate([np.conj(inv.v), inv.u])
+        sca = np.concatenate([np.conj(inv.shift), inv.shift])
+        constant = 0j
+        lin = np.zeros(n, complex)
+        pairs = np.zeros((n, n), complex)
+        for rows, coeffs in self.groups:
+            t, d = rows.shape
+            c, scalars = cre[rows], sca[rows]
+            values = _pair_values(c, ann[rows], scalars)
+            partial = bool(np.any(scalars != 0))
+            sums = _matching_sums(values, _matching_table(0, d, fermi, partial))
+            constant += coeffs @ sums[:, 0]
+            if linear:
+                w = coeffs[:, None] * _matching_sums(values, _matching_table(1, d, fermi, partial))
+                lin += w.reshape(-1) @ c.reshape(-1, n)
+            if pairing:
+                w = _matching_sums(values, _matching_table(2, d, fermi, partial)).reshape(t, d, d)
+                # x[t, l, j] = sum_k w[t, k, l] c[t, k, j]: probe b_j meets factor k
+                x = coeffs[:, None, None] * np.matmul(w.transpose(0, 2, 1), c)
+                pairs += c.reshape(-1, n).T @ x.reshape(-1, n)
+        # P counts the coefficient of b*_i b*_j once per order of the probes
+        pairs = -0.25 * (pairs - pairs.T) if fermi else 0.25 * (pairs + pairs.T)
+        return VacuumBlocks(self.stats, complex(constant), lin, pairs)

@@ -10,10 +10,11 @@ iterate a direct check of the first-order expansion; at convergence those
 blocks vanish and only the constant, the particle-conserving quadratic block
 and higher-order terms survive.
 
-Two evaluation routes coexist on purpose.  ``residual_blocks`` normal orders
-the substituted polynomial in full; the in-loop fast path evaluates the same
-blocks through vacuum pairing sums.  They are asserted against each other at
-the end of every run (and property-tested), so a bug in either is loud.
+One engine, one oracle: the descent evaluates the blocks with the batched
+Wick engine ``ordering.CompiledPolynomial``; ``residual_blocks`` normal
+orders the substituted polynomial in full.  They are asserted against each
+other at the end of every run (and property-tested), so a bug in either is
+loud.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ from .bogoliubov import (
 )
 from .errors import HermiticityError, ParityError, StatisticsMismatchError
 from .ordering import (
+    CompiledPolynomial,
     LinearOperator,
-    product_vacuum_expectation,
+    VacuumBlocks,
+    product_vacuum_expectation,  # noqa: F401  (perfbench/spans.py wraps it in this namespace)
     substitute_linear,
 )
 from .wick import (
@@ -126,72 +129,6 @@ def residual_blocks(h: WickPolynomial, m: BogoliubovMap) -> TransformedBlocks:
     return extract_blocks(transformed)
 
 
-def _term_ops(
-    cre_rows: list[LinearOperator],
-    ann_rows: list[LinearOperator],
-    key: tuple,
-) -> list[LinearOperator]:
-    cr, an = key
-    return [cre_rows[i - 1] for i in cr] + [ann_rows[i - 1] for i in an]
-
-
-def _fast_blocks(
-    h: WickPolynomial,
-    m: BogoliubovMap,
-    want_linear: bool,
-    want_single: bool = False,
-):
-    """(constant, linear, pairing[, single]) through vacuum pairing sums."""
-    n = h.n_modes
-    stats = h.stats
-    cre_rows, ann_rows = substitution_rows(m)
-    probes_ann = [LinearOperator.unit_annihilation(n, i) for i in range(1, n + 1)]
-    probes_cre = [LinearOperator.unit_creation(n, i) for i in range(1, n + 1)]
-    pair_sign = -0.5 if stats is Statistics.FERMI else 0.5
-
-    constant = 0j
-    linear = np.zeros(n, complex)
-    pairing = np.zeros((n, n), complex)
-    single = np.zeros((n, n), complex) if want_single else None
-    for key, coeff in h.items():
-        ops = _term_ops(cre_rows, ann_rows, key)
-        constant += coeff * product_vacuum_expectation(stats, ops)
-        if want_linear:
-            for i in range(n):
-                linear[i] += coeff * product_vacuum_expectation(stats, [probes_ann[i]] + ops)
-        for i in range(n):
-            for j in range(i, n):
-                val = coeff * product_vacuum_expectation(
-                    stats, [probes_ann[j], probes_ann[i]] + ops
-                )
-                pairing[i, j] += pair_sign * val
-        if want_single:
-            for i in range(n):
-                for j in range(n):
-                    single[i, j] += coeff * product_vacuum_expectation(
-                        stats, [probes_ann[i]] + ops + [probes_cre[j]]
-                    )
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairing[j, i] = -pairing[i, j] if stats is Statistics.FERMI else pairing[i, j]
-    if stats is Statistics.FERMI:
-        np.fill_diagonal(pairing, 0.0)
-    if want_single:
-        single -= np.eye(n) * constant
-        return constant, linear, pairing, single
-    return constant, linear, pairing
-
-
-def _fast_energy(h: WickPolynomial, m: BogoliubovMap) -> float:
-    cre_rows, ann_rows = substitution_rows(m)
-    total = 0j
-    for key, coeff in h.items():
-        total += coeff * product_vacuum_expectation(
-            h.stats, _term_ops(cre_rows, ann_rows, key)
-        )
-    return float(total.real)
-
-
 def pairing_gradient_sign(stats: Statistics) -> float:
     """Sign of the first-order pairing term in the energy expansion.
 
@@ -213,7 +150,7 @@ def directional_derivative(blocks: TransformedBlocks, direction: Generator) -> f
     )
 
 
-def descent_direction(blocks: TransformedBlocks, mode: Mode) -> Generator:
+def descent_direction(blocks: TransformedBlocks | VacuumBlocks, mode: Mode) -> Generator:
     """Steepest-descent generator: (gradient sign) * i * pairing, plus
     i * linear for BOSE_FULL.
 
@@ -221,9 +158,8 @@ def descent_direction(blocks: TransformedBlocks, mode: Mode) -> Generator:
     -2 s (|pairing|_F^2 + |linear|^2), strictly negative away from
     stationarity.
     """
-    n = blocks.n_modes
     pair = pairing_gradient_sign(blocks.stats) * 1j * blocks.pairing
-    shift = 1j * blocks.linear if mode is Mode.BOSE_FULL else np.zeros(n, complex)
+    shift = 1j * blocks.linear if mode is Mode.BOSE_FULL else np.zeros_like(blocks.linear)
     return Generator(blocks.stats, pair, shift)
 
 
@@ -238,17 +174,17 @@ def _check_mode(h: WickPolynomial, mode: Mode, tol: float) -> None:
         raise ParityError(f"mode {mode.value} requires an even polynomial")
 
 
-def _descend(h: WickPolynomial, mode: Mode, start: BogoliubovMap, opts: MinimizeOptions):
-    want_linear = mode is Mode.BOSE_FULL or h.parity() is not TermParity.EVEN
+def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
+             opts: MinimizeOptions, want_linear: bool):
     u_map = start
+    blocks = compiled.vacuum_blocks(inverse(u_map), want_linear)
     trace: list[tuple[float, float]] = []
     iterations = 0
     status = RunStatus.MAX_ITERATIONS
     while True:
-        constant, linear, pairing = _fast_blocks(h, u_map, want_linear)
-        energy = float(constant.real)
-        lin_norm = float(np.linalg.norm(linear))
-        pair_norm = float(np.linalg.norm(pairing, "fro"))
+        energy = float(blocks.constant.real)
+        lin_norm = float(np.linalg.norm(blocks.linear))
+        pair_norm = float(np.linalg.norm(blocks.pairing, "fro"))
         residual = lin_norm + pair_norm
         trace.append((energy, residual))
         if not math.isfinite(energy) or energy < opts.energy_floor:
@@ -263,11 +199,7 @@ def _descend(h: WickPolynomial, mode: Mode, start: BogoliubovMap, opts: Minimize
         if iterations >= opts.max_iterations:
             status = RunStatus.MAX_ITERATIONS
             break
-        direction = Generator(
-            h.stats,
-            pairing_gradient_sign(h.stats) * 1j * pairing,
-            1j * linear if mode is Mode.BOSE_FULL else np.zeros(h.n_modes, complex),
-        )
+        direction = descent_direction(blocks, mode)
         slope = 2.0 * (
             pair_norm**2 + (lin_norm**2 if mode is Mode.BOSE_FULL else 0.0)
         )
@@ -280,27 +212,27 @@ def _descend(h: WickPolynomial, mode: Mode, start: BogoliubovMap, opts: Minimize
         accepted = None
         for _ in range(opts.max_backtracks):
             candidate = compose(u_map, from_generator(direction.scaled(step)))
+            # Armijo trials need the energy alone; a terminal trial's blocks
+            # are those of the next iterate if it is accepted.
+            trial = compiled.vacuum_blocks(inverse(candidate), want_linear and terminal, terminal)
+            t_energy = float(trial.constant.real)
             if terminal:
-                t_const, t_lin, t_pair = _fast_blocks(h, candidate, want_linear)
-                t_res = float(np.linalg.norm(t_lin)) + float(np.linalg.norm(t_pair, "fro"))
-                if (
-                    math.isfinite(t_const.real)
-                    and t_const.real <= energy + noise
-                    and t_res <= residual * (1.0 - 1e-3)
-                ):
-                    accepted = candidate
-                    break
+                t_res = float(np.linalg.norm(trial.linear)) + float(
+                    np.linalg.norm(trial.pairing, "fro")
+                )
+                better = t_energy <= energy + noise and t_res <= residual * (1.0 - 1e-3)
             else:
-                trial = _fast_energy(h, candidate)
-                if math.isfinite(trial) and trial <= energy - opts.armijo * step * slope:
-                    accepted = candidate
-                    break
+                better = t_energy <= energy - opts.armijo * step * slope
+            if math.isfinite(t_energy) and better:
+                accepted = candidate
+                break
             step *= opts.step_shrink
         if accepted is None:
             # Stalled at the floating-point floor of the line search.
             status = RunStatus.MAX_ITERATIONS
             break
         u_map = accepted
+        blocks = trial if terminal else compiled.vacuum_blocks(inverse(u_map), want_linear)
         iterations += 1
     return u_map, status, iterations, trace
 
@@ -344,8 +276,10 @@ def minimize(
     """
     opts = opts or MinimizeOptions()
     _check_mode(h, mode, opts.hermitian_tol)
+    compiled = CompiledPolynomial(h)
+    want_linear = mode is Mode.BOSE_FULL or h.parity() is not TermParity.EVEN
     runs = [
-        _descend(h, mode, start, opts) for start in _starts(h, mode, opts)
+        _descend(compiled, mode, start, opts, want_linear) for start in _starts(h, mode, opts)
     ]
     unbounded = [r for r in runs if r[1] is RunStatus.UNBOUNDED_BELOW]
     converged = [r for r in runs if r[1] is RunStatus.CONVERGED]
@@ -358,7 +292,7 @@ def minimize(
     u_map, status, iterations, trace = best
 
     blocks = residual_blocks(h, u_map)
-    _crosscheck_routes(h, u_map, blocks)
+    _crosscheck_routes(compiled, u_map, blocks)
     spectrum = np.linalg.eigvalsh(
         (blocks.single_particle + blocks.single_particle.conj().T) / 2
     )
@@ -375,9 +309,9 @@ def minimize(
     )
 
 
-def _crosscheck_routes(h: WickPolynomial, m: BogoliubovMap, blocks: TransformedBlocks) -> None:
-    """The pairing-sum route must reproduce the normal-ordering route."""
-    constant, linear, pairing = _fast_blocks(h, m, want_linear=True)
+def _crosscheck_routes(compiled: CompiledPolynomial, m: BogoliubovMap, blocks: TransformedBlocks) -> None:
+    """The batched engine must reproduce the normal-ordering route."""
+    _, constant, linear, pairing = compiled.vacuum_blocks(inverse(m), linear=True)
     scale = max(1.0, abs(constant))
     if (
         abs(constant - blocks.constant) > 1e-8 * scale

@@ -23,6 +23,7 @@ from quasivac import (
     from_generator,
     ground_energy,
     identity,
+    inverse,
     minimize,
     quantize,
     reflection,
@@ -30,7 +31,9 @@ from quasivac import (
     state_of_map,
     substitute_linear,
 )
-from quasivac.variational import _fast_blocks, substitution_rows
+from quasivac.ordering import CompiledPolynomial
+from quasivac.variational import substitution_rows
+from quasivac.wick import DEGREE_CAP
 
 from conftest import (
     random_bounded_hamiltonian,
@@ -113,11 +116,42 @@ class TestResidualBlocks:
             m = random_valid_map(stats, n, rng, pair_scale=0.3,
                                  shift_scale=0.3 if stats is BOSE else 0.0, gauge=True)
             blocks = residual_blocks(h, m)
-            constant, linear, pairing, single = _fast_blocks(h, m, True, True)
+            _, constant, linear, pairing = CompiledPolynomial(h).vacuum_blocks(inverse(m), True)
             assert abs(constant - blocks.constant) < 1e-10
             assert np.max(np.abs(linear - blocks.linear)) < 1e-10
             assert np.max(np.abs(pairing - blocks.pairing)) < 1e-10
-            assert np.max(np.abs(single - blocks.single_particle)) < 1e-10
+
+    @pytest.mark.parametrize("stats", [BOSE, FERMI])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_engine_matches_normal_ordering_up_to_the_degree_cap(self, stats, n):
+        # odd, even and top-degree terms (Fermi reaches DEGREE_CAP at n = 4);
+        # the pairing block of a degree-8 term uses the 10-position tables
+        rng = np.random.default_rng(100 + n)
+        fermi = stats is FERMI
+        top = min(DEGREE_CAP, 2 * n) if fermi else DEGREE_CAP
+        for _ in range(3):
+            entries = []
+            for d in [top, top - 1, *rng.integers(0, top + 1, size=3)]:
+                if fermi:
+                    k = int(rng.integers(max(0, d - n), min(d, n) + 1))
+                    cr, an = rng.choice(n, k, replace=False), rng.choice(n, d - k, replace=False)
+                else:
+                    k = int(rng.integers(0, d + 1))
+                    cr, an = rng.integers(0, n, size=k), rng.integers(0, n, size=d - k)
+                c = complex(rng.standard_normal(), rng.standard_normal())
+                entries.append(([int(i) + 1 for i in cr], [int(i) + 1 for i in an], c))
+            h = WickPolynomial.from_terms(n, stats, entries)
+            m = random_valid_map(stats, n, rng, pair_scale=0.3,
+                                 shift_scale=0.0 if fermi else 0.3, gauge=True)
+            if fermi:
+                m = compose(m, reflection(np.eye(n)[0]))
+            blocks = residual_blocks(h, m)
+            _, constant, linear, pairing = CompiledPolynomial(h).vacuum_blocks(inverse(m), True)
+            scale = max(1.0, abs(blocks.constant), np.max(np.abs(blocks.linear)),
+                        np.max(np.abs(blocks.pairing)))
+            assert abs(constant - blocks.constant) <= 1e-12 * scale
+            assert np.max(np.abs(linear - blocks.linear)) <= 1e-12 * scale
+            assert np.max(np.abs(pairing - blocks.pairing)) <= 1e-12 * scale
 
 
 class TestDescentDirection:
