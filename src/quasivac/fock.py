@@ -1,16 +1,21 @@
 """Brute-force verifier on dense truncated Fock spaces.
 
-Everything here is deliberately explicit: occupation tuples are enumerated
-with mode 1 varying fastest, ladder operators are dense matrices, fermionic
-signs count occupied lower modes, and Gaussian vectors are built from the
-literal exponential series.  The module exists to check the polynomial
-engine and the optimizer at small mode counts, so clarity beats scale.
+Occupation tuples are enumerated with mode 1 varying fastest, so a state's
+row is its occupations dotted with the per-mode strides.  ``quantize`` is the
+one route from operators to matrices: it applies each monomial to every
+basis column at once, right to left, multiplying in sqrt(m) factors (Bose)
+or Jordan-Wigner signs (Fermi), and drops a column when a mode empties or
+passes its cutoff.  The ladder matrices are quantized once per basis and
+cached on it; Gaussian vectors are built from them by the literal
+exponential series.  Matrices stay dense: the module checks the polynomial
+engine and the optimizer at small mode counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
@@ -90,6 +95,19 @@ class FockBasis:
     def dimension(self) -> int:
         return self.occupations.shape[0]
 
+    @cached_property
+    def ladders(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-mode (annihilation, creation) matrices, read-only."""
+        pairs = []
+        for i in range(1, self.n_modes + 1):
+            unit = WickPolynomial.from_terms(self.n_modes, self.stats, [((), (i,), 1.0)])
+            ann = quantize(unit, self)
+            cre = ann.conj().T
+            ann.setflags(write=False)
+            cre.setflags(write=False)
+            pairs.append((ann, cre))
+        return pairs
+
 
 @dataclass(frozen=True)
 class FockVector:
@@ -113,71 +131,45 @@ def vacuum_vector(basis: FockBasis) -> FockVector:
     return FockVector(basis, amp)
 
 
-def _jw_sign(occ: list[int], mode: int) -> int:
-    return -1 if sum(occ[: mode - 1]) % 2 else 1
-
-
-def _apply_monomial(
-    basis: FockBasis, occ: list[int], creation: tuple[int, ...], annihilation: tuple[int, ...]
-):
-    """Apply (a*)^creation a^annihilation to an occupation tuple.
-
-    Returns (new_occ, factor) or None when the result leaves the truncated
-    space (or vanishes).  Operators act right to left, exactly matching the
-    product of the corresponding truncated matrices.
-    """
-    fermi = basis.stats is Statistics.FERMI
-    fac = 1.0
-    for i in reversed(annihilation):
-        m = occ[i - 1]
-        if m == 0:
-            return None
-        if fermi:
-            fac *= _jw_sign(occ, i)
-        else:
-            fac *= math.sqrt(m)
-        occ[i - 1] -= 1
-    for i in reversed(creation):
-        m = occ[i - 1]
-        if m >= basis.cutoffs[i - 1]:
-            return None
-        if fermi:
-            fac *= _jw_sign(occ, i)
-        else:
-            fac *= math.sqrt(m + 1)
-        occ[i - 1] += 1
-    return occ, fac
-
-
 def quantize(poly: WickPolynomial, basis: FockBasis) -> np.ndarray:
     """Dense matrix of the polynomial on the truncated space."""
     if poly.stats is not basis.stats or poly.n_modes != basis.n_modes:
         raise StatisticsMismatchError("polynomial and basis disagree")
     dim = basis.dimension
     out = np.zeros((dim, dim), dtype=complex)
-    occs = basis.occupations
+    fermi = basis.stats is Statistics.FERMI
+    # row offset of one quantum in each mode
+    strides = np.cumprod((1,) + tuple(c + 1 for c in basis.cutoffs))[:-1]
     for (cr, an), coeff in poly.items():
-        if not cr and not an:
-            out[np.arange(dim), np.arange(dim)] += coeff
-            continue
-        for col in range(dim):
-            res = _apply_monomial(basis, [int(x) for x in occs[col]], cr, an)
-            if res is None:
-                continue
-            occ, fac = res
-            out[basis.index[tuple(occ)], col] += coeff * fac
+        cols, occ, fac = np.arange(dim), basis.occupations, np.ones(dim)
+        # right to left: the annihilators act first
+        ops = [(i, -1) for i in reversed(an)] + [(i, 1) for i in reversed(cr)]
+        for i, step in ops:
+            m = occ[:, i - 1]
+            live = m > 0 if step < 0 else m < basis.cutoffs[i - 1]
+            # fancy indexing copies, so the basis's occupations stay intact
+            cols, occ, fac = cols[live], occ[live], fac[live]
+            if fermi:
+                fac *= 1.0 - 2.0 * (occ[:, : i - 1].sum(axis=1) % 2)
+            else:
+                fac *= np.sqrt(occ[:, i - 1] + (step > 0))
+            occ[:, i - 1] += step
+        out[occ @ strides, cols] += coeff * fac
     return out
 
 
 def build_ladders(basis: FockBasis) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-mode (annihilation, creation) matrix pairs; creation is the adjoint."""
-    pairs = []
-    for i in range(1, basis.n_modes + 1):
-        ann = quantize(
-            WickPolynomial.from_terms(basis.n_modes, basis.stats, [((), (i,), 1.0)]), basis
-        )
-        pairs.append((ann, ann.conj().T))
-    return pairs
+    """Per-mode (annihilation, creation) pairs, cached on the basis."""
+    return basis.ladders
+
+
+def _linear_matrix(basis: FockBasis, x: np.ndarray) -> np.ndarray:
+    """Matrix of sum_i x_i a*_i + conj(x_i) a_i."""
+    out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for (ann, cre), xi in zip(basis.ladders, x):
+        out += xi * cre
+        out += np.conj(xi) * ann
+    return out
 
 
 def expectation(vec: FockVector, matrix: np.ndarray) -> complex:
@@ -223,7 +215,7 @@ def gaussian_vector(
             f"{basis.cutoffs}; raise the cutoff"
         )
     n = basis.n_modes
-    ladders = build_ladders(basis)
+    ladders = basis.ladders
     pair_entries = [
         (i, j, chart.z[i, j])
         for i in range(n)
@@ -259,13 +251,9 @@ def gaussian_vector(
     total = norm_factor * total
 
     if chart.stats is Statistics.BOSE and np.any(chart.shift != 0):
-        disp = WickPolynomial.from_terms(
-            n,
-            chart.stats,
-            [((i + 1,), (), chart.shift[i]) for i in range(n)]
-            + [((), (i + 1,), np.conj(chart.shift[i])) for i in range(n)],
-        )
-        total = expm_multiply(1j * quantize(disp, basis), total)
+        disp = _linear_matrix(basis, chart.shift)
+        disp *= 1j  # in place: one dense matrix fewer at the memory peak
+        total = expm_multiply(disp, total)
 
     norm = float(np.linalg.norm(total))
     defect = abs(norm - 1.0)
@@ -308,13 +296,7 @@ def state_of_map(
     vec = gaussian_vector(chart, basis, tail_tol)
     amp = vec.amplitudes
     for direction in reversed(applied):
-        refl_poly = WickPolynomial.from_terms(
-            basis.n_modes,
-            Statistics.FERMI,
-            [((i + 1,), (), direction[i]) for i in range(basis.n_modes)]
-            + [((), (i + 1,), np.conj(direction[i])) for i in range(basis.n_modes)],
-        )
-        amp = quantize(refl_poly, basis) @ amp
+        amp = _linear_matrix(basis, direction) @ amp
     return FockVector(basis, amp / np.linalg.norm(amp), norm_defect=vec.norm_defect)
 
 

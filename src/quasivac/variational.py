@@ -290,22 +290,36 @@ def minimize(
     else:
         best = min(runs, key=lambda r: r[3][-1][1])
     u_map, status, iterations, trace = best
+    result = result_at(h, u_map, status, iterations, tuple(trace), len(runs))
+    _crosscheck_routes(compiled, u_map, result.blocks)
+    return result
 
-    blocks = residual_blocks(h, u_map)
-    _crosscheck_routes(compiled, u_map, blocks)
+
+def result_at(
+    h: WickPolynomial,
+    m: BogoliubovMap,
+    status: RunStatus = RunStatus.CONVERGED,
+    iterations: int = 0,
+    trace: tuple | None = None,
+    n_starts: int = 1,
+) -> MinimizationResult:
+    """The result at a map: blocks by full normal ordering, the spectrum of
+    the Hermitian part of D, and by default a one-point trace."""
+    blocks = residual_blocks(h, m)
+    energy = float(blocks.constant.real)
     spectrum = np.linalg.eigvalsh(
         (blocks.single_particle + blocks.single_particle.conj().T) / 2
     )
     return MinimizationResult(
-        map=u_map,
+        map=m,
         blocks=blocks,
-        energy=float(blocks.constant.real),
+        energy=energy,
         spectrum=spectrum,
         residual=blocks.residual,
         iterations=iterations,
         status=status,
-        trace=tuple(trace),
-        n_starts=len(runs),
+        trace=((energy, blocks.residual),) if trace is None else trace,
+        n_starts=n_starts,
     )
 
 
@@ -374,7 +388,7 @@ def certify(
     result: MinimizationResult,
     h: WickPolynomial,
     mode: Mode,
-    fd_step: float = 1e-3,
+    fd_step: float = 3e-4,
     n_directions: int = 10,
     n_gauges: int = 5,
     seed: int = 1234,
@@ -447,14 +461,11 @@ def certify(
     deltas = {"energy": [], "linear_norm": [], "pairing_norm": [], "spectrum": []}
     for _ in range(n_gauges):
         gauge = random_number_conserving(h.n_modes, h.stats, rng)
-        sweep = residual_blocks(h, compose(u_map, gauge))
-        spec = np.linalg.eigvalsh(
-            (sweep.single_particle + sweep.single_particle.conj().T) / 2
-        )
-        deltas["energy"].append(abs(float(sweep.constant.real) - result.energy))
-        deltas["linear_norm"].append(abs(sweep.linear_norm - blocks.linear_norm))
-        deltas["pairing_norm"].append(abs(sweep.pairing_norm - blocks.pairing_norm))
-        deltas["spectrum"].append(float(np.max(np.abs(spec - base_spec))))
+        sweep = result_at(h, compose(u_map, gauge))
+        deltas["energy"].append(abs(sweep.energy - result.energy))
+        deltas["linear_norm"].append(abs(sweep.blocks.linear_norm - blocks.linear_norm))
+        deltas["pairing_norm"].append(abs(sweep.blocks.pairing_norm - blocks.pairing_norm))
+        deltas["spectrum"].append(float(np.max(np.abs(sweep.spectrum - base_spec))))
     gauge_passed = all(d < 1e-8 for vals in deltas.values() for d in vals)
 
     return CertificationReport(

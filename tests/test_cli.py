@@ -19,6 +19,8 @@ from quasivac.cli import (
 )
 from quasivac.variational import Mode
 
+from conftest import random_bounded_hamiltonian
+
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "hamiltonians"
 
@@ -133,6 +135,7 @@ class TestRun:
         assert report["D_spectrum"][0] == pytest.approx(0.8, abs=1e-6)
         assert report["residual_K"] + report["residual_O"] < 1e-8
         assert report["certification"]["passed"]
+        assert report["certification"]["skipped_reason"] is None
         assert abs(report["oracle"]["gap"]) < 1e-6
 
     def test_bcs_report(self):
@@ -152,6 +155,19 @@ class TestRun:
         report = run(str(SPECS / "unstable_oscillator.json"), Mode.BOSE_EVEN, seed=1)
         assert report["status"] == "unbounded_below"
         assert report["certification"] is None
+
+    def test_certification_skipped_when_basis_exceeds_cap(self):
+        report = run(
+            str(SPECS / "squeezed_oscillator.json"), Mode.BOSE_EVEN, tol=1e-9, dimension_cap=8
+        )
+        assert report["status"] == "converged"
+        assert report["error"] is None
+        assert report["energy"] == pytest.approx(-0.1, abs=1e-6)
+        cert = report["certification"]
+        assert cert["passed"] is None
+        assert all(cert[k] is None for k in ("fd_check", "quadratic_check", "gauge_check"))
+        assert "exceeds the cap 8" in cert["skipped_reason"]
+        assert report["oracle"]["skipped_reason"] is not None
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         kwargs = dict(seed=11, tol=1e-8, cutoff=10)
@@ -199,6 +215,18 @@ class TestRun:
         result = verify_report(str(out))
         assert not result["passed"]
         assert "unbounded_below" in result["reason"]
+
+    def test_verify_reports_skipped_oracle(self, tmp_path):
+        # three Bose modes whose state needs cutoff 18: 6859 > 4096 states
+        h = random_bounded_hamiltonian(Statistics.BOSE, 3, np.random.default_rng(105))
+        spec = write_spec(tmp_path, serialize_hamiltonian(h))
+        out = tmp_path / "report.json"
+        report = run(spec, Mode.BOSE_EVEN, tol=1e-9, report_path=str(out))
+        assert report["status"] == "converged"
+        assert report["certification"]["skipped_reason"] is not None
+        result = verify_report(str(out))
+        assert not result["passed"]
+        assert "exceeds the cap" in result["reason"]
 
 
 class TestCommandLine:

@@ -93,6 +93,9 @@ class TestLadders:
         vec[2] = 1.0  # |2>
         assert np.allclose(ann @ vec, [0, math.sqrt(2), 0])
         assert np.array_equal(cre, ann.conj().T)
+        # built once per basis, shared read-only
+        assert build_ladders(basis) is basis.ladders
+        assert not ann.flags.writeable and not cre.flags.writeable
 
     def test_fermi_car_exact(self):
         basis = FockBasis.build(FERMI, 2)
@@ -124,7 +127,8 @@ class TestQuantize:
 
     def test_matches_ladder_products(self):
         rng = np.random.default_rng(3)
-        for stats, n, cutoff in [(BOSE, 2, 5), (FERMI, 3, 1)]:
+        cases = [(BOSE, 2, 5), (FERMI, 3, 1), (BOSE, 3, 2), (BOSE, 2, (3, 1))]
+        for stats, n, cutoff in cases:
             basis = FockBasis.build(stats, n, cutoff)
             ladders = build_ladders(basis)
             poly = random_free_hermitian(stats, n, rng, include_odd=True)

@@ -470,6 +470,16 @@ class TestCertify:
         assert max(report.gauge_deltas["spectrum"]) < 1e-8
         assert report.passed
 
+    def test_default_fd_step_certifies_corpus_107(self):
+        # A correct minimum whose central-difference error at fd_step=1e-3
+        # (1.6e-6) exceeded the 1e-6 tolerance floor of the FD check.
+        h = random_bounded_hamiltonian(BOSE, 1, np.random.default_rng(107), linear=True)
+        res = minimize(h, Mode.BOSE_FULL, MinimizeOptions(tol_grad=1e-9, seed=42))
+        assert res.status is RunStatus.CONVERGED
+        report = certify(res, h, Mode.BOSE_FULL, seed=42)
+        assert report.fd_passed
+        assert report.passed
+
     def test_fermi_odd_certification(self):
         h = WickPolynomial.empty(1, FERMI).add_term([1], [1], 1.0)
         res = minimize(h, Mode.FERMI_ODD, MinimizeOptions(tol_grad=1e-10))
