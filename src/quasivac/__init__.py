@@ -7,58 +7,9 @@ quadratic block and higher-order terms survive, so the quadratic block's
 eigenvalues read off the quasiparticle spectrum.
 """
 
-from .bogoliubov import (
-    BogoliubovMap,
-    Generator,
-    ThoulessChart,
-    chart_from_generator,
-    chart_from_map,
-    compose,
-    from_generator,
-    generator_polynomial,
-    identity,
-    inverse,
-    number_conserving,
-    random_generator,
-    random_number_conserving,
-    reflection,
-    residual_norms,
-)
-from .errors import (
-    ChartDomainError,
-    DegeneracyError,
-    DegreeCapError,
-    DimensionCapError,
-    HermiticityError,
-    IndexRangeError,
-    InvalidGeneratorError,
-    InvalidMapError,
-    ParityError,
-    QuasivacError,
-    SpecFormatError,
-    StatisticsMismatchError,
-    TailToleranceError,
-)
-from .fock import (
-    FockBasis,
-    FockVector,
-    build_ladders,
-    exp_generator,
-    expectation,
-    gaussian_vector,
-    ground_energy,
-    quantize,
-    state_of_map,
-    vacuum_vector,
-)
-from .ordering import (
-    LinearOperator,
-    Side,
-    multiply_linear,
-    product_vacuum_expectation,
-    substitute_linear,
-    vacuum_expectation,
-)
+from .bogoliubov import BogoliubovMap, Generator, compose, from_generator, inverse
+from .errors import QuasivacError
+from .fock import FockBasis, ground_energy, quantize, state_of_map
 from .variational import (
     CertificationReport,
     MinimizationResult,
@@ -66,83 +17,38 @@ from .variational import (
     Mode,
     RunStatus,
     certify,
-    descent_direction,
-    directional_derivative,
     minimize,
     residual_blocks,
 )
-from .wick import (
-    Statistics,
-    TermParity,
-    TransformedBlocks,
-    WickPolynomial,
-    canonicalize_term,
-    extract_blocks,
-    reassemble,
-)
+from .wick import Statistics, TransformedBlocks, WickPolynomial
 
 __version__ = "0.1.0"
 
 __all__ = [
+    # polynomials and their blocks
+    "Statistics",
+    "TransformedBlocks",
+    "WickPolynomial",
+    # Bogoliubov maps
     "BogoliubovMap",
-    "CertificationReport",
-    "ChartDomainError",
-    "DegeneracyError",
-    "DegreeCapError",
-    "DimensionCapError",
-    "FockBasis",
-    "FockVector",
     "Generator",
-    "HermiticityError",
-    "IndexRangeError",
-    "InvalidGeneratorError",
-    "InvalidMapError",
-    "LinearOperator",
+    "compose",
+    "from_generator",
+    "inverse",
+    # minimization and certification
+    "CertificationReport",
     "MinimizationResult",
     "MinimizeOptions",
     "Mode",
-    "ParityError",
-    "QuasivacError",
     "RunStatus",
-    "Side",
-    "SpecFormatError",
-    "Statistics",
-    "StatisticsMismatchError",
-    "TailToleranceError",
-    "TermParity",
-    "ThoulessChart",
-    "TransformedBlocks",
-    "WickPolynomial",
-    "build_ladders",
-    "canonicalize_term",
     "certify",
-    "chart_from_generator",
-    "chart_from_map",
-    "compose",
-    "descent_direction",
-    "directional_derivative",
-    "exp_generator",
-    "expectation",
-    "extract_blocks",
-    "from_generator",
-    "gaussian_vector",
-    "generator_polynomial",
-    "ground_energy",
-    "identity",
-    "inverse",
     "minimize",
-    "multiply_linear",
-    "number_conserving",
-    "product_vacuum_expectation",
-    "quantize",
-    "random_generator",
-    "random_number_conserving",
-    "reassemble",
-    "reflection",
     "residual_blocks",
-    "residual_norms",
+    # dense Fock oracle
+    "FockBasis",
+    "ground_energy",
+    "quantize",
     "state_of_map",
-    "substitute_linear",
-    "vacuum_expectation",
-    "vacuum_vector",
+    # errors
+    "QuasivacError",
 ]

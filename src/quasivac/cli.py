@@ -37,6 +37,7 @@ from .errors import (
     SpecFormatError,
 )
 from .variational import (
+    HERMITIAN_TOL,
     MinimizeOptions,
     MinimizationResult,
     Mode,
@@ -46,10 +47,9 @@ from .variational import (
     oracle_basis,
     result_at,
 )
-from .wick import Statistics, WickPolynomial, canonicalize_term
+from .wick import Statistics, WickPolynomial, _finalize
 
 REPORT_SCHEMA = "quasivac-report/1"
-HERMITIAN_TOL = 1e-10
 
 
 def _fail(path: str, message: str) -> SpecFormatError:
@@ -129,17 +129,10 @@ def parse_hamiltonian(path: str, hermitian_complete: bool | None = None) -> Wick
 
 def _hermitian_completion(poly: WickPolynomial) -> WickPolynomial:
     """Add the adjoint of every term whose mirror key is absent."""
-    additions: dict = {}
-    for (cr, an), coeff in poly.terms.items():
-        mirror_key, mirror_coeff = canonicalize_term(
-            poly.stats, tuple(reversed(an)), tuple(reversed(cr)), np.conj(coeff)
-        )
-        if mirror_key not in poly.terms and mirror_coeff != 0:
-            additions[mirror_key] = additions.get(mirror_key, 0j) + mirror_coeff
-    out = poly
-    for (cr, an), coeff in additions.items():
-        out = out.add_term(cr, an, coeff)
-    return out
+    terms = dict(poly.terms)
+    for key, coeff in poly.adjoint().items():
+        terms.setdefault(key, coeff)
+    return _finalize(poly.n_modes, poly.stats, terms)
 
 
 def serialize_hamiltonian(poly: WickPolynomial) -> dict:

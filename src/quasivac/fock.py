@@ -56,7 +56,8 @@ class FockBasis:
     n_modes: int
     cutoffs: tuple[int, ...]
     occupations: np.ndarray
-    index: dict
+    #: row offset of one quantum in each mode: a state's row is occupations @ strides
+    strides: np.ndarray
 
     @classmethod
     def build(
@@ -81,15 +82,11 @@ class FockBasis:
             raise DimensionCapError(
                 f"dimension {dim} exceeds the cap {dimension_cap}"
             )
-        occs = np.zeros((dim, n_modes), dtype=np.int64)
-        k = np.arange(dim)
-        stride = 1
-        for i, c in enumerate(cutoffs):
-            occs[:, i] = (k // stride) % (c + 1)
-            stride *= c + 1
+        strides = np.cumprod((1,) + tuple(c + 1 for c in cutoffs))[:-1]
+        occs = (np.arange(dim)[:, None] // strides) % (np.array(cutoffs, dtype=np.int64) + 1)
         occs.setflags(write=False)
-        index = {tuple(int(x) for x in row): pos for pos, row in enumerate(occs)}
-        return cls(stats, n_modes, cutoffs, occs, index)
+        strides.setflags(write=False)
+        return cls(stats, n_modes, cutoffs, occs, strides)
 
     @property
     def dimension(self) -> int:
@@ -127,7 +124,7 @@ class FockVector:
 
 def vacuum_vector(basis: FockBasis) -> FockVector:
     amp = np.zeros(basis.dimension, complex)
-    amp[basis.index[(0,) * basis.n_modes]] = 1.0
+    amp[0] = 1.0  # all occupations zero
     return FockVector(basis, amp)
 
 
@@ -138,8 +135,6 @@ def quantize(poly: WickPolynomial, basis: FockBasis) -> np.ndarray:
     dim = basis.dimension
     out = np.zeros((dim, dim), dtype=complex)
     fermi = basis.stats is Statistics.FERMI
-    # row offset of one quantum in each mode
-    strides = np.cumprod((1,) + tuple(c + 1 for c in basis.cutoffs))[:-1]
     for (cr, an), coeff in poly.items():
         cols, occ, fac = np.arange(dim), basis.occupations, np.ones(dim)
         # right to left: the annihilators act first
@@ -154,13 +149,8 @@ def quantize(poly: WickPolynomial, basis: FockBasis) -> np.ndarray:
             else:
                 fac *= np.sqrt(occ[:, i - 1] + (step > 0))
             occ[:, i - 1] += step
-        out[occ @ strides, cols] += coeff * fac
+        out[occ @ basis.strides, cols] += coeff * fac
     return out
-
-
-def build_ladders(basis: FockBasis) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-mode (annihilation, creation) pairs, cached on the basis."""
-    return basis.ladders
 
 
 def _linear_matrix(basis: FockBasis, x: np.ndarray) -> np.ndarray:
@@ -183,17 +173,15 @@ def ground_energy(poly: WickPolynomial, basis: FockBasis) -> float:
     return float(np.linalg.eigvalsh(quantize(poly, basis))[0])
 
 
-def estimate_series_tail(chart: ThoulessChart, basis: FockBasis) -> float:
-    """Geometric tail estimate for the truncated pair-exponential series."""
-    if chart.stats is Statistics.FERMI:
-        return 0.0
-    r = float(np.linalg.norm(chart.z, 2)) if chart.n_modes else 0.0
-    if r == 0.0:
-        return 0.0
-    if r >= 1.0:
+def series_tail(radius: float, cutoff: int) -> float:
+    """Geometric tail estimate of the bosonic pair-exponential series.
+
+    ``radius`` is the spectral norm of the pair amplitude z, ``cutoff`` the
+    smallest per-mode occupation cutoff; the series diverges at radius 1.
+    """
+    if radius >= 1.0:
         return float("inf")
-    pairs = min(basis.cutoffs) // 2
-    return r ** (2 * (pairs + 1)) / (1.0 - r * r)
+    return radius ** (2 * (cutoff // 2 + 1)) / (1.0 - radius * radius)
 
 
 def gaussian_vector(
@@ -208,25 +196,24 @@ def gaussian_vector(
     """
     if chart.stats is not basis.stats or chart.n_modes != basis.n_modes:
         raise StatisticsMismatchError("chart and basis disagree")
-    est = estimate_series_tail(chart, basis)
+    est = 0.0
+    if chart.stats is Statistics.BOSE:
+        est = series_tail(float(np.linalg.norm(chart.z, 2)), min(basis.cutoffs))
     if est >= tail_tol:
         raise TailToleranceError(
             f"estimated series tail {est:.3e} exceeds {tail_tol:.1e} at cutoffs "
             f"{basis.cutoffs}; raise the cutoff"
         )
     n = basis.n_modes
-    ladders = basis.ladders
-    pair_entries = [
-        (i, j, chart.z[i, j])
-        for i in range(n)
-        for j in range(n)
-        if chart.z[i, j] != 0
-    ]
+    creators = [cre for _, cre in basis.ladders]
+    half_z = 0.5 * chart.z
 
     def apply_pair(vec: np.ndarray) -> np.ndarray:
+        """sum_ij z_ij/2 a*_i a*_j vec, with 2n ladder products."""
+        mixed = half_z @ np.array([cre @ vec for cre in creators])
         out = np.zeros_like(vec)
-        for i, j, zij in pair_entries:
-            out += 0.5 * zij * (ladders[i][1] @ (ladders[j][1] @ vec))
+        for cre, row in zip(creators, mixed):
+            out += cre @ row
         return out
 
     term = vacuum_vector(basis).amplitudes.copy()

@@ -19,18 +19,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import StatisticsMismatchError
 from .wick import PRUNE_THRESHOLD, Statistics, TermKey, WickPolynomial, _finalize
-
-
-class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 @dataclass(frozen=True)
@@ -78,12 +72,11 @@ def _acc(out: dict, key: TermKey, val: complex) -> None:
     out[key] = out.get(key, 0j) + val
 
 
-def _insert(stats: Statistics, tup: tuple, j: int, count: str) -> tuple | None:
-    """Insert index j into a sorted tuple; returns (tuple, sign) or None.
+def _insert(stats: Statistics, tup: tuple, j: int) -> tuple | None:
+    """Insert index j, appended on the right, into a sorted tuple.
 
-    ``count`` selects which neighbours the operator is swapped past when it
-    travels to its sorted slot: "greater" when appended from the right,
-    "less" when prepended from the left.
+    Returns (tuple, sign), the fermionic sign counting the greater indices j
+    is swapped past, or None for a repeated fermionic index.
     """
     if stats is Statistics.FERMI and j in tup:
         return None
@@ -93,8 +86,7 @@ def _insert(stats: Statistics, tup: tuple, j: int, count: str) -> tuple | None:
     new = tup[:pos] + (j,) + tup[pos:]
     if stats is Statistics.BOSE:
         return new, 1
-    passed = len(tup) - pos if count == "greater" else pos
-    return new, (-1) ** passed
+    return new, (-1) ** (len(tup) - pos)
 
 
 def _mul_right_creator(stats: Statistics, terms: dict, j: int) -> dict:
@@ -108,7 +100,7 @@ def _mul_right_creator(stats: Statistics, terms: dict, j: int) -> dict:
                 _acc(out, (cr, an[:t] + an[t + 1:]), c * sign)
             if fermi:
                 sign = -sign
-        merged = _insert(stats, cr, j, "greater")
+        merged = _insert(stats, cr, j)
         if merged is not None:
             new_cr, msign = merged
             _acc(out, (new_cr, an), c * sign * msign)
@@ -119,43 +111,15 @@ def _mul_right_annihilator(stats: Statistics, terms: dict, j: int) -> dict:
     """Normal order  terms * a_j."""
     out: dict = {}
     for (cr, an), c in terms.items():
-        merged = _insert(stats, an, j, "greater")
+        merged = _insert(stats, an, j)
         if merged is not None:
             new_an, msign = merged
             _acc(out, (cr, new_an), c * msign)
     return out
 
 
-def _mul_left_creator(stats: Statistics, terms: dict, j: int) -> dict:
-    """Normal order  a*_j * terms."""
-    out: dict = {}
-    for (cr, an), c in terms.items():
-        merged = _insert(stats, cr, j, "less")
-        if merged is not None:
-            new_cr, msign = merged
-            _acc(out, (new_cr, an), c * msign)
-    return out
-
-
-def _mul_left_annihilator(stats: Statistics, terms: dict, j: int) -> dict:
-    """Normal order  a_j * terms."""
-    fermi = stats is Statistics.FERMI
-    out: dict = {}
-    for (cr, an), c in terms.items():
-        sign = 1
-        for t in range(len(cr)):
-            if cr[t] == j:
-                _acc(out, (cr[:t] + cr[t + 1:], an), c * sign)
-            if fermi:
-                sign = -sign
-        merged = _insert(stats, an, j, "less")
-        if merged is not None:
-            new_an, msign = merged
-            _acc(out, (cr, new_an), c * sign * msign)
-    return out
-
-
-def _mul_linear_dict(stats: Statistics, terms: dict, op: LinearOperator, side: Side) -> dict:
+def _mul_linear_dict(stats: Statistics, terms: dict, op: LinearOperator) -> dict:
+    """Normal order  terms * op."""
     out: dict = {}
     if op.scalar != 0:
         for key, c in terms.items():
@@ -163,33 +127,23 @@ def _mul_linear_dict(stats: Statistics, terms: dict, op: LinearOperator, side: S
     for j in range(1, op.n_modes + 1):
         u = op.creation[j - 1]
         if u != 0:
-            part = (
-                _mul_right_creator(stats, terms, j)
-                if side is Side.RIGHT
-                else _mul_left_creator(stats, terms, j)
-            )
-            for key, c in part.items():
+            for key, c in _mul_right_creator(stats, terms, j).items():
                 _acc(out, key, u * c)
         v = op.annihilation[j - 1]
         if v != 0:
-            part = (
-                _mul_right_annihilator(stats, terms, j)
-                if side is Side.RIGHT
-                else _mul_left_annihilator(stats, terms, j)
-            )
-            for key, c in part.items():
+            for key, c in _mul_right_annihilator(stats, terms, j).items():
                 _acc(out, key, v * c)
     # intermediate pruning keeps cancelled keys from riding along the chain
     return {key: c for key, c in out.items() if abs(c) >= PRUNE_THRESHOLD}
 
 
-def multiply_linear(poly: WickPolynomial, op: LinearOperator, side: Side) -> WickPolynomial:
-    """Normal-ordered product op * poly (LEFT) or poly * op (RIGHT)."""
+def multiply_linear(poly: WickPolynomial, op: LinearOperator) -> WickPolynomial:
+    """Normal-ordered product poly * op."""
     if op.n_modes != poly.n_modes:
         raise StatisticsMismatchError(
             f"operator has {op.n_modes} modes, polynomial has {poly.n_modes}"
         )
-    out = _mul_linear_dict(poly.stats, dict(poly.terms), op, side)
+    out = _mul_linear_dict(poly.stats, dict(poly.terms), op)
     return _finalize(poly.n_modes, poly.stats, out)
 
 
@@ -215,17 +169,12 @@ def substitute_linear(
     for (cr, an), c in poly.terms.items():
         acc: dict = {((), ()): c}
         for i in cr:
-            acc = _mul_linear_dict(stats, acc, subst_creation[i - 1], Side.RIGHT)
+            acc = _mul_linear_dict(stats, acc, subst_creation[i - 1])
         for i in an:
-            acc = _mul_linear_dict(stats, acc, subst_annihilation[i - 1], Side.RIGHT)
+            acc = _mul_linear_dict(stats, acc, subst_annihilation[i - 1])
         for key, val in acc.items():
             _acc(result, key, val)
     return _finalize(n, stats, result)
-
-
-def vacuum_expectation(poly: WickPolynomial) -> complex:
-    """Vacuum expectation of a normal-ordered polynomial: its constant term."""
-    return poly.terms.get(((), ()), 0j)
 
 
 def _matchings(positions: tuple, partial: bool):

@@ -71,22 +71,47 @@ class RunStatus(Enum):
     UNBOUNDED_BELOW = "unbounded_below"
 
 
+#: Polynomials must equal their adjoint coefficientwise within this.
+HERMITIAN_TOL = 1e-10
+
+# Line search: Armijo sufficient-decrease constant, first trial step, its
+# shrink factor per backtrack and the number of backtracks before a stall;
+# trial steps are also capped at this generator norm.
+ARMIJO = 1e-4
+STEP_INIT = 0.5
+STEP_SHRINK = 0.5
+MAX_BACKTRACKS = 60
+STEP_NORM_CAP = 20.0
+
+# Divergence guards: a run is unbounded below once the mixing norm |v|_F
+# passes MIXING_CAP or its energy falls this many times the largest
+# non-constant |coefficient| below its start energy.
+MIXING_CAP = 1e4
+ENERGY_FLOOR_SPAN = 1e6
+
+#: Generator norm scale of the random extra starts.
+START_SCALE = 0.1
+
+#: Random directions of the finite-difference check and gauges of the sweep.
+FD_DIRECTIONS = 10
+GAUGE_SWEEPS = 5
+
+
 @dataclass
 class MinimizeOptions:
+    """Settings of ``minimize``.
+
+    ``tol_grad`` is the stationarity residual (|linear| + |pairing|_F) at
+    which a start counts as converged, ``max_iterations`` the descent steps
+    allowed per start.  ``multistarts`` is the number of starts (default 1
+    for polynomials of degree <= 2, else 4; FERMI_ODD always starts from
+    every unit reflection); the extra starts are random, drawn from ``seed``.
+    """
+
     tol_grad: float = 1e-8
     max_iterations: int = 5000
-    armijo: float = 1e-4
-    step_init: float = 0.5
-    step_shrink: float = 0.5
-    max_backtracks: int = 60
-    energy_floor: float = -1e6
-    mixing_cap: float = 1e4
-    step_norm_cap: float = 20.0
     multistarts: int | None = None
     seed: int = 0
-    start_scale: float = 0.1
-    odd_start: np.ndarray | None = None
-    hermitian_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -163,21 +188,22 @@ def descent_direction(blocks: TransformedBlocks | VacuumBlocks, mode: Mode) -> G
     return Generator(blocks.stats, pair, shift)
 
 
-def _check_mode(h: WickPolynomial, mode: Mode, tol: float) -> None:
+def _check_mode(h: WickPolynomial, mode: Mode) -> None:
     if h.stats is not mode.statistics:
         raise StatisticsMismatchError(
             f"mode {mode.value} needs {mode.statistics.value} statistics"
         )
-    if not h.is_hermitian(tol):
+    if not h.is_hermitian(HERMITIAN_TOL):
         raise HermiticityError("the polynomial must be Hermitian")
     if mode is not Mode.BOSE_FULL and h.parity() is not TermParity.EVEN:
         raise ParityError(f"mode {mode.value} requires an even polynomial")
 
 
 def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
-             opts: MinimizeOptions, want_linear: bool):
+             opts: MinimizeOptions, want_linear: bool, floor_depth: float):
     u_map = start
     blocks = compiled.vacuum_blocks(inverse(u_map), want_linear)
+    floor = float(blocks.constant.real) - floor_depth
     trace: list[tuple[float, float]] = []
     iterations = 0
     status = RunStatus.MAX_ITERATIONS
@@ -187,10 +213,10 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
         pair_norm = float(np.linalg.norm(blocks.pairing, "fro"))
         residual = lin_norm + pair_norm
         trace.append((energy, residual))
-        if not math.isfinite(energy) or energy < opts.energy_floor:
+        if not math.isfinite(energy) or energy < floor:
             status = RunStatus.UNBOUNDED_BELOW
             break
-        if float(np.linalg.norm(u_map.v, "fro")) > opts.mixing_cap:
+        if float(np.linalg.norm(u_map.v, "fro")) > MIXING_CAP:
             status = RunStatus.UNBOUNDED_BELOW
             break
         if residual < opts.tol_grad:
@@ -203,14 +229,14 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
         slope = 2.0 * (
             pair_norm**2 + (lin_norm**2 if mode is Mode.BOSE_FULL else 0.0)
         )
-        step = min(opts.step_init, opts.step_norm_cap / max(direction.norm, 1e-300))
+        step = min(STEP_INIT, STEP_NORM_CAP / max(direction.norm, 1e-300))
         # Below this the Armijo decrement is invisible in double precision;
         # switch to accepting steps on strict residual decrease instead,
         # still requiring the energy not to rise beyond rounding noise.
         noise = 64.0 * np.finfo(float).eps * max(1.0, abs(energy))
-        terminal = opts.armijo * step * slope < noise
+        terminal = ARMIJO * step * slope < noise
         accepted = None
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             candidate = compose(u_map, from_generator(direction.scaled(step)))
             # Armijo trials need the energy alone; a terminal trial's blocks
             # are those of the next iterate if it is accepted.
@@ -222,11 +248,11 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
                 )
                 better = t_energy <= energy + noise and t_res <= residual * (1.0 - 1e-3)
             else:
-                better = t_energy <= energy - opts.armijo * step * slope
+                better = t_energy <= energy - ARMIJO * step * slope
             if math.isfinite(t_energy) and better:
                 accepted = candidate
                 break
-            step *= opts.step_shrink
+            step *= STEP_SHRINK
         if accepted is None:
             # Stalled at the floating-point floor of the line search.
             status = RunStatus.MAX_ITERATIONS
@@ -242,9 +268,6 @@ def _starts(h: WickPolynomial, mode: Mode, opts: MinimizeOptions) -> list[Bogoli
     rng = np.random.default_rng(opts.seed)
     if mode is Mode.FERMI_ODD:
         base: list[BogoliubovMap] = []
-        if opts.odd_start is not None:
-            y = np.asarray(opts.odd_start, complex)
-            base.append(reflection(y / np.linalg.norm(y)))
         for k in range(n):
             direction = np.zeros(n, complex)
             direction[k] = 1.0
@@ -259,7 +282,7 @@ def _starts(h: WickPolynomial, mode: Mode, opts: MinimizeOptions) -> list[Bogoli
     for _ in range(extras):
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         pair = (raw + raw.T) / 2 if h.stats is Statistics.BOSE else (raw - raw.T) / 2
-        g = Generator(h.stats, opts.start_scale * pair, np.zeros(n, complex))
+        g = Generator(h.stats, START_SCALE * pair, np.zeros(n, complex))
         starts.append(compose(base[0], from_generator(g)))
     return starts
 
@@ -271,15 +294,19 @@ def minimize(
 
     Runs steepest descent in the recentered generator chart from one or more
     starts, stops at gradient norm ``tol_grad``, the iteration cap, or a
-    divergence guard, and reports the block decomposition at the final map
-    computed through the full normal-ordering route.
+    divergence guard (``MIXING_CAP``, or an energy ``ENERGY_FLOOR_SPAN``
+    times the largest non-constant |coefficient| below the start's), and
+    reports the block decomposition at the final map computed through the
+    full normal-ordering route.
     """
     opts = opts or MinimizeOptions()
-    _check_mode(h, mode, opts.hermitian_tol)
+    _check_mode(h, mode)
     compiled = CompiledPolynomial(h)
     want_linear = mode is Mode.BOSE_FULL or h.parity() is not TermParity.EVEN
+    scale = max((abs(c) for (cr, an), c in h.items() if cr or an), default=0.0)
     runs = [
-        _descend(compiled, mode, start, opts, want_linear) for start in _starts(h, mode, opts)
+        _descend(compiled, mode, start, opts, want_linear, ENERGY_FLOOR_SPAN * scale)
+        for start in _starts(h, mode, opts)
     ]
     unbounded = [r for r in runs if r[1] is RunStatus.UNBOUNDED_BELOW]
     converged = [r for r in runs if r[1] is RunStatus.CONVERGED]
@@ -357,31 +384,21 @@ class CertificationReport:
 
 
 def oracle_basis(
-    m: BogoliubovMap,
-    h: WickPolynomial,
-    cutoff: int | None = None,
-    dimension_cap: int = fock.DEFAULT_DIMENSION_CAP,
-    tail_tol: float = fock.DEFAULT_TAIL_TOL,
+    m: BogoliubovMap, h: WickPolynomial, dimension_cap: int = fock.DEFAULT_DIMENSION_CAP
 ) -> fock.FockBasis:
-    """Truncated basis able to represent the state of the map within tail_tol.
+    """Truncated basis able to represent the state of the map.
 
-    With ``cutoff=None`` the bosonic per-mode cutoff is grown until the
-    geometric tail estimate of the state's pair amplitude clears the
-    tolerance with margin.
+    The bosonic per-mode cutoff is grown until the series tail at a radius
+    0.1 past the state's pair amplitude clears a tenth of
+    ``fock.DEFAULT_TAIL_TOL``.
     """
     if h.stats is Statistics.FERMI:
         return fock.FockBasis.build(h.stats, h.n_modes, dimension_cap=dimension_cap)
-    if cutoff is not None:
-        return fock.FockBasis.build(h.stats, h.n_modes, cutoff, dimension_cap=dimension_cap)
-    reach = float(np.linalg.norm(chart_from_map(m).z, 2)) + 0.1
-    reach = min(reach, 0.999)
+    reach = min(float(np.linalg.norm(chart_from_map(m).z, 2)) + 0.1, 0.999)
     chosen = fock.DEFAULT_CUTOFF
-    while True:
-        pairs = chosen // 2
-        est = reach ** (2 * (pairs + 1)) / (1.0 - reach * reach)
-        if est < 0.1 * tail_tol:
-            return fock.FockBasis.build(h.stats, h.n_modes, chosen, dimension_cap=dimension_cap)
+    while fock.series_tail(reach, chosen) >= 0.1 * fock.DEFAULT_TAIL_TOL:
         chosen += 2
+    return fock.FockBasis.build(h.stats, h.n_modes, chosen, dimension_cap=dimension_cap)
 
 
 def certify(
@@ -389,37 +406,34 @@ def certify(
     h: WickPolynomial,
     mode: Mode,
     fd_step: float = 3e-4,
-    n_directions: int = 10,
-    n_gauges: int = 5,
     seed: int = 1234,
-    cutoff: int | None = None,
     dimension_cap: int = fock.DEFAULT_DIMENSION_CAP,
-    tail_tol: float = fock.DEFAULT_TAIL_TOL,
 ) -> CertificationReport:
     """Check the stationarity structure of a converged run against brute force.
 
     Four checks: residual norms of the linear and anomalous blocks;
-    finite-difference derivatives of the truncated-Fock energy along random
-    generator directions against the analytic first-order values; for the
+    finite-difference derivatives of the truncated-Fock energy along
+    ``FD_DIRECTIONS`` random generator directions against the analytic first-order values; for the
     full bosonic mode, the quadratic growth of the energy along displacements
     against the particle-conserving block; invariance of the reported data
-    under random gauge (number-conserving) right-compositions.
+    under ``GAUGE_SWEEPS`` random gauge (number-conserving)
+    right-compositions.
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
     rng = np.random.default_rng(seed)
-    basis = oracle_basis(result.map, h, cutoff, dimension_cap, tail_tol)
+    basis = oracle_basis(result.map, h, dimension_cap)
     hmat = fock.quantize(h, basis)
     u_map = result.map
     blocks = result.blocks
 
     def oracle_energy(m: BogoliubovMap) -> float:
-        vec = fock.state_of_map(m, basis, tail_tol)
+        vec = fock.state_of_map(m, basis)
         return float(fock.expectation(vec, hmat).real)
 
     fd_devs: list[float] = []
     fd_tols: list[float] = []
-    for _ in range(n_directions):
+    for _ in range(FD_DIRECTIONS):
         raw = rng.standard_normal((h.n_modes, h.n_modes)) + 1j * rng.standard_normal(
             (h.n_modes, h.n_modes)
         )
@@ -459,7 +473,7 @@ def certify(
 
     base_spec = result.spectrum
     deltas = {"energy": [], "linear_norm": [], "pairing_norm": [], "spectrum": []}
-    for _ in range(n_gauges):
+    for _ in range(GAUGE_SWEEPS):
         gauge = random_number_conserving(h.n_modes, h.stats, rng)
         sweep = result_at(h, compose(u_map, gauge))
         deltas["energy"].append(abs(sweep.energy - result.energy))

@@ -161,9 +161,6 @@ class WickPolynomial:
     def degree(self) -> int:
         return max((len(k[0]) + len(k[1]) for k in self.terms), default=0)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def parity(self) -> TermParity:
         """EVEN/ODD if every term has even/odd total degree, MIXED otherwise.
 

@@ -2,17 +2,9 @@
 
 import numpy as np
 
-from quasivac import (
-    Generator,
-    LinearOperator,
-    Side,
-    Statistics,
-    WickPolynomial,
-    compose,
-    from_generator,
-    multiply_linear,
-    random_number_conserving,
-)
+from quasivac import Generator, Statistics, WickPolynomial, compose, from_generator
+from quasivac.bogoliubov import random_number_conserving
+from quasivac.ordering import LinearOperator, multiply_linear
 
 
 def random_free_hermitian(stats, n, rng, degree=4, scale=0.5, include_odd=False):
@@ -102,8 +94,8 @@ def poly_product(p, q):
     for (cr, an), coeff in q.items():
         part = p.scaled(coeff)
         for i in cr:
-            part = multiply_linear(part, LinearOperator.unit_creation(n, i), Side.RIGHT)
+            part = multiply_linear(part, LinearOperator.unit_creation(n, i))
         for i in an:
-            part = multiply_linear(part, LinearOperator.unit_annihilation(n, i), Side.RIGHT)
+            part = multiply_linear(part, LinearOperator.unit_annihilation(n, i))
         total = total + part
     return total

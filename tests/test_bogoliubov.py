@@ -7,27 +7,26 @@ import pytest
 
 from quasivac import (
     BogoliubovMap,
-    ChartDomainError,
-    DegeneracyError,
     FockBasis,
     Generator,
-    InvalidGeneratorError,
     Statistics,
+    compose,
+    from_generator,
+    inverse,
+)
+from quasivac.bogoliubov import (
     chart_from_generator,
     chart_from_map,
-    compose,
-    exp_generator,
-    from_generator,
-    gaussian_vector,
     identity,
-    inverse,
+    preserves_form,
     random_generator,
     random_number_conserving,
     reflection,
+    require_valid,
     residual_norms,
-    vacuum_vector,
 )
-from quasivac.bogoliubov import preserves_form, require_valid
+from quasivac.errors import ChartDomainError, DegeneracyError, InvalidGeneratorError
+from quasivac.fock import exp_generator, gaussian_vector, vacuum_vector
 
 from conftest import random_bounded_hamiltonian, random_valid_map
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasivac import HermiticityError, SpecFormatError, Statistics
+from quasivac import Statistics
+from quasivac.errors import HermiticityError, SpecFormatError
 from quasivac.cli import (
     hamiltonian_from_payload,
     parse_hamiltonian,

@@ -7,29 +7,28 @@ import pytest
 
 from quasivac import (
     BogoliubovMap,
-    DimensionCapError,
     FockBasis,
     Generator,
     Statistics,
-    TailToleranceError,
-    ThoulessChart,
     WickPolynomial,
-    build_ladders,
-    exp_generator,
-    expectation,
-    gaussian_vector,
     ground_energy,
     quantize,
-    reflection,
     residual_blocks,
     state_of_map,
-    vacuum_vector,
 )
+from quasivac.bogoliubov import ThoulessChart, reflection
+from quasivac.errors import DimensionCapError, TailToleranceError
+from quasivac.fock import exp_generator, expectation, gaussian_vector, vacuum_vector
 
 from conftest import random_free_hermitian, random_valid_map
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
+
+
+def row_of(basis, *occupation):
+    """Row of an occupation tuple in the basis enumeration."""
+    return int(np.dot(basis.strides, occupation))
 
 
 def number_operator(n, stats):
@@ -63,6 +62,13 @@ class TestBasis:
         basis = FockBasis.build(BOSE, 2, cutoff=1)
         order = [tuple(row) for row in basis.occupations]
         assert order == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        assert row_of(basis, 0, 0) == 0  # the vacuum leads
+
+    @pytest.mark.parametrize("stats,n,cutoff", [(BOSE, 3, 2), (BOSE, 3, (3, 1, 2)), (FERMI, 4, 1)])
+    def test_strides_locate_every_row(self, stats, n, cutoff):
+        basis = FockBasis.build(stats, n, cutoff)
+        assert np.array_equal(basis.occupations @ basis.strides, np.arange(basis.dimension))
+        assert not basis.strides.flags.writeable
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
@@ -82,24 +88,24 @@ class TestBasis:
 class TestLadders:
     def test_fermi_single_mode_matrix(self):
         basis = FockBasis.build(FERMI, 1)
-        ann, cre = build_ladders(basis)[0]
+        ann, cre = basis.ladders[0]
         assert np.array_equal(ann, np.array([[0, 1], [0, 0]], dtype=complex))
         assert np.array_equal(cre, ann.conj().T)
 
     def test_bose_matrix_elements(self):
         basis = FockBasis.build(BOSE, 1, cutoff=2)
-        ann, cre = build_ladders(basis)[0]
+        ann, cre = basis.ladders[0]
         vec = np.zeros(3, complex)
         vec[2] = 1.0  # |2>
         assert np.allclose(ann @ vec, [0, math.sqrt(2), 0])
         assert np.array_equal(cre, ann.conj().T)
         # built once per basis, shared read-only
-        assert build_ladders(basis) is basis.ladders
+        assert basis.ladders is basis.ladders
         assert not ann.flags.writeable and not cre.flags.writeable
 
     def test_fermi_car_exact(self):
         basis = FockBasis.build(FERMI, 2)
-        (a1, c1), (a2, c2) = build_ladders(basis)
+        (a1, c1), (a2, c2) = basis.ladders
         eye = np.eye(basis.dimension)
         assert np.array_equal(a1 @ a2 + a2 @ a1, np.zeros_like(a1))
         assert np.array_equal(c1 @ c2 + c2 @ c1, np.zeros_like(a1))
@@ -108,7 +114,7 @@ class TestLadders:
 
     def test_bose_ccr_on_untruncated_states(self):
         basis = FockBasis.build(BOSE, 2, cutoff=5)
-        (a1, c1), (a2, c2) = build_ladders(basis)
+        (a1, c1), (a2, c2) = basis.ladders
         comm = a1 @ c1 - c1 @ a1
         cross = a1 @ c2 - c2 @ a1
         for col in range(basis.dimension):
@@ -130,7 +136,7 @@ class TestQuantize:
         cases = [(BOSE, 2, 5), (FERMI, 3, 1), (BOSE, 3, 2), (BOSE, 2, (3, 1))]
         for stats, n, cutoff in cases:
             basis = FockBasis.build(stats, n, cutoff)
-            ladders = build_ladders(basis)
+            ladders = basis.ladders
             poly = random_free_hermitian(stats, n, rng, include_odd=True)
             expected = np.zeros((basis.dimension, basis.dimension), complex)
             for (cr, an), coeff in poly.items():
@@ -201,8 +207,8 @@ class TestGaussianVector:
         vec = gaussian_vector(ThoulessChart(FERMI, z, np.zeros(2, complex)), basis)
         norm = 1.0 / math.sqrt(1 + t * t)
         expected = np.zeros(4, complex)
-        expected[basis.index[(0, 0)]] = norm
-        expected[basis.index[(1, 1)]] = t * norm
+        expected[row_of(basis, 0, 0)] = norm
+        expected[row_of(basis, 1, 1)] = t * norm
         assert np.allclose(vec.amplitudes, expected, atol=1e-12)
         assert vec.norm_defect < 1e-12
 
@@ -278,7 +284,7 @@ class TestStateOfMap:
         e1 = np.zeros(1, complex)
         e1[0] = 1.0
         vec = state_of_map(reflection(e1), basis)
-        assert abs(vec.amplitudes[basis.index[(1,)]]) == pytest.approx(1.0)
+        assert abs(vec.amplitudes[row_of(basis, 1)]) == pytest.approx(1.0)
 
     def test_fermi_fully_occupied_slater(self):
         # u = 0, v = 1 on two modes: even but maximally degenerate
@@ -287,7 +293,7 @@ class TestStateOfMap:
             FERMI, np.zeros((2, 2), complex), np.eye(2, dtype=complex), np.zeros(2, complex)
         )
         vec = state_of_map(m, basis)
-        assert abs(vec.amplitudes[basis.index[(1, 1)]]) == pytest.approx(1.0)
+        assert abs(vec.amplitudes[row_of(basis, 1, 1)]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("stats", [BOSE, FERMI])
     def test_quasiparticle_operators_annihilate_state(self, stats):
@@ -295,7 +301,7 @@ class TestStateOfMap:
         n = 2
         cutoff = 16
         basis = FockBasis.build(stats, n, cutoff)
-        ladders = build_ladders(basis)
+        ladders = basis.ladders
         for _ in range(4):
             m = random_valid_map(
                 stats, n, rng, pair_scale=0.12, shift_scale=0.2 if stats is BOSE else 0.0,
@@ -312,7 +318,7 @@ class TestStateOfMap:
         rng = np.random.default_rng(13)
         n = 3
         basis = FockBasis.build(FERMI, n)
-        ladders = build_ladders(basis)
+        ladders = basis.ladders
         e2 = np.zeros(n, complex)
         e2[1] = 1.0
         from quasivac import compose

@@ -8,31 +8,26 @@ import pytest
 from quasivac import (
     FockBasis,
     Generator,
-    HermiticityError,
     MinimizeOptions,
     Mode,
-    ParityError,
     RunStatus,
     Statistics,
     WickPolynomial,
     certify,
     compose,
-    descent_direction,
-    directional_derivative,
-    expectation,
     from_generator,
     ground_energy,
-    identity,
     inverse,
     minimize,
     quantize,
-    reflection,
     residual_blocks,
     state_of_map,
-    substitute_linear,
 )
-from quasivac.ordering import CompiledPolynomial
-from quasivac.variational import substitution_rows
+from quasivac.bogoliubov import identity, reflection
+from quasivac.errors import HermiticityError, ParityError
+from quasivac.fock import expectation
+from quasivac.ordering import CompiledPolynomial, substitute_linear
+from quasivac.variational import descent_direction, directional_derivative, substitution_rows
 from quasivac.wick import DEGREE_CAP
 
 from conftest import (
@@ -281,6 +276,13 @@ class TestMinimizeNamedProblems:
         res = minimize(h, Mode.BOSE_EVEN, MinimizeOptions())
         assert res.status is RunStatus.UNBOUNDED_BELOW
 
+    def test_energy_floor_follows_the_scale_of_h(self):
+        # a large constant moves every energy but not the minimizer
+        h = squeezed_oscillator().add_term([], [], -2e6)
+        res = minimize(h, Mode.BOSE_EVEN, MinimizeOptions())
+        assert res.status is RunStatus.CONVERGED
+        assert res.energy == pytest.approx(-2e6 - 0.1, abs=1e-6)
+
     def test_iteration_cap_reported(self):
         res = minimize(
             squeezed_oscillator(),
@@ -373,7 +375,7 @@ class TestMinimizeValidation:
             minimize(h, Mode.BOSE_EVEN)
 
     def test_rejects_statistics_mismatch(self):
-        from quasivac import StatisticsMismatchError
+        from quasivac.errors import StatisticsMismatchError
 
         with pytest.raises(StatisticsMismatchError):
             minimize(bcs_hamiltonian(), Mode.BOSE_EVEN)

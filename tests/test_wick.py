@@ -6,18 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasivac import (
-    DegreeCapError,
-    IndexRangeError,
-    Statistics,
+from quasivac import Statistics, TransformedBlocks, WickPolynomial
+from quasivac.errors import DegreeCapError, IndexRangeError
+from quasivac.wick import (
+    PRUNE_THRESHOLD,
     TermParity,
-    TransformedBlocks,
-    WickPolynomial,
     canonicalize_term,
     extract_blocks,
     reassemble,
 )
-from quasivac.wick import PRUNE_THRESHOLD
 
 from conftest import random_free_hermitian
 
