@@ -36,6 +36,7 @@ from .errors import (
     QuasivacError,
     SpecFormatError,
 )
+from .ordering import CompiledPolynomial
 from .variational import (
     HERMITIAN_TOL,
     MinimizeOptions,
@@ -367,7 +368,7 @@ def certify_report(report_path: str, fd_step: float = 3e-4, seed: int = 1234) ->
     if report.get("status") != "converged":
         return {"passed": False, "reason": f"report status is {report.get('status')!r}"}
     poly = hamiltonian_from_payload(report["hamiltonian"])
-    result = result_at(poly, map_from_payload(report["map"]))
+    result = result_at(CompiledPolynomial(poly), map_from_payload(report["map"]))
     payload = _certification_payload(result, poly, Mode(report["mode"]), fd_step, seed)
     payload["fd_step"] = fd_step
     return payload

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import StatisticsMismatchError
-from .wick import PRUNE_THRESHOLD, Statistics, TermKey, WickPolynomial, _finalize
+from .wick import PRUNE_THRESHOLD, Blocks, Statistics, TermKey, WickPolynomial, _finalize
 
 
 @dataclass(frozen=True)
@@ -192,28 +192,31 @@ def _matchings(positions: tuple, partial: bool):
 
 
 @functools.cache
-def _matching_table(probes: int, d: int, fermi: bool, partial: bool):
-    """Wick expansion of  <p_0 .. p_{probes-1} O_0 .. O_{d-1}>  as arrays.
+def _matching_table(probes: int, d: int, fermi: bool, partial: bool, right: bool = False):
+    """Wick expansion of  <p_0 .. p_{probes-1} O_0 .. O_{d-1} q>  as arrays.
 
-    The probes (positions -probes .. -1) are pure annihilators, so each
-    contracts with a factor and none is left unmatched.  Matching e becomes
-    row e of ``index``, pointing into the ``_pair_values`` vector (factor
-    contractions, unmatched scalars, padding 1), and row e of ``scatter``: its
-    sign, (-1)^crossings for fermions, in the column of the probes' partners
-    (k, or k * d + l).
+    The probes p (positions -probes .. -1) are pure annihilators and the
+    optional right probe q (position d, if ``right``) a pure creator, so each
+    probe contracts with a factor and none is left unmatched; matchings that
+    contract two probes are left out.  Matching e becomes row e of ``index``,
+    pointing into the ``_pair_values`` vector (factor contractions, unmatched
+    scalars, padding 1), and row e of ``scatter``: its sign, (-1)^crossings
+    for fermions, in the column of the probes' partners (k, or k * d + l,
+    left to right).
     """
+    ends = list(range(-probes, 0)) + ([d] if right else [])
     rows, targets, signs = [], [], []
-    for pairs, alone in _matchings(tuple(range(-probes, d)), partial):
-        if any(u < 0 for u in alone) or any(b < 0 for _, b in pairs):
+    for pairs, alone in _matchings(tuple(range(-probes, d + right)), partial):
+        partner = dict(pairs) | {b: a for a, b in pairs}
+        if any(not 0 <= partner.get(p, -1) < d for p in ends):
             continue
-        # pairs come sorted by first position, so the probes' pairs lead
-        targets.append(sum(b * d ** (probes - 1 - p) for p, (_, b) in enumerate(pairs[:probes])))
-        rows.append([a * d + b for a, b in pairs[probes:]] + [d * d + u for u in alone])
+        targets.append(sum(partner[p] * d ** (len(ends) - 1 - k) for k, p in enumerate(ends)))
+        rows.append([a * d + b for a, b in pairs if a >= 0 and b < d] + [d * d + u for u in alone])
         crossings = sum(a < c < b < e for a, b in pairs for c, e in pairs)
         signs.append(-1.0 if fermi and crossings % 2 else 1.0)
     width = max([1] + [len(r) for r in rows])
     index = np.array([r + [d * d + d] * (width - len(r)) for r in rows], int).reshape(-1, width)
-    scatter = np.zeros((len(rows), d**probes))
+    scatter = np.zeros((len(rows), d ** len(ends)))
     scatter[np.arange(len(rows)), targets] = signs
     index.setflags(write=False)
     scatter.setflags(write=False)
@@ -259,15 +262,6 @@ def product_vacuum_expectation(stats: Statistics, ops: Sequence[LinearOperator])
     return complex(_matching_sums(values, table)[0, 0])
 
 
-class VacuumBlocks(NamedTuple):
-    """Constant, linear and pairing blocks at one map, as ``TransformedBlocks``."""
-
-    stats: Statistics
-    constant: complex
-    linear: np.ndarray
-    pairing: np.ndarray
-
-
 class CompiledPolynomial:
     """A polynomial's terms as index arrays, grouped by degree d.
 
@@ -288,7 +282,8 @@ class CompiledPolynomial:
             for d, (rows, coeffs) in sorted(by_degree.items())
         ]
 
-    def vacuum_blocks(self, inv, linear: bool, pairing: bool = True) -> VacuumBlocks:
+    def vacuum_blocks(self, inv, linear: bool, pairing: bool = True,
+                      single: bool = False) -> Blocks:
         """Low-degree blocks after a_i -> sum_j u_ij b_j + v_ij b*_j + shift_i.
 
         ``inv`` carries (u, v, shift), as the inverse of a Bogoliubov map
@@ -300,8 +295,12 @@ class CompiledPolynomial:
             linear[i] = sum_t c_t <b_i O_t>               (zero unless ``linear``),
             pairing   = (P +- P^T) / 4 with P[i, j] = sum_t c_t <b_j b_i O_t>
                         (- for fermions; zero unless ``pairing``),
+            single_particle[i, j] = sum_t c_t <b_i O_t b*_j> - constant delta_ij
+                        (None unless ``single``),
 
         evaluating all terms of one degree, and all probes b, in one batch.
+        The delta_ij term is the contraction of b_i with b*_j, which the
+        table of ``single_particle`` leaves out.
         """
         n = self.n_modes
         fermi = self.stats is Statistics.FERMI
@@ -311,10 +310,11 @@ class CompiledPolynomial:
         constant = 0j
         lin = np.zeros(n, complex)
         pairs = np.zeros((n, n), complex)
+        one_body = np.zeros((n, n), complex) if single else None
         for rows, coeffs in self.groups:
             t, d = rows.shape
-            c, scalars = cre[rows], sca[rows]
-            values = _pair_values(c, ann[rows], scalars)
+            c, a, scalars = cre[rows], ann[rows], sca[rows]
+            values = _pair_values(c, a, scalars)
             partial = bool(np.any(scalars != 0))
             sums = _matching_sums(values, _matching_table(0, d, fermi, partial))
             constant += coeffs @ sums[:, 0]
@@ -326,6 +326,12 @@ class CompiledPolynomial:
                 # x[t, l, j] = sum_k w[t, k, l] c[t, k, j]: probe b_j meets factor k
                 x = coeffs[:, None, None] * np.matmul(w.transpose(0, 2, 1), c)
                 pairs += c.reshape(-1, n).T @ x.reshape(-1, n)
+            if single:
+                table = _matching_table(1, d, fermi, partial, True)
+                w = _matching_sums(values, table).reshape(t, d, d)
+                # x[t, k, j] = sum_l w[t, k, l] a[t, l, j]: b_i meets k, b*_j meets l
+                x = coeffs[:, None, None] * np.matmul(w, a)
+                one_body += c.reshape(-1, n).T @ x.reshape(-1, n)
         # P counts the coefficient of b*_i b*_j once per order of the probes
         pairs = -0.25 * (pairs - pairs.T) if fermi else 0.25 * (pairs + pairs.T)
-        return VacuumBlocks(self.stats, complex(constant), lin, pairs)
+        return Blocks(self.stats, complex(constant), lin, pairs, one_body)

@@ -10,11 +10,13 @@ iterate a direct check of the first-order expansion; at convergence those
 blocks vanish and only the constant, the particle-conserving quadratic block
 and higher-order terms survive.
 
-One engine, one oracle: the descent evaluates the blocks with the batched
-Wick engine ``ordering.CompiledPolynomial``; ``residual_blocks`` normal
-orders the substituted polynomial in full.  They are asserted against each
-other at the end of every run (and property-tested), so a bug in either is
-loud.
+One engine, one oracle: every block ``minimize`` uses or reports (the
+descent's, and the constant, linear, pairing and particle-conserving blocks
+of a result) comes from the batched Wick engine
+``ordering.CompiledPolynomial``.  ``residual_blocks`` normal orders the
+substituted polynomial in full; it is the independent reference, asserted
+against a result's blocks once in ``certify`` (and property-tested), so a
+bug in either is loud.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .bogoliubov import (
     from_generator,
     identity,
     inverse,
+    random_generator,
     random_number_conserving,
     reflection,
 )
@@ -41,11 +44,11 @@ from .errors import HermiticityError, ParityError, StatisticsMismatchError
 from .ordering import (
     CompiledPolynomial,
     LinearOperator,
-    VacuumBlocks,
     product_vacuum_expectation,  # noqa: F401  (perfbench/spans.py wraps it in this namespace)
     substitute_linear,
 )
 from .wick import (
+    Blocks,
     Statistics,
     TermParity,
     TransformedBlocks,
@@ -117,7 +120,7 @@ class MinimizeOptions:
 @dataclass(frozen=True)
 class MinimizationResult:
     map: BogoliubovMap
-    blocks: TransformedBlocks
+    blocks: Blocks
     energy: float
     spectrum: np.ndarray
     residual: float
@@ -166,7 +169,7 @@ def pairing_gradient_sign(stats: Statistics) -> float:
     return 1.0 if stats is Statistics.BOSE else -1.0
 
 
-def directional_derivative(blocks: TransformedBlocks, direction: Generator) -> float:
+def directional_derivative(blocks: Blocks, direction: Generator) -> float:
     """Analytic first-order energy change along a unit generator direction."""
     sign = pairing_gradient_sign(blocks.stats)
     return float(
@@ -175,7 +178,7 @@ def directional_derivative(blocks: TransformedBlocks, direction: Generator) -> f
     )
 
 
-def descent_direction(blocks: TransformedBlocks | VacuumBlocks, mode: Mode) -> Generator:
+def descent_direction(blocks: Blocks, mode: Mode) -> Generator:
     """Steepest-descent generator: (gradient sign) * i * pairing, plus
     i * linear for BOSE_FULL.
 
@@ -199,6 +202,11 @@ def _check_mode(h: WickPolynomial, mode: Mode) -> None:
         raise ParityError(f"mode {mode.value} requires an even polynomial")
 
 
+def _noise(energy: float) -> float:
+    """Energy differences below this are rounding, not descent."""
+    return 64.0 * np.finfo(float).eps * max(1.0, abs(energy))
+
+
 def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
              opts: MinimizeOptions, want_linear: bool, floor_depth: float):
     u_map = start
@@ -206,11 +214,9 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
     floor = float(blocks.constant.real) - floor_depth
     trace: list[tuple[float, float]] = []
     iterations = 0
-    status = RunStatus.MAX_ITERATIONS
     while True:
         energy = float(blocks.constant.real)
-        lin_norm = float(np.linalg.norm(blocks.linear))
-        pair_norm = float(np.linalg.norm(blocks.pairing, "fro"))
+        lin_norm, pair_norm = blocks.linear_norm, blocks.pairing_norm
         residual = lin_norm + pair_norm
         trace.append((energy, residual))
         if not math.isfinite(energy) or energy < floor:
@@ -226,14 +232,12 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
             status = RunStatus.MAX_ITERATIONS
             break
         direction = descent_direction(blocks, mode)
-        slope = 2.0 * (
-            pair_norm**2 + (lin_norm**2 if mode is Mode.BOSE_FULL else 0.0)
-        )
+        slope = 2.0 * (pair_norm**2 + (lin_norm**2 if mode is Mode.BOSE_FULL else 0.0))
         step = min(STEP_INIT, STEP_NORM_CAP / max(direction.norm, 1e-300))
         # Below this the Armijo decrement is invisible in double precision;
         # switch to accepting steps on strict residual decrease instead,
         # still requiring the energy not to rise beyond rounding noise.
-        noise = 64.0 * np.finfo(float).eps * max(1.0, abs(energy))
+        noise = _noise(energy)
         terminal = ARMIJO * step * slope < noise
         accepted = None
         for _ in range(MAX_BACKTRACKS):
@@ -243,10 +247,7 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
             trial = compiled.vacuum_blocks(inverse(candidate), want_linear and terminal, terminal)
             t_energy = float(trial.constant.real)
             if terminal:
-                t_res = float(np.linalg.norm(trial.linear)) + float(
-                    np.linalg.norm(trial.pairing, "fro")
-                )
-                better = t_energy <= energy + noise and t_res <= residual * (1.0 - 1e-3)
+                better = t_energy <= energy + noise and trial.residual <= residual * (1.0 - 1e-3)
             else:
                 better = t_energy <= energy - ARMIJO * step * slope
             if math.isfinite(t_energy) and better:
@@ -280,9 +281,7 @@ def _starts(h: WickPolynomial, mode: Mode, opts: MinimizeOptions) -> list[Bogoli
     extras = max(0, total - len(base))
     starts = list(base)
     for _ in range(extras):
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        pair = (raw + raw.T) / 2 if h.stats is Statistics.BOSE else (raw - raw.T) / 2
-        g = Generator(h.stats, START_SCALE * pair, np.zeros(n, complex))
+        g = random_generator(n, h.stats, rng, START_SCALE)
         starts.append(compose(base[0], from_generator(g)))
     return starts
 
@@ -296,8 +295,10 @@ def minimize(
     starts, stops at gradient norm ``tol_grad``, the iteration cap, or a
     divergence guard (``MIXING_CAP``, or an energy ``ENERGY_FLOOR_SPAN``
     times the largest non-constant |coefficient| below the start's), and
-    reports the block decomposition at the final map computed through the
-    full normal-ordering route.
+    reports the blocks at the final map, D included, from the same engine as
+    the descent.  Nothing here normal orders: ``certify`` checks the blocks
+    against ``residual_blocks``.  Converged starts whose energies lie within
+    the line-search noise of the lowest tie, and the earliest of them wins.
     """
     opts = opts or MinimizeOptions()
     _check_mode(h, mode)
@@ -313,26 +314,25 @@ def minimize(
     if unbounded:
         best = unbounded[0]
     elif converged:
-        best = min(converged, key=lambda r: r[3][-1][0])
+        lowest = min(r[3][-1][0] for r in converged)
+        best = next(r for r in converged if r[3][-1][0] <= lowest + _noise(lowest))
     else:
         best = min(runs, key=lambda r: r[3][-1][1])
     u_map, status, iterations, trace = best
-    result = result_at(h, u_map, status, iterations, tuple(trace), len(runs))
-    _crosscheck_routes(compiled, u_map, result.blocks)
-    return result
+    return result_at(compiled, u_map, status, iterations, tuple(trace), len(runs))
 
 
 def result_at(
-    h: WickPolynomial,
+    compiled: CompiledPolynomial,
     m: BogoliubovMap,
     status: RunStatus = RunStatus.CONVERGED,
     iterations: int = 0,
     trace: tuple | None = None,
     n_starts: int = 1,
 ) -> MinimizationResult:
-    """The result at a map: blocks by full normal ordering, the spectrum of
-    the Hermitian part of D, and by default a one-point trace."""
-    blocks = residual_blocks(h, m)
+    """The result at a map: the engine's blocks with D, the spectrum of the
+    Hermitian part of D, and by default a one-point trace."""
+    blocks = compiled.vacuum_blocks(inverse(m), linear=True, single=True)
     energy = float(blocks.constant.real)
     spectrum = np.linalg.eigvalsh(
         (blocks.single_particle + blocks.single_particle.conj().T) / 2
@@ -350,14 +350,12 @@ def result_at(
     )
 
 
-def _crosscheck_routes(compiled: CompiledPolynomial, m: BogoliubovMap, blocks: TransformedBlocks) -> None:
+def _crosscheck_routes(blocks: Blocks, oracle: TransformedBlocks) -> None:
     """The batched engine must reproduce the normal-ordering route."""
-    _, constant, linear, pairing = compiled.vacuum_blocks(inverse(m), linear=True)
-    scale = max(1.0, abs(constant))
-    if (
-        abs(constant - blocks.constant) > 1e-8 * scale
-        or np.max(np.abs(linear - blocks.linear), initial=0.0) > 1e-8 * scale
-        or np.max(np.abs(pairing - blocks.pairing), initial=0.0) > 1e-8 * scale
+    scale = max(1.0, abs(blocks.constant))
+    if abs(blocks.constant - oracle.constant) > 1e-8 * scale or any(
+        np.max(np.abs(getattr(blocks, name) - getattr(oracle, name)), initial=0.0) > 1e-8 * scale
+        for name in ("linear", "pairing", "single_particle")
     ):
         raise RuntimeError("internal inconsistency between block evaluation routes")
 
@@ -411,16 +409,19 @@ def certify(
 ) -> CertificationReport:
     """Check the stationarity structure of a converged run against brute force.
 
-    Four checks: residual norms of the linear and anomalous blocks;
-    finite-difference derivatives of the truncated-Fock energy along
-    ``FD_DIRECTIONS`` random generator directions against the analytic first-order values; for the
-    full bosonic mode, the quadratic growth of the energy along displacements
-    against the particle-conserving block; invariance of the reported data
-    under ``GAUGE_SWEEPS`` random gauge (number-conserving)
-    right-compositions.
+    First the result's blocks must equal those of ``residual_blocks`` at its
+    map to 1e-8 relative (else RuntimeError): the engine against full normal
+    ordering.  Then four checks: residual norms of the linear and anomalous
+    blocks; finite-difference derivatives of the truncated-Fock energy along
+    ``FD_DIRECTIONS`` random generator directions against the analytic
+    first-order values; for the full bosonic mode, the quadratic growth of
+    the energy along displacements against the particle-conserving block;
+    invariance of the reported data under ``GAUGE_SWEEPS`` random gauge
+    (number-conserving) right-compositions.
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
+    _crosscheck_routes(result.blocks, residual_blocks(h, result.map))
     rng = np.random.default_rng(seed)
     basis = oracle_basis(result.map, h, dimension_cap)
     hmat = fock.quantize(h, basis)
@@ -434,16 +435,7 @@ def certify(
     fd_devs: list[float] = []
     fd_tols: list[float] = []
     for _ in range(FD_DIRECTIONS):
-        raw = rng.standard_normal((h.n_modes, h.n_modes)) + 1j * rng.standard_normal(
-            (h.n_modes, h.n_modes)
-        )
-        pair = (raw + raw.T) / 2 if h.stats is Statistics.BOSE else (raw - raw.T) / 2
-        shift = (
-            rng.standard_normal(h.n_modes) + 1j * rng.standard_normal(h.n_modes)
-            if mode is Mode.BOSE_FULL
-            else np.zeros(h.n_modes, complex)
-        )
-        g = Generator(h.stats, pair, shift)
+        g = random_generator(h.n_modes, h.stats, rng, 1.0, 1.0 if mode is Mode.BOSE_FULL else 0.0)
         g = g.scaled(1.0 / max(g.norm, 1e-300))
         e_plus = oracle_energy(compose(u_map, from_generator(g.scaled(fd_step))))
         e_minus = oracle_energy(compose(u_map, from_generator(g.scaled(-fd_step))))
@@ -472,10 +464,11 @@ def certify(
         quad_passed = all(e <= 0.05 for e in errs)
 
     base_spec = result.spectrum
+    compiled = CompiledPolynomial(h)
     deltas = {"energy": [], "linear_norm": [], "pairing_norm": [], "spectrum": []}
     for _ in range(GAUGE_SWEEPS):
         gauge = random_number_conserving(h.n_modes, h.stats, rng)
-        sweep = result_at(h, compose(u_map, gauge))
+        sweep = result_at(compiled, compose(u_map, gauge))
         deltas["energy"].append(abs(sweep.energy - result.energy))
         deltas["linear_norm"].append(abs(sweep.blocks.linear_norm - blocks.linear_norm))
         deltas["pairing_norm"].append(abs(sweep.blocks.pairing_norm - blocks.pairing_norm))

@@ -237,40 +237,31 @@ def _require_compatible(a: WickPolynomial, b: WickPolynomial) -> None:
 
 
 @dataclass(frozen=True)
-class TransformedBlocks:
-    """Degree-sorted blocks of a normal-ordered polynomial.
-
-    The decomposition is
+class Blocks:
+    """The degree <= 2 blocks of a normal-ordered polynomial,
 
         constant
         + sum_i conj(linear_i) b_i + linear_i b*_i
         + sum_ij pairing_ij b*_j b*_i + conj(pairing_ij) b_i b_j
-        + sum_ij single_particle_ij b*_i b_j
-        + remainder            (total degree >= 3)
+        + sum_ij single_particle_ij b*_i b_j .
 
     ``pairing`` is symmetric (Bose) or antisymmetric (Fermi); its entries and
-    the ``linear`` vector are read off the creation-side coefficients.  For
-    input whose annihilation-side coefficients are not the conjugates of the
-    creation side (non-Hermitian low-degree blocks) the mismatch is reported
-    in ``linear_defect`` / ``pairing_defect`` and the reassembly identity
-    holds only up to those defects.
+    the ``linear`` vector are the creation-side coefficients.
+    ``single_particle`` is None where it was not evaluated.
     """
 
     stats: Statistics
-    n_modes: int
     constant: complex
     linear: np.ndarray
     pairing: np.ndarray
-    single_particle: np.ndarray
-    remainder: WickPolynomial
-    linear_defect: float
-    pairing_defect: float
+    single_particle: np.ndarray | None
 
     def __post_init__(self):
         for name in ("linear", "pairing", "single_particle"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=complex)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def linear_norm(self) -> float:
@@ -284,6 +275,22 @@ class TransformedBlocks:
     def residual(self) -> float:
         """Stationarity residual: 2-norm of linear plus Frobenius norm of pairing."""
         return self.linear_norm + self.pairing_norm
+
+
+@dataclass(frozen=True)
+class TransformedBlocks(Blocks):
+    """Every block of a normal-ordered polynomial: ``Blocks`` + ``remainder``.
+
+    ``remainder`` holds the terms of total degree >= 3.  For input whose
+    annihilation-side coefficients are not the conjugates of the creation
+    side (non-Hermitian low-degree blocks) the mismatch is reported in
+    ``linear_defect`` / ``pairing_defect``.
+    """
+
+    n_modes: int
+    remainder: WickPolynomial
+    linear_defect: float
+    pairing_defect: float
 
 
 def extract_blocks(poly: WickPolynomial) -> TransformedBlocks:
@@ -343,28 +350,3 @@ def extract_blocks(poly: WickPolynomial) -> TransformedBlocks:
         linear_defect=linear_defect,
         pairing_defect=float(defect),
     )
-
-
-def reassemble(blocks: TransformedBlocks) -> WickPolynomial:
-    """Rebuild the polynomial encoded by a block decomposition."""
-    n = blocks.n_modes
-    accum: dict[TermKey, complex] = {}
-
-    def put(creation, annihilation, coeff):
-        key, c = canonicalize_term(blocks.stats, creation, annihilation, coeff, n)
-        if c != 0:
-            accum[key] = accum.get(key, 0j) + c
-
-    if blocks.constant != 0:
-        put((), (), blocks.constant)
-    for i in range(n):
-        put((i + 1,), (), blocks.linear[i])
-        put((), (i + 1,), np.conj(blocks.linear[i]))
-    for i in range(n):
-        for j in range(n):
-            put((j + 1, i + 1), (), blocks.pairing[i, j])
-            put((), (i + 1, j + 1), np.conj(blocks.pairing[i, j]))
-            put((i + 1,), (j + 1,), blocks.single_particle[i, j])
-    for key, c in blocks.remainder.terms.items():
-        accum[key] = accum.get(key, 0j) + c
-    return _finalize(n, blocks.stats, accum)

@@ -1,6 +1,8 @@
-"""The public surface: the exported names and the README quickstart."""
+"""The public surface: the exported names, the README quickstart and the
+names the benchmark's tracer wraps."""
 
 import contextlib
+import importlib.util
 import io
 import os
 import re
@@ -9,7 +11,8 @@ import pytest
 
 import quasivac
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 PUBLIC = {
     "WickPolynomial", "Statistics", "TransformedBlocks",
@@ -45,3 +48,15 @@ def test_readme_quickstart_runs():
     assert float(lines[0]) == pytest.approx(-0.1, abs=1e-9)
     assert float(lines[1].strip("[] ")) == pytest.approx(0.8, abs=1e-8)
     assert lines[-1] == "True"
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/spans.py replaces these attributes in place; a missing one
+    # makes ``perfbench/run.py --trace 1`` raise AttributeError
+    path = os.path.join(ROOT, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, attr, name, _ in spans.TARGETS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"

@@ -23,6 +23,7 @@ from quasivac import (
     residual_blocks,
     state_of_map,
 )
+from quasivac import variational
 from quasivac.bogoliubov import identity, reflection
 from quasivac.errors import HermiticityError, ParityError
 from quasivac.fock import expectation
@@ -111,16 +112,16 @@ class TestResidualBlocks:
             m = random_valid_map(stats, n, rng, pair_scale=0.3,
                                  shift_scale=0.3 if stats is BOSE else 0.0, gauge=True)
             blocks = residual_blocks(h, m)
-            _, constant, linear, pairing = CompiledPolynomial(h).vacuum_blocks(inverse(m), True)
-            assert abs(constant - blocks.constant) < 1e-10
-            assert np.max(np.abs(linear - blocks.linear)) < 1e-10
-            assert np.max(np.abs(pairing - blocks.pairing)) < 1e-10
+            engine = CompiledPolynomial(h).vacuum_blocks(inverse(m), True, single=True)
+            assert abs(engine.constant - blocks.constant) < 1e-10
+            for name in ("linear", "pairing", "single_particle"):
+                assert np.max(np.abs(getattr(engine, name) - getattr(blocks, name))) < 1e-10
 
     @pytest.mark.parametrize("stats", [BOSE, FERMI])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_engine_matches_normal_ordering_up_to_the_degree_cap(self, stats, n):
         # odd, even and top-degree terms (Fermi reaches DEGREE_CAP at n = 4);
-        # the pairing block of a degree-8 term uses the 10-position tables
+        # the pairing block and D of a degree-8 term use the 10-position tables
         rng = np.random.default_rng(100 + n)
         fermi = stats is FERMI
         top = min(DEGREE_CAP, 2 * n) if fermi else DEGREE_CAP
@@ -141,12 +142,14 @@ class TestResidualBlocks:
             if fermi:
                 m = compose(m, reflection(np.eye(n)[0]))
             blocks = residual_blocks(h, m)
-            _, constant, linear, pairing = CompiledPolynomial(h).vacuum_blocks(inverse(m), True)
-            scale = max(1.0, abs(blocks.constant), np.max(np.abs(blocks.linear)),
-                        np.max(np.abs(blocks.pairing)))
-            assert abs(constant - blocks.constant) <= 1e-12 * scale
-            assert np.max(np.abs(linear - blocks.linear)) <= 1e-12 * scale
-            assert np.max(np.abs(pairing - blocks.pairing)) <= 1e-12 * scale
+            engine = CompiledPolynomial(h).vacuum_blocks(inverse(m), True, single=True)
+            names = ("linear", "pairing", "single_particle")
+            scale = max(1.0, abs(blocks.constant),
+                        *(np.max(np.abs(getattr(blocks, name))) for name in names))
+            assert abs(engine.constant - blocks.constant) <= 1e-12 * scale
+            for name in names:
+                diff = getattr(engine, name) - getattr(blocks, name)
+                assert np.max(np.abs(diff)) <= 1e-12 * scale
 
 
 class TestDescentDirection:
@@ -282,6 +285,29 @@ class TestMinimizeNamedProblems:
         res = minimize(h, Mode.BOSE_EVEN, MinimizeOptions())
         assert res.status is RunStatus.CONVERGED
         assert res.energy == pytest.approx(-2e6 - 0.1, abs=1e-6)
+
+    def test_tied_starts_return_the_earliest(self):
+        # corpus problem 102: all four starts reach one minimum, their
+        # energies differ only in rounding, and the identity start must win
+        h = random_bounded_hamiltonian(BOSE, 1, np.random.default_rng(102), quartic=True)
+        many = minimize(h, Mode.BOSE_EVEN, MinimizeOptions(tol_grad=2.5e-9, seed=102))
+        one = minimize(h, Mode.BOSE_EVEN,
+                       MinimizeOptions(tol_grad=2.5e-9, seed=102, multistarts=1))
+        assert (many.n_starts, one.n_starts) == (4, 1)
+        assert np.array_equal(many.map.u, one.map.u)
+        assert np.array_equal(many.map.v, one.map.v)
+        assert many.iterations == one.iterations
+
+    @pytest.mark.parametrize("stats,mode", [(BOSE, Mode.BOSE_EVEN), (FERMI, Mode.FERMI_EVEN)])
+    def test_minimize_does_not_normal_order(self, stats, mode, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("minimize called substitute_linear")
+
+        monkeypatch.setattr(variational, "substitute_linear", refuse)
+        h = random_bounded_hamiltonian(stats, 2, np.random.default_rng(43), quartic=True)
+        res = minimize(h, mode, MinimizeOptions(seed=43))
+        assert res.status is RunStatus.CONVERGED
+        assert res.blocks.single_particle.shape == (2, 2)
 
     def test_iteration_cap_reported(self):
         res = minimize(
