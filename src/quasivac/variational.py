@@ -214,6 +214,7 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
     floor = float(blocks.constant.real) - floor_depth
     trace: list[tuple[float, float]] = []
     iterations = 0
+    status = RunStatus.MAX_ITERATIONS
     while True:
         energy = float(blocks.constant.real)
         lin_norm, pair_norm = blocks.linear_norm, blocks.pairing_norm
@@ -232,7 +233,9 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
             status = RunStatus.MAX_ITERATIONS
             break
         direction = descent_direction(blocks, mode)
-        slope = 2.0 * (pair_norm**2 + (lin_norm**2 if mode is Mode.BOSE_FULL else 0.0))
+        slope = 2.0 * (
+            pair_norm**2 + (lin_norm**2 if mode is Mode.BOSE_FULL else 0.0)
+        )
         step = min(STEP_INIT, STEP_NORM_CAP / max(direction.norm, 1e-300))
         # Below this the Armijo decrement is invisible in double precision;
         # switch to accepting steps on strict residual decrease instead,
@@ -268,11 +271,7 @@ def _starts(h: WickPolynomial, mode: Mode, opts: MinimizeOptions) -> list[Bogoli
     n = h.n_modes
     rng = np.random.default_rng(opts.seed)
     if mode is Mode.FERMI_ODD:
-        base: list[BogoliubovMap] = []
-        for k in range(n):
-            direction = np.zeros(n, complex)
-            direction[k] = 1.0
-            base.append(reflection(direction))
+        base = [reflection(direction) for direction in np.eye(n, dtype=complex)]
     else:
         base = [identity(n, h.stats)]
     total = opts.multistarts
@@ -409,9 +408,12 @@ def certify(
 ) -> CertificationReport:
     """Check the stationarity structure of a converged run against brute force.
 
-    First the result's blocks must equal those of ``residual_blocks`` at its
-    map to 1e-8 relative (else RuntimeError): the engine against full normal
-    ordering.  Then four checks: residual norms of the linear and anomalous
+    The oracle's Fock basis is built first: if it exceeds ``dimension_cap``
+    the DimensionCapError ends the call before anything else runs.  Then
+    the result's blocks must equal those of ``residual_blocks`` at its map
+    to 1e-8 relative (else RuntimeError): the engine against full normal
+    ordering, which on large dense polynomials costs more than the rest of
+    the battery.  Then four checks: residual norms of the linear and anomalous
     blocks; finite-difference derivatives of the truncated-Fock energy along
     ``FD_DIRECTIONS`` random generator directions against the analytic
     first-order values; for the full bosonic mode, the quadratic growth of
@@ -421,9 +423,9 @@ def certify(
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
+    basis = oracle_basis(result.map, h, dimension_cap)
     _crosscheck_routes(result.blocks, residual_blocks(h, result.map))
     rng = np.random.default_rng(seed)
-    basis = oracle_basis(result.map, h, dimension_cap)
     hmat = fock.quantize(h, basis)
     u_map = result.map
     blocks = result.blocks

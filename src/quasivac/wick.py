@@ -300,8 +300,8 @@ def extract_blocks(poly: WickPolynomial) -> TransformedBlocks:
     constant = poly.terms.get(((), ()), 0j)
     linear = np.zeros(n, dtype=complex)
     linear_low = np.zeros(n, dtype=complex)
-    pair_coeffs: dict[tuple[int, int], complex] = {}
-    pair_low: dict[tuple[int, int], complex] = {}
+    upper = np.zeros((n, n), dtype=complex)  # coefficient of a*_i a*_j, i <= j
+    lower = np.zeros((n, n), dtype=complex)  # coefficient of a_i a_j, i <= j
     single = np.zeros((n, n), dtype=complex)
     remainder: dict[TermKey, complex] = {}
     for (cr, an), c in poly.terms.items():
@@ -315,29 +315,16 @@ def extract_blocks(poly: WickPolynomial) -> TransformedBlocks:
         elif (k, m) == (0, 1):
             linear_low[an[0] - 1] = c
         elif (k, m) == (2, 0):
-            pair_coeffs[cr] = c
+            upper[cr[0] - 1, cr[1] - 1] = c
         elif (k, m) == (0, 2):
-            pair_low[an] = c
+            lower[an[0] - 1, an[1] - 1] = c
         else:  # (1, 1)
             single[cr[0] - 1, an[0] - 1] = c
 
-    pairing = np.zeros((n, n), dtype=complex)
-    for (i, j), c in pair_coeffs.items():
-        if i == j:
-            pairing[i - 1, i - 1] = c
-        elif fermi:
-            pairing[i - 1, j - 1] = -c / 2
-            pairing[j - 1, i - 1] = c / 2
-        else:
-            pairing[i - 1, j - 1] = c / 2
-            pairing[j - 1, i - 1] = c / 2
-
-    linear_defect = float(np.max(np.abs(linear_low - np.conj(linear)))) if n else 0.0
+    # a*_i a*_j splits over both orders; a fermionic diagonal is empty
+    pairing = (upper.T - upper) / 2 if fermi else (upper + upper.T) / 2
+    # the Hermitian conjugate of c a*_i a*_j is (-1 for fermions) conj(c) a_i a_j
     low_sign = -1.0 if fermi else 1.0
-    defect = 0.0
-    for key in set(pair_coeffs) | set(pair_low):
-        expected = low_sign * np.conj(pair_coeffs.get(key, 0j))
-        defect = max(defect, abs(pair_low.get(key, 0j) - expected))
 
     return TransformedBlocks(
         stats=poly.stats,
@@ -347,6 +334,31 @@ def extract_blocks(poly: WickPolynomial) -> TransformedBlocks:
         pairing=pairing,
         single_particle=single,
         remainder=_finalize(n, poly.stats, remainder),
-        linear_defect=linear_defect,
-        pairing_defect=float(defect),
+        linear_defect=float(np.max(np.abs(linear_low - np.conj(linear)))),
+        pairing_defect=float(np.max(np.abs(lower - low_sign * np.conj(upper)))),
     )
+
+
+def reassemble(blocks: TransformedBlocks) -> WickPolynomial:
+    """Rebuild the polynomial encoded by a block decomposition."""
+    n = blocks.n_modes
+    accum: dict[TermKey, complex] = {}
+
+    def put(creation, annihilation, coeff):
+        key, c = canonicalize_term(blocks.stats, creation, annihilation, coeff, n)
+        if c != 0:
+            accum[key] = accum.get(key, 0j) + c
+
+    if blocks.constant != 0:
+        put((), (), blocks.constant)
+    for i in range(n):
+        put((i + 1,), (), blocks.linear[i])
+        put((), (i + 1,), np.conj(blocks.linear[i]))
+    for i in range(n):
+        for j in range(n):
+            put((j + 1, i + 1), (), blocks.pairing[i, j])
+            put((), (i + 1, j + 1), np.conj(blocks.pairing[i, j]))
+            put((i + 1,), (j + 1,), blocks.single_particle[i, j])
+    for key, c in blocks.remainder.terms.items():
+        accum[key] = accum.get(key, 0j) + c
+    return _finalize(n, blocks.stats, accum)

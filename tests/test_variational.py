@@ -143,13 +143,14 @@ class TestResidualBlocks:
                 m = compose(m, reflection(np.eye(n)[0]))
             blocks = residual_blocks(h, m)
             engine = CompiledPolynomial(h).vacuum_blocks(inverse(m), True, single=True)
-            names = ("linear", "pairing", "single_particle")
-            scale = max(1.0, abs(blocks.constant),
-                        *(np.max(np.abs(getattr(blocks, name))) for name in names))
+            scale = max(1.0, abs(blocks.constant), np.max(np.abs(blocks.linear)),
+                        np.max(np.abs(blocks.pairing)))
             assert abs(engine.constant - blocks.constant) <= 1e-12 * scale
-            for name in names:
-                diff = getattr(engine, name) - getattr(blocks, name)
-                assert np.max(np.abs(diff)) <= 1e-12 * scale
+            assert np.max(np.abs(engine.linear - blocks.linear)) <= 1e-12 * scale
+            assert np.max(np.abs(engine.pairing - blocks.pairing)) <= 1e-12 * scale
+            d_scale = max(1.0, abs(blocks.constant), np.max(np.abs(blocks.single_particle)))
+            d_diff = engine.single_particle - blocks.single_particle
+            assert np.max(np.abs(d_diff)) <= 1e-12 * d_scale
 
 
 class TestDescentDirection:

@@ -10,11 +10,10 @@ from quasivac import Statistics, TransformedBlocks, WickPolynomial
 from quasivac.errors import DegreeCapError, IndexRangeError
 from quasivac.wick import (
     PRUNE_THRESHOLD,
-    TermKey,
     TermParity,
-    _finalize,
     canonicalize_term,
     extract_blocks,
+    reassemble,
 )
 
 from conftest import random_free_hermitian
@@ -196,31 +195,6 @@ class TestExtractBlocks:
         poly = WickPolynomial.empty(1, BOSE).add_term([1], [], 1.0).add_term([], [1], 0.25)
         blocks = extract_blocks(poly)
         assert blocks.linear_defect == pytest.approx(0.75)
-
-
-def reassemble(blocks: TransformedBlocks) -> WickPolynomial:
-    """Rebuild the polynomial encoded by a block decomposition."""
-    n = blocks.n_modes
-    accum: dict[TermKey, complex] = {}
-
-    def put(creation, annihilation, coeff):
-        key, c = canonicalize_term(blocks.stats, creation, annihilation, coeff, n)
-        if c != 0:
-            accum[key] = accum.get(key, 0j) + c
-
-    if blocks.constant != 0:
-        put((), (), blocks.constant)
-    for i in range(n):
-        put((i + 1,), (), blocks.linear[i])
-        put((), (i + 1,), np.conj(blocks.linear[i]))
-    for i in range(n):
-        for j in range(n):
-            put((j + 1, i + 1), (), blocks.pairing[i, j])
-            put((), (i + 1, j + 1), np.conj(blocks.pairing[i, j]))
-            put((i + 1,), (j + 1,), blocks.single_particle[i, j])
-    for key, c in blocks.remainder.terms.items():
-        accum[key] = accum.get(key, 0j) + c
-    return _finalize(n, blocks.stats, accum)
 
 
 def _random_blocks(stats, n, rng):
