@@ -23,9 +23,10 @@ Generators: the pair (pair, shift) labels the unitary
     exp(i (X + Y)),  X = 1/2 sum_ij pair_ij a*_i a*_j + h.c.,
                      Y = sum_i shift_i a*_i + h.c.
 
-The half-sum in X makes the closed forms below exact: the chart matrix of the
-generated state is  z = i tanh(s)/s pair  (Bose) or  i tan(s)/s pair  (Fermi)
-with s the singular-value argument sqrt(pair pair^dag).
+The half-sum in X makes the chart matrix of the generated state exactly
+z = i tanh(s)/s pair  (Bose) or  i tan(s)/s pair  (Fermi) with s the
+singular-value argument sqrt(pair pair^dag); the tests compare that closed
+form with ``chart_from_map(from_generator(g))``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     InvalidMapError,
     StatisticsMismatchError,
 )
-from .wick import Statistics, WickPolynomial
+from .wick import Statistics
 
 #: Relative singular-value threshold below which a fermionic state counts as
 #: having no vacuum overlap (the chart blows up there).
@@ -87,39 +88,6 @@ class BogoliubovMap:
 def _require_same(m1: BogoliubovMap, m2: BogoliubovMap) -> None:
     if m1.stats is not m2.stats or m1.n_modes != m2.n_modes:
         raise StatisticsMismatchError("maps differ in statistics or mode count")
-
-
-def residual_norms(m: BogoliubovMap) -> tuple[float, float]:
-    """Frobenius norms of the two matrix-level group conditions."""
-    sign = 1.0 if m.stats is Statistics.FERMI else -1.0
-    eye = np.eye(m.n_modes)
-    r1 = np.linalg.norm(m.u @ m.u.conj().T + sign * (m.v @ m.v.conj().T) - eye)
-    r2 = np.linalg.norm(m.u @ m.v.T + sign * (m.v @ m.u.T))
-    return float(r1), float(r2)
-
-
-def require_valid(m: BogoliubovMap, tol: float = 1e-10) -> None:
-    r1, r2 = residual_norms(m)
-    if r1 > tol or r2 > tol:
-        raise InvalidMapError(f"map violates group conditions: residuals ({r1:.3e}, {r2:.3e})")
-
-
-def preserves_form(m: BogoliubovMap, rng: np.random.Generator, n_pairs: int = 20) -> float:
-    """Largest sampled violation of the invariant bilinear form.
-
-    The linear part z -> u z + v conj(z) must preserve Im <z|z'> for bosons
-    and Re <z|z'> for fermions; the affine shift drops out on differences.
-    """
-    n = m.n_modes
-    worst = 0.0
-    part = np.imag if m.stats is Statistics.BOSE else np.real
-    for _ in range(n_pairs):
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        tz = m.u @ z + m.v @ np.conj(z)
-        tw = m.u @ w + m.v @ np.conj(w)
-        worst = max(worst, abs(part(np.vdot(tz, tw)) - part(np.vdot(z, w))))
-    return worst
 
 
 def identity(n: int, stats: Statistics) -> BogoliubovMap:
@@ -210,10 +178,6 @@ class Generator:
             float(np.linalg.norm(self.pair, "fro")) ** 2 + float(np.linalg.norm(self.shift)) ** 2
         )
 
-    @classmethod
-    def zero(cls, n: int, stats: Statistics) -> "Generator":
-        return cls(stats, np.zeros((n, n), complex), np.zeros(n, complex))
-
 
 def adjoint_action_matrix(g: Generator) -> np.ndarray:
     """2n x 2n matrix of the generator acting on the column (a, a*)."""
@@ -243,62 +207,6 @@ def from_generator(g: Generator) -> BogoliubovMap:
         e = scipy.linalg.expm(a)
         shift = np.zeros(n, complex)
     return BogoliubovMap(g.stats, e[:n, :n], e[:n, n : 2 * n], shift)
-
-
-def generator_polynomial(g: Generator) -> WickPolynomial:
-    """The generator as a normal-ordered polynomial (it already is one)."""
-    n = g.n_modes
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            c = g.pair[i, j]
-            if c != 0:
-                entries.append(((i + 1, j + 1), (), 0.5 * c))
-                entries.append(((), (j + 1, i + 1), 0.5 * np.conj(c)))
-    for i in range(n):
-        y = g.shift[i]
-        if y != 0:
-            entries.append(((i + 1,), (), y))
-            entries.append(((), (i + 1,), np.conj(y)))
-    return WickPolynomial.from_terms(n, g.stats, entries)
-
-
-def _matrix_function_times(pair: np.ndarray, fn) -> np.ndarray:
-    """Apply fn(sqrt(pair pair^dag)) (Hermitian eigendecomposition) times pair."""
-    s = pair @ pair.conj().T
-    w, vecs = np.linalg.eigh(s)
-    args = np.sqrt(np.clip(w, 0.0, None))
-    return (vecs * fn(args)) @ vecs.conj().T @ pair
-
-
-def chart_from_generator(g: Generator) -> "ThoulessChart":
-    """Pair-amplitude chart of the generated state.
-
-    Bose:  z = i tanh(s)/s pair;  Fermi:  z = i tan(s)/s pair with the chart
-    domain restricted to spectral norm below pi/2.
-    """
-    n = g.n_modes
-    if g.stats is Statistics.FERMI:
-        top = float(np.linalg.norm(g.pair, 2)) if n else 0.0
-        if top >= math.pi / 2:
-            raise ChartDomainError(
-                f"generator norm {top:.6f} >= pi/2 leaves the nondegenerate chart"
-            )
-        fn = lambda s: np.where(s > 1e-30, np.tan(s) / np.where(s > 1e-30, s, 1.0), 1.0)
-    else:
-        fn = lambda s: np.where(s > 1e-30, np.tanh(s) / np.where(s > 1e-30, s, 1.0), 1.0)
-    z = 1j * _matrix_function_times(g.pair, fn)
-    if g.stats is Statistics.BOSE:
-        z = (z + z.T) / 2
-        shift = (
-            chart_from_map(from_generator(g)).shift
-            if np.any(g.shift != 0)
-            else np.zeros(n, complex)
-        )
-    else:
-        z = (z - z.T) / 2
-        shift = np.zeros(n, complex)
-    return ThoulessChart(g.stats, z, shift)
 
 
 @dataclass(frozen=True)

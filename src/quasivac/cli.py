@@ -50,7 +50,7 @@ from .variational import (
 )
 from .wick import Statistics, WickPolynomial, _finalize
 
-REPORT_SCHEMA = "quasivac-report/1"
+REPORT_SCHEMA = "quasivac-report/2"
 
 
 def _fail(path: str, message: str) -> SpecFormatError:

@@ -23,11 +23,9 @@ from scipy.sparse.linalg import expm_multiply
 from .bogoliubov import (
     DEGENERACY_RTOL,
     BogoliubovMap,
-    Generator,
     ThoulessChart,
     chart_from_map,
     compose,
-    generator_polynomial,
     reflection,
 )
 from .errors import (
@@ -245,16 +243,6 @@ def gaussian_vector(
     norm = float(np.linalg.norm(total))
     defect = abs(norm - 1.0)
     return FockVector(basis, total / norm, norm_defect=defect)
-
-
-def exp_generator(g: Generator, basis: FockBasis, vec: FockVector) -> FockVector:
-    """Apply the exponential of the quantized generator to a vector."""
-    if g.stats is not basis.stats or g.n_modes != basis.n_modes:
-        raise StatisticsMismatchError("generator and basis disagree")
-    gmat = quantize(generator_polynomial(g), basis)
-    out = expm_multiply(1j * gmat, vec.amplitudes)
-    norm = float(np.linalg.norm(out))
-    return FockVector(basis, out / norm, norm_defect=abs(norm - 1.0))
 
 
 def state_of_map(

@@ -50,18 +50,6 @@ class LinearOperator:
     def n_modes(self) -> int:
         return self.creation.shape[0]
 
-    @classmethod
-    def unit_creation(cls, n: int, i: int) -> "LinearOperator":
-        u = np.zeros(n, complex)
-        u[i - 1] = 1.0
-        return cls(u, np.zeros(n, complex))
-
-    @classmethod
-    def unit_annihilation(cls, n: int, i: int) -> "LinearOperator":
-        v = np.zeros(n, complex)
-        v[i - 1] = 1.0
-        return cls(np.zeros(n, complex), v)
-
     def adjoint(self) -> "LinearOperator":
         return LinearOperator(
             np.conj(self.annihilation), np.conj(self.creation), np.conj(self.scalar)
@@ -282,8 +270,7 @@ class CompiledPolynomial:
             for d, (rows, coeffs) in sorted(by_degree.items())
         ]
 
-    def vacuum_blocks(self, inv, linear: bool, pairing: bool = True,
-                      single: bool = False) -> Blocks:
+    def vacuum_blocks(self, inv, gradient: bool = True, single: bool = False) -> Blocks:
         """Low-degree blocks after a_i -> sum_j u_ij b_j + v_ij b*_j + shift_i.
 
         ``inv`` carries (u, v, shift), as the inverse of a Bogoliubov map
@@ -292,15 +279,18 @@ class CompiledPolynomial:
         product of term t,
 
             constant  = sum_t c_t <O_t>,
-            linear[i] = sum_t c_t <b_i O_t>               (zero unless ``linear``),
+            linear[i] = sum_t c_t <b_i O_t>               (zero unless ``gradient``),
             pairing   = (P +- P^T) / 4 with P[i, j] = sum_t c_t <b_j b_i O_t>
-                        (- for fermions; zero unless ``pairing``),
+                        (- for fermions; zero unless ``gradient``),
             single_particle[i, j] = sum_t c_t <b_i O_t b*_j> - constant delta_ij
                         (None unless ``single``),
 
         evaluating all terms of one degree, and all probes b, in one batch.
         The delta_ij term is the contraction of b_i with b*_j, which the
-        table of ``single_particle`` leaves out.
+        table of ``single_particle`` leaves out.  Without a shift no factor
+        has a scalar, so a table over an odd number of positions has no
+        matching: the linear table runs only where a shift or an odd degree
+        can make it nonzero.
         """
         n = self.n_modes
         fermi = self.stats is Statistics.FERMI
@@ -318,10 +308,10 @@ class CompiledPolynomial:
             partial = bool(np.any(scalars != 0))
             sums = _matching_sums(values, _matching_table(0, d, fermi, partial))
             constant += coeffs @ sums[:, 0]
-            if linear:
+            if gradient and (partial or d % 2):
                 w = coeffs[:, None] * _matching_sums(values, _matching_table(1, d, fermi, partial))
                 lin += w.reshape(-1) @ c.reshape(-1, n)
-            if pairing:
+            if gradient:
                 w = _matching_sums(values, _matching_table(2, d, fermi, partial)).reshape(t, d, d)
                 # x[t, l, j] = sum_k w[t, k, l] c[t, k, j]: probe b_j meets factor k
                 x = coeffs[:, None, None] * np.matmul(w.transpose(0, 2, 1), c)

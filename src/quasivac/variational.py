@@ -71,6 +71,9 @@ class Mode(Enum):
 class RunStatus(Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
+    #: no trial step of the line search decreased the energy (or, at the
+    #: rounding floor, the residual) before the backtracks ran out
+    STALLED = "stalled"
     UNBOUNDED_BELOW = "unbounded_below"
 
 
@@ -108,7 +111,9 @@ class MinimizeOptions:
     which a start counts as converged, ``max_iterations`` the descent steps
     allowed per start.  ``multistarts`` is the number of starts (default 1
     for polynomials of degree <= 2, else 4; FERMI_ODD always starts from
-    every unit reflection); the extra starts are random, drawn from ``seed``.
+    every unit reflection); the extra starts are random, drawn from ``seed``,
+    and in BOSE_FULL displaced as well.  Starts exist because a symmetric
+    polynomial can be stationary at the identity without a minimum there.
     """
 
     tol_grad: float = 1e-8
@@ -178,17 +183,17 @@ def directional_derivative(blocks: Blocks, direction: Generator) -> float:
     )
 
 
-def descent_direction(blocks: Blocks, mode: Mode) -> Generator:
+def descent_direction(blocks: Blocks) -> Generator:
     """Steepest-descent generator: (gradient sign) * i * pairing, plus
-    i * linear for BOSE_FULL.
+    i * linear.
 
     Along the scaled direction the first-order energy change is
     -2 s (|pairing|_F^2 + |linear|^2), strictly negative away from
-    stationarity.
+    stationarity.  The linear block, and with it the shift, is zero outside
+    BOSE_FULL: the other modes take even polynomials and unshifted maps.
     """
     pair = pairing_gradient_sign(blocks.stats) * 1j * blocks.pairing
-    shift = 1j * blocks.linear if mode is Mode.BOSE_FULL else np.zeros_like(blocks.linear)
-    return Generator(blocks.stats, pair, shift)
+    return Generator(blocks.stats, pair, 1j * blocks.linear)
 
 
 def _check_mode(h: WickPolynomial, mode: Mode) -> None:
@@ -207,14 +212,13 @@ def _noise(energy: float) -> float:
     return 64.0 * np.finfo(float).eps * max(1.0, abs(energy))
 
 
-def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
-             opts: MinimizeOptions, want_linear: bool, floor_depth: float):
+def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
+             opts: MinimizeOptions, floor_depth: float):
     u_map = start
-    blocks = compiled.vacuum_blocks(inverse(u_map), want_linear)
+    blocks = compiled.vacuum_blocks(inverse(u_map))
     floor = float(blocks.constant.real) - floor_depth
     trace: list[tuple[float, float]] = []
     iterations = 0
-    status = RunStatus.MAX_ITERATIONS
     while True:
         energy = float(blocks.constant.real)
         lin_norm, pair_norm = blocks.linear_norm, blocks.pairing_norm
@@ -232,10 +236,8 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
         if iterations >= opts.max_iterations:
             status = RunStatus.MAX_ITERATIONS
             break
-        direction = descent_direction(blocks, mode)
-        slope = 2.0 * (
-            pair_norm**2 + (lin_norm**2 if mode is Mode.BOSE_FULL else 0.0)
-        )
+        direction = descent_direction(blocks)
+        slope = 2.0 * (pair_norm**2 + lin_norm**2)
         step = min(STEP_INIT, STEP_NORM_CAP / max(direction.norm, 1e-300))
         # Below this the Armijo decrement is invisible in double precision;
         # switch to accepting steps on strict residual decrease instead,
@@ -247,7 +249,7 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
             candidate = compose(u_map, from_generator(direction.scaled(step)))
             # Armijo trials need the energy alone; a terminal trial's blocks
             # are those of the next iterate if it is accepted.
-            trial = compiled.vacuum_blocks(inverse(candidate), want_linear and terminal, terminal)
+            trial = compiled.vacuum_blocks(inverse(candidate), terminal)
             t_energy = float(trial.constant.real)
             if terminal:
                 better = t_energy <= energy + noise and trial.residual <= residual * (1.0 - 1e-3)
@@ -258,11 +260,10 @@ def _descend(compiled: CompiledPolynomial, mode: Mode, start: BogoliubovMap,
                 break
             step *= STEP_SHRINK
         if accepted is None:
-            # Stalled at the floating-point floor of the line search.
-            status = RunStatus.MAX_ITERATIONS
+            status = RunStatus.STALLED
             break
         u_map = accepted
-        blocks = trial if terminal else compiled.vacuum_blocks(inverse(u_map), want_linear)
+        blocks = trial if terminal else compiled.vacuum_blocks(inverse(u_map))
         iterations += 1
     return u_map, status, iterations, trace
 
@@ -278,9 +279,12 @@ def _starts(h: WickPolynomial, mode: Mode, opts: MinimizeOptions) -> list[Bogoli
     if total is None:
         total = 1 if h.degree() <= 2 else 4
     extras = max(0, total - len(base))
+    # At zero shift the linear block of an even polynomial vanishes, so
+    # BOSE_FULL descents leave the undisplaced states only from a shifted start.
+    shift_scale = START_SCALE if mode is Mode.BOSE_FULL else 0.0
     starts = list(base)
     for _ in range(extras):
-        g = random_generator(n, h.stats, rng, START_SCALE)
+        g = random_generator(n, h.stats, rng, START_SCALE, shift_scale)
         starts.append(compose(base[0], from_generator(g)))
     return starts
 
@@ -291,21 +295,21 @@ def minimize(
     """Minimize the expectation value over the Gaussian family of the mode.
 
     Runs steepest descent in the recentered generator chart from one or more
-    starts, stops at gradient norm ``tol_grad``, the iteration cap, or a
-    divergence guard (``MIXING_CAP``, or an energy ``ENERGY_FLOOR_SPAN``
-    times the largest non-constant |coefficient| below the start's), and
-    reports the blocks at the final map, D included, from the same engine as
-    the descent.  Nothing here normal orders: ``certify`` checks the blocks
-    against ``residual_blocks``.  Converged starts whose energies lie within
-    the line-search noise of the lowest tie, and the earliest of them wins.
+    starts, stops at gradient norm ``tol_grad``, the iteration cap, a
+    line-search stall, or a divergence guard (``MIXING_CAP``, or an energy
+    ``ENERGY_FLOOR_SPAN`` times the largest non-constant |coefficient| below
+    the start's), and reports the blocks at the final map, D included, from
+    the same engine as the descent.  Nothing here normal orders: ``certify``
+    checks the blocks against ``residual_blocks``.  Converged starts whose
+    energies lie within the line-search noise of the lowest tie, and the
+    earliest of them wins.
     """
     opts = opts or MinimizeOptions()
     _check_mode(h, mode)
     compiled = CompiledPolynomial(h)
-    want_linear = mode is Mode.BOSE_FULL or h.parity() is not TermParity.EVEN
     scale = max((abs(c) for (cr, an), c in h.items() if cr or an), default=0.0)
     runs = [
-        _descend(compiled, mode, start, opts, want_linear, ENERGY_FLOOR_SPAN * scale)
+        _descend(compiled, start, opts, ENERGY_FLOOR_SPAN * scale)
         for start in _starts(h, mode, opts)
     ]
     unbounded = [r for r in runs if r[1] is RunStatus.UNBOUNDED_BELOW]
@@ -331,7 +335,7 @@ def result_at(
 ) -> MinimizationResult:
     """The result at a map: the engine's blocks with D, the spectrum of the
     Hermitian part of D, and by default a one-point trace."""
-    blocks = compiled.vacuum_blocks(inverse(m), linear=True, single=True)
+    blocks = compiled.vacuum_blocks(inverse(m), single=True)
     energy = float(blocks.constant.real)
     spectrum = np.linalg.eigvalsh(
         (blocks.single_particle + blocks.single_particle.conj().T) / 2

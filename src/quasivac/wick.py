@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegreeCapError, IndexRangeError, StatisticsMismatchError
+from .errors import DegreeCapError, IndexRangeError
 
 #: Coefficients with magnitude below this threshold are dropped at insertion.
 PRUNE_THRESHOLD = 1e-14
@@ -204,37 +204,6 @@ class WickPolynomial:
         accum = {k: factor * c for k, c in self.terms.items()}
         return _finalize(self.n_modes, self.stats, accum)
 
-    def __mul__(self, factor: complex) -> "WickPolynomial":
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "WickPolynomial") -> "WickPolynomial":
-        _require_compatible(self, other)
-        accum = dict(self.terms)
-        for k, c in other.terms.items():
-            accum[k] = accum.get(k, 0j) + c
-        return _finalize(self.n_modes, self.stats, accum)
-
-    def __sub__(self, other: "WickPolynomial") -> "WickPolynomial":
-        return self + other.scaled(-1.0)
-
-    def max_abs_diff(self, other: "WickPolynomial") -> float:
-        _require_compatible(self, other)
-        keys = set(self.terms) | set(other.terms)
-        return max(
-            (abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys),
-            default=0.0,
-        )
-
-
-def _require_compatible(a: WickPolynomial, b: WickPolynomial) -> None:
-    if a.stats is not b.stats or a.n_modes != b.n_modes:
-        raise StatisticsMismatchError(
-            f"incompatible polynomials: ({a.stats.value}, n={a.n_modes}) vs "
-            f"({b.stats.value}, n={b.n_modes})"
-        )
-
 
 @dataclass(frozen=True)
 class Blocks:
@@ -337,28 +306,3 @@ def extract_blocks(poly: WickPolynomial) -> TransformedBlocks:
         linear_defect=float(np.max(np.abs(linear_low - np.conj(linear)))),
         pairing_defect=float(np.max(np.abs(lower - low_sign * np.conj(upper)))),
     )
-
-
-def reassemble(blocks: TransformedBlocks) -> WickPolynomial:
-    """Rebuild the polynomial encoded by a block decomposition."""
-    n = blocks.n_modes
-    accum: dict[TermKey, complex] = {}
-
-    def put(creation, annihilation, coeff):
-        key, c = canonicalize_term(blocks.stats, creation, annihilation, coeff, n)
-        if c != 0:
-            accum[key] = accum.get(key, 0j) + c
-
-    if blocks.constant != 0:
-        put((), (), blocks.constant)
-    for i in range(n):
-        put((i + 1,), (), blocks.linear[i])
-        put((), (i + 1,), np.conj(blocks.linear[i]))
-    for i in range(n):
-        for j in range(n):
-            put((j + 1, i + 1), (), blocks.pairing[i, j])
-            put((), (i + 1, j + 1), np.conj(blocks.pairing[i, j]))
-            put((i + 1,), (j + 1,), blocks.single_particle[i, j])
-    for key, c in blocks.remainder.terms.items():
-        accum[key] = accum.get(key, 0j) + c
-    return _finalize(n, blocks.stats, accum)

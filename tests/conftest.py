@@ -87,15 +87,21 @@ def random_valid_map(stats, n, rng, pair_scale=0.2, shift_scale=0.0, gauge=False
     return m
 
 
+def ladder(n, i, creation):
+    """a*_i (``creation``) or a_i as a LinearOperator on n modes."""
+    unit, zero = np.eye(n, dtype=complex)[i - 1], np.zeros(n, complex)
+    return LinearOperator(unit, zero) if creation else LinearOperator(zero, unit)
+
+
 def poly_product(p, q):
     """Normal-ordered product p * q through repeated linear multiplication."""
     n = p.n_modes
-    total = WickPolynomial.empty(n, p.stats)
+    entries = []
     for (cr, an), coeff in q.items():
         part = p.scaled(coeff)
         for i in cr:
-            part = multiply_linear(part, LinearOperator.unit_creation(n, i))
+            part = multiply_linear(part, ladder(n, i, True))
         for i in an:
-            part = multiply_linear(part, LinearOperator.unit_annihilation(n, i))
-        total = total + part
-    return total
+            part = multiply_linear(part, ladder(n, i, False))
+        entries += [(c, a, x) for (c, a), x in part.items()]
+    return WickPolynomial.from_terms(n, p.stats, entries)

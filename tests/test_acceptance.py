@@ -25,9 +25,8 @@ from quasivac import (
     residual_blocks,
     state_of_map,
 )
-from quasivac.bogoliubov import chart_from_generator, chart_from_map, random_number_conserving
+from quasivac.bogoliubov import chart_from_map, random_number_conserving
 from quasivac.fock import (
-    exp_generator,
     expectation,
     gaussian_vector,
     series_tail,
@@ -37,6 +36,7 @@ from quasivac.ordering import substitute_linear
 from quasivac.variational import directional_derivative, substitution_rows
 
 from conftest import random_bounded_hamiltonian, random_free_hermitian, random_valid_map
+from references import chart_from_generator, exp_generator
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI

@@ -21,6 +21,7 @@ from quasivac.cli import (
 from quasivac.variational import Mode
 
 from conftest import random_bounded_hamiltonian
+from references import max_abs_diff
 
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "hamiltonians"
@@ -118,7 +119,7 @@ class TestParse:
         )
         poly = parse_hamiltonian(path)
         rebuilt = hamiltonian_from_payload(serialize_hamiltonian(poly))
-        assert poly.max_abs_diff(rebuilt) == 0
+        assert max_abs_diff(poly, rebuilt) == 0
         assert rebuilt.stats is Statistics.FERMI
 
 

@@ -16,39 +16,36 @@ from quasivac.ordering import (
 from quasivac.wick import TermParity
 from quasivac.variational import substitution_rows
 
-from conftest import poly_product, random_free_hermitian, random_valid_map
+from conftest import ladder, poly_product, random_free_hermitian, random_valid_map
+from references import max_abs_diff
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
 
 
-def unit_b(n):
-    return LinearOperator.unit_annihilation(n, 1)
-
-
 class TestMultiplyLinear:
     def test_bose_ccr(self):
         poly = WickPolynomial.empty(1, BOSE).add_term([], [1], 1.0)
-        out = multiply_linear(poly, LinearOperator.unit_creation(1, 1))
+        out = multiply_linear(poly, ladder(1, 1, True))
         assert out.terms[((), ())] == 1.0
         assert out.terms[((1,), (1,))] == 1.0
         assert len(out) == 2
 
     def test_fermi_car(self):
         poly = WickPolynomial.empty(1, FERMI).add_term([], [1], 1.0)
-        out = multiply_linear(poly, LinearOperator.unit_creation(1, 1))
+        out = multiply_linear(poly, ladder(1, 1, True))
         assert out.terms[((), ())] == 1.0
         assert out.terms[((1,), (1,))] == -1.0
 
     def test_fermi_anticommutation_distinct_modes(self):
         poly = WickPolynomial.empty(2, FERMI).add_term([], [1], 1.0)
-        out = multiply_linear(poly, LinearOperator.unit_creation(2, 2))
+        out = multiply_linear(poly, ladder(2, 2, True))
         assert out.terms == {((2,), (1,)): -1.0}
 
     def test_dimension_mismatch(self):
         poly = WickPolynomial.empty(2, BOSE).add_term([1], [], 1.0)
         with pytest.raises(StatisticsMismatchError):
-            multiply_linear(poly, LinearOperator.unit_creation(3, 1))
+            multiply_linear(poly, ladder(3, 1, True))
 
     @pytest.mark.parametrize("stats", [BOSE, FERMI])
     def test_matches_dense_matrices(self, stats):
@@ -84,10 +81,10 @@ class TestSubstitute:
         for stats in (BOSE, FERMI):
             n = 2
             poly = random_free_hermitian(stats, n, rng, include_odd=True)
-            cre = [LinearOperator.unit_creation(n, i) for i in range(1, n + 1)]
-            ann = [LinearOperator.unit_annihilation(n, i) for i in range(1, n + 1)]
+            cre = [ladder(n, i, True) for i in range(1, n + 1)]
+            ann = [ladder(n, i, False) for i in range(1, n + 1)]
             out = substitute_linear(poly, cre, ann)
-            assert poly.max_abs_diff(out) < 1e-14
+            assert max_abs_diff(poly, out) < 1e-14
 
     def test_bose_squeeze_expansion(self):
         # a = c b + s b*:  a*a -> s^2 + c s (b*b* + bb) + (c^2 + s^2) b*b
@@ -125,7 +122,7 @@ class TestSubstitute:
 
             cre_b, ann_b = substitution_rows(inverse(m))
             back = substitute_linear(forward, cre_b, ann_b)
-            assert poly.max_abs_diff(back) < 1e-10
+            assert max_abs_diff(poly, back) < 1e-10
 
     @pytest.mark.parametrize("stats", [BOSE, FERMI])
     def test_parity_preserved_exactly(self, stats):

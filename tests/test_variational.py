@@ -54,6 +54,11 @@ def squeezed_oscillator(lam=0.3, omega=1.0):
     )
 
 
+def attractive_quartic():
+    """-a*a + 0.1 a*a*aa: stationary at the vacuum, which is no minimum."""
+    return WickPolynomial.from_terms(1, BOSE, [([1], [1], -1.0), ([1, 1], [1, 1], 0.1)])
+
+
 def bcs_hamiltonian(eps=1.0, delta=0.5):
     return (
         WickPolynomial.empty(2, FERMI)
@@ -112,7 +117,7 @@ class TestResidualBlocks:
             m = random_valid_map(stats, n, rng, pair_scale=0.3,
                                  shift_scale=0.3 if stats is BOSE else 0.0, gauge=True)
             blocks = residual_blocks(h, m)
-            engine = CompiledPolynomial(h).vacuum_blocks(inverse(m), True, single=True)
+            engine = CompiledPolynomial(h).vacuum_blocks(inverse(m), single=True)
             assert abs(engine.constant - blocks.constant) < 1e-10
             for name in ("linear", "pairing", "single_particle"):
                 assert np.max(np.abs(getattr(engine, name) - getattr(blocks, name))) < 1e-10
@@ -142,7 +147,7 @@ class TestResidualBlocks:
             if fermi:
                 m = compose(m, reflection(np.eye(n)[0]))
             blocks = residual_blocks(h, m)
-            engine = CompiledPolynomial(h).vacuum_blocks(inverse(m), True, single=True)
+            engine = CompiledPolynomial(h).vacuum_blocks(inverse(m), single=True)
             scale = max(1.0, abs(blocks.constant), np.max(np.abs(blocks.linear)),
                         np.max(np.abs(blocks.pairing)))
             assert abs(engine.constant - blocks.constant) <= 1e-12 * scale
@@ -158,19 +163,19 @@ class TestDescentDirection:
         blocks = residual_blocks(
             WickPolynomial.empty(1, BOSE).add_term([1], [1], 1.0), identity(1, BOSE)
         )
-        g = descent_direction(blocks, Mode.BOSE_EVEN)
+        g = descent_direction(blocks)
         assert np.all(g.pair == 0)
         assert np.all(g.shift == 0)
 
     def test_bose_anomalous_direction(self):
         blocks = residual_blocks(squeezed_oscillator(), identity(1, BOSE))
-        g = descent_direction(blocks, Mode.BOSE_EVEN)
+        g = descent_direction(blocks)
         assert np.allclose(g.pair, [[0.3j]])
         assert np.all(g.shift == 0)
 
     def test_bose_full_linear_direction(self):
         blocks = residual_blocks(displaced_oscillator(), identity(1, BOSE))
-        g = descent_direction(blocks, Mode.BOSE_FULL)
+        g = descent_direction(blocks)
         assert np.allclose(g.shift, [0.5j])
         assert np.allclose(g.pair, 0)
 
@@ -181,10 +186,8 @@ class TestDescentDirection:
         h = random_free_hermitian(stats, n, rng)
         m = random_valid_map(stats, n, rng, pair_scale=0.2)
         blocks = residual_blocks(h, m)
-        mode = Mode.BOSE_FULL if stats is BOSE else Mode.FERMI_EVEN
-        g = descent_direction(blocks, mode)
-        expected = -2.0 * (blocks.pairing_norm**2 + (blocks.linear_norm**2
-                           if mode is Mode.BOSE_FULL else 0.0))
+        g = descent_direction(blocks)
+        expected = -2.0 * (blocks.pairing_norm**2 + blocks.linear_norm**2)
         assert directional_derivative(blocks, g) == pytest.approx(expected, rel=1e-12)
 
 
@@ -318,6 +321,37 @@ class TestMinimizeNamedProblems:
         )
         assert res.status is RunStatus.MAX_ITERATIONS
         assert res.iterations == 2
+
+    def test_line_search_stall_is_reported(self):
+        # tol_grad = 0 cannot be met: the descent runs to the rounding floor,
+        # where no trial step lowers the residual, long before the cap
+        res = minimize(squeezed_oscillator(), Mode.BOSE_EVEN, MinimizeOptions(tol_grad=0.0))
+        assert res.status is RunStatus.STALLED
+        assert res.iterations < MinimizeOptions().max_iterations
+        assert res.energy == pytest.approx(-0.1, abs=1e-12)
+        # scaled by 1e-7, H stalls at its first step under the absolute
+        # line-search noise (ROADMAP item 4): that stop is not the cap either
+        tiny = minimize(squeezed_oscillator().scaled(1e-7), Mode.BOSE_EVEN)
+        assert tiny.status is not RunStatus.MAX_ITERATIONS
+
+    def test_random_starts_leave_a_symmetric_stationary_point(self):
+        # a U(1)-symmetric H has no pairing block at the vacuum, so one start
+        # stops there; the squeezed vacuum with N = 3/2 minimizes
+        # E = -0.9 N + 0.3 N^2 over the even states
+        one = minimize(attractive_quartic(), Mode.BOSE_EVEN, MinimizeOptions(multistarts=1))
+        assert (one.status, one.iterations, one.energy) == (RunStatus.CONVERGED, 0, 0.0)
+        res = minimize(attractive_quartic(), Mode.BOSE_EVEN)
+        assert res.status is RunStatus.CONVERGED
+        assert res.energy == pytest.approx(-0.675, abs=1e-9)
+
+    def test_bose_full_displaces_an_even_polynomial(self):
+        # the linear block of an even H vanishes at zero shift, so only a
+        # displaced start leaves the undisplaced states; a coherent state
+        # with |alpha|^2 = 5 alone reaches -2.5
+        res = minimize(attractive_quartic(), Mode.BOSE_FULL)
+        assert res.status is RunStatus.CONVERGED
+        assert res.energy < -2.5
+        assert res.spectrum.min() > 0
 
 
 class TestClosedFormModels:
