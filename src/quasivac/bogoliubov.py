@@ -113,6 +113,26 @@ def inverse(m: BogoliubovMap) -> BogoliubovMap:
     return BogoliubovMap(m.stats, u, v, shift, odd=m.odd)
 
 
+def overlap(m1: BogoliubovMap, m2: BogoliubovMap) -> float:
+    """Squared overlap |<Phi_1|Phi_2>|^2 of the Gaussian states of two maps.
+
+    Onishi's formula (Onishi & Yoshida, Nucl. Phys. 80, 367 (1966)) on the
+    relative map w = compose(inverse(m1), m2): |det w.u| for fermions (0
+    between opposite parities) and 1/|det w.u| for bosons, times
+    exp(-|beta|^2 + Re(beta^dag z conj(beta))) for a state of w displaced by
+    beta = <a>, with z = -w.u^-1 w.v its chart matrix.
+    """
+    w = compose(inverse(m1), m2)
+    if w.stats is Statistics.FERMI:
+        return 0.0 if w.odd else float(abs(np.linalg.det(w.u)))
+    weight = 1.0 / float(abs(np.linalg.det(w.u)))
+    if np.any(w.shift != 0):
+        beta = np.conj(inverse(w).shift)
+        z = -np.linalg.solve(w.u, w.v)
+        weight *= math.exp(float(np.real(beta @ z @ beta)) - float(np.vdot(beta, beta).real))
+    return weight
+
+
 def number_conserving(p: np.ndarray, stats: Statistics) -> BogoliubovMap:
     """Gauge map mixing only like operators; p must be unitary."""
     p = np.asarray(p, dtype=complex)

@@ -312,9 +312,9 @@ def run(
         report["iterations"] = result.iterations
         report["n_starts"] = result.n_starts
         report["trace_summary"] = {
-            "first_energy": result.trace[0][0],
-            "final_energy": result.trace[-1][0],
-            "final_residual": result.trace[-1][1],
+            "first_energy": float(result.trace[0, 0]),
+            "final_energy": float(result.trace[-1, 0]),
+            "final_residual": float(result.trace[-1, 1]),
             "evaluations": len(result.trace),
         }
         report["map"] = serialize_map(result.map)

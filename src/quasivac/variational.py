@@ -36,6 +36,7 @@ from .bogoliubov import (
     from_generator,
     identity,
     inverse,
+    overlap,
     random_generator,
     random_number_conserving,
     reflection,
@@ -98,6 +99,10 @@ ENERGY_FLOOR_SPAN = 1e6
 #: Generator norm scale of the random extra starts.
 START_SCALE = 0.1
 
+#: A start whose state overlaps an earlier converged minimum to within this
+#: of 1, at an energy no lower than the minimum's, stops as merged into it.
+MERGE_DELTA = 1e-6
+
 #: Random directions of the finite-difference check and gauges of the sweep.
 FD_DIRECTIONS = 10
 GAUGE_SWEEPS = 5
@@ -131,7 +136,8 @@ class MinimizationResult:
     residual: float
     iterations: int
     status: RunStatus
-    trace: tuple
+    #: read-only (k, 2) float array of (energy, residual) per iterate
+    trace: np.ndarray
     n_starts: int = 1
 
 
@@ -212,8 +218,17 @@ def _noise(energy: float) -> float:
     return 64.0 * np.finfo(float).eps * max(1.0, abs(energy))
 
 
+def _trace_array(rows) -> np.ndarray:
+    out = np.array(rows, dtype=float).reshape(-1, 2)
+    out.setflags(write=False)
+    return out
+
+
 def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
-             opts: MinimizeOptions, floor_depth: float):
+             opts: MinimizeOptions, floor_depth: float,
+             minima: list[tuple[BogoliubovMap, float]]):
+    """One start's descent; a status of None means it merged into one of
+    the converged ``minima``, (map, energy) pairs of earlier starts."""
     u_map = start
     blocks = compiled.vacuum_blocks(inverse(u_map))
     floor = float(blocks.constant.real) - floor_depth
@@ -232,6 +247,10 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
             break
         if residual < opts.tol_grad:
             status = RunStatus.CONVERGED
+            break
+        if any(energy >= e1 - _noise(e1) and 1.0 - overlap(m1, u_map) < MERGE_DELTA
+               for m1, e1 in minima):
+            status = None
             break
         if iterations >= opts.max_iterations:
             status = RunStatus.MAX_ITERATIONS
@@ -265,7 +284,7 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
         u_map = accepted
         blocks = trial if terminal else compiled.vacuum_blocks(inverse(u_map))
         iterations += 1
-    return u_map, status, iterations, trace
+    return u_map, status, iterations, _trace_array(trace)
 
 
 def _starts(h: WickPolynomial, mode: Mode, opts: MinimizeOptions) -> list[BogoliubovMap]:
@@ -300,29 +319,36 @@ def minimize(
     ``ENERGY_FLOOR_SPAN`` times the largest non-constant |coefficient| below
     the start's), and reports the blocks at the final map, D included, from
     the same engine as the descent.  Nothing here normal orders: ``certify``
-    checks the blocks against ``residual_blocks``.  Converged starts whose
-    energies lie within the line-search noise of the lowest tie, and the
-    earliest of them wins.
+    checks the blocks against ``residual_blocks``.  The starts run in order,
+    and one whose state overlaps an earlier converged minimum to within
+    ``MERGE_DELTA`` of 1 (``bogoliubov.overlap``), at an energy no lower than
+    that minimum's beyond the line-search noise, stops as merged: it found
+    nothing new and takes no part in choosing the winner.  Converged starts
+    whose energies lie within the line-search noise of the lowest tie, and
+    the earliest of them wins.
     """
     opts = opts or MinimizeOptions()
     _check_mode(h, mode)
     compiled = CompiledPolynomial(h)
     scale = max((abs(c) for (cr, an), c in h.items() if cr or an), default=0.0)
-    runs = [
-        _descend(compiled, start, opts, ENERGY_FLOOR_SPAN * scale)
-        for start in _starts(h, mode, opts)
-    ]
+    runs = []
+    minima: list[tuple[BogoliubovMap, float]] = []
+    for start in _starts(h, mode, opts):
+        runs.append(_descend(compiled, start, opts, ENERGY_FLOOR_SPAN * scale, minima))
+        if runs[-1][1] is RunStatus.CONVERGED:
+            minima.append((runs[-1][0], runs[-1][3][-1, 0]))
     unbounded = [r for r in runs if r[1] is RunStatus.UNBOUNDED_BELOW]
     converged = [r for r in runs if r[1] is RunStatus.CONVERGED]
     if unbounded:
         best = unbounded[0]
     elif converged:
-        lowest = min(r[3][-1][0] for r in converged)
-        best = next(r for r in converged if r[3][-1][0] <= lowest + _noise(lowest))
+        lowest = min(r[3][-1, 0] for r in converged)
+        best = next(r for r in converged if r[3][-1, 0] <= lowest + _noise(lowest))
     else:
-        best = min(runs, key=lambda r: r[3][-1][1])
+        # no start converged, so none merged
+        best = min(runs, key=lambda r: r[3][-1, 1])
     u_map, status, iterations, trace = best
-    return result_at(compiled, u_map, status, iterations, tuple(trace), len(runs))
+    return result_at(compiled, u_map, status, iterations, trace, len(runs))
 
 
 def result_at(
@@ -330,7 +356,7 @@ def result_at(
     m: BogoliubovMap,
     status: RunStatus = RunStatus.CONVERGED,
     iterations: int = 0,
-    trace: tuple | None = None,
+    trace: np.ndarray | None = None,
     n_starts: int = 1,
 ) -> MinimizationResult:
     """The result at a map: the engine's blocks with D, the spectrum of the
@@ -348,7 +374,7 @@ def result_at(
         residual=blocks.residual,
         iterations=iterations,
         status=status,
-        trace=((energy, blocks.residual),) if trace is None else trace,
+        trace=_trace_array((energy, blocks.residual)) if trace is None else trace,
         n_starts=n_starts,
     )
 
@@ -421,7 +447,8 @@ def certify(
     blocks; finite-difference derivatives of the truncated-Fock energy along
     ``FD_DIRECTIONS`` random generator directions against the analytic
     first-order values; for the full bosonic mode, the quadratic growth of
-    the energy along displacements against the particle-conserving block;
+    the energy along displacements against the particle-conserving block D,
+    whose lowest eigenvalue must not be negative beyond 1e-8 of its largest;
     invariance of the reported data under ``GAUGE_SWEEPS`` random gauge
     (number-conserving) right-compositions.
     """
@@ -466,8 +493,10 @@ def certify(
             fitted = (e_plus - 2 * e_zero + e_minus) / (2 * fd_step**2)
             analytic = float(np.real(np.conj(y) @ blocks.single_particle @ y))
             errs.append(abs(fitted - analytic) / max(abs(analytic), 1e-300))
+        # y* D y < 0 for some y: a displacement lowers the energy, a saddle
+        saddle = result.spectrum[0] < -1e-8 * float(np.max(np.abs(result.spectrum)))
         quad_errors = tuple(errs)
-        quad_passed = all(e <= 0.05 for e in errs)
+        quad_passed = all(e <= 0.05 for e in errs) and not saddle
 
     base_spec = result.spectrum
     compiled = CompiledPolynomial(h)

@@ -13,10 +13,12 @@ from quasivac import (
     compose,
     from_generator,
     inverse,
+    state_of_map,
 )
 from quasivac.bogoliubov import (
     chart_from_map,
     identity,
+    overlap,
     random_generator,
     random_number_conserving,
     reflection,
@@ -34,6 +36,11 @@ FERMI = Statistics.FERMI
 def bose_squeeze(t):
     """One-mode map with u = cosh t, v = sinh t."""
     return from_generator(Generator(BOSE, np.array([[1j * t]]), np.zeros(1, complex)))
+
+
+def unit_vector(n, rng):
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return y / np.linalg.norm(y)
 
 
 class TestIdentityComposeInverse:
@@ -306,3 +313,43 @@ class TestGaugeCovariance:
             assert abs(sweep.linear_norm - base.linear_norm) < 1e-8
             assert abs(sweep.pairing_norm - base.pairing_norm) < 1e-8
             assert np.max(np.abs(spec - base_spec)) < 1e-8
+
+
+class TestOverlap:
+    """Onishi's formula against the dense Fock states of both maps."""
+
+    @staticmethod
+    def dense(m1, m2, basis):
+        a, b = state_of_map(m1, basis).amplitudes, state_of_map(m2, basis).amplitudes
+        return abs(np.vdot(a, b)) ** 2
+
+    @pytest.mark.parametrize("n,cutoff", [(1, 40), (2, 24)])
+    @pytest.mark.parametrize("shift_scale", [0.0, 0.3])
+    def test_bose(self, n, cutoff, shift_scale):
+        rng = np.random.default_rng(41 + n)
+        basis = FockBasis.build(BOSE, n, cutoff)
+        for _ in range(3):
+            m1, m2 = (random_valid_map(BOSE, n, rng, 0.3, shift_scale, gauge=True)
+                      for _ in range(2))
+            assert overlap(m1, m2) == pytest.approx(self.dense(m1, m2, basis), abs=1e-10)
+            assert overlap(m1, m1) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("reflected", [False, True])
+    def test_fermi_same_parity(self, n, reflected):
+        rng = np.random.default_rng(47 + n)
+        basis = FockBasis.build(FERMI, n)
+        for _ in range(3):
+            m1, m2 = (random_valid_map(FERMI, n, rng, 0.6, gauge=True) for _ in range(2))
+            if reflected:
+                m1, m2 = (compose(m, reflection(unit_vector(n, rng))) for m in (m1, m2))
+            assert m1.odd == m2.odd == reflected
+            assert overlap(m1, m2) == pytest.approx(self.dense(m1, m2, basis), abs=1e-10)
+
+    def test_fermi_opposite_parity_is_zero(self):
+        rng = np.random.default_rng(53)
+        m1 = random_valid_map(FERMI, 3, rng, 0.6, gauge=True)
+        m2 = compose(random_valid_map(FERMI, 3, rng, 0.6), reflection(unit_vector(3, rng)))
+        assert self.dense(m1, m2, FockBasis.build(FERMI, 3)) < 1e-28
+        assert overlap(m1, m2) == 0.0
+        assert overlap(m2, m1) == 0.0

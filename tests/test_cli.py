@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasivac import Statistics
+from quasivac import MinimizeOptions, Statistics, minimize
 from quasivac.errors import HermiticityError, SpecFormatError
 from quasivac.cli import (
     hamiltonian_from_payload,
@@ -18,7 +18,8 @@ from quasivac.cli import (
     serialize_hamiltonian,
     verify_report,
 )
-from quasivac.variational import Mode
+from quasivac.ordering import CompiledPolynomial
+from quasivac.variational import Mode, result_at
 
 from conftest import random_bounded_hamiltonian
 from references import max_abs_diff
@@ -139,6 +140,27 @@ class TestRun:
         assert report["certification"]["passed"]
         assert report["certification"]["skipped_reason"] is None
         assert abs(report["oracle"]["gap"]) < 1e-6
+
+    def test_trace_contract(self):
+        # the library keeps the trace as one read-only (k, 2) float array,
+        # and the report summarizes it in plain JSON numbers
+        spec = str(SPECS / "squeezed_oscillator.json")
+        h = parse_hamiltonian(spec)
+        res = minimize(h, Mode.BOSE_EVEN, MinimizeOptions(tol_grad=1e-9))
+        point = result_at(CompiledPolynomial(h), res.map)
+        for result, rows in ((res, res.iterations + 1), (point, 1)):
+            assert result.trace.dtype == np.float64
+            assert result.trace.shape == (rows, 2)
+            assert not result.trace.flags.writeable
+            assert tuple(result.trace[-1]) == (result.energy, result.residual)
+        summary = run(spec, Mode.BOSE_EVEN, tol=1e-9)["trace_summary"]
+        assert summary == {
+            "first_energy": res.trace[0, 0],
+            "final_energy": res.energy,
+            "final_residual": res.residual,
+            "evaluations": res.iterations + 1,
+        }
+        assert [type(v) for v in summary.values()] == [float, float, float, int]
 
     def test_bcs_report(self):
         report = run(str(SPECS / "bcs_two_mode.json"), Mode.FERMI_EVEN, seed=3, tol=1e-9)

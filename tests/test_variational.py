@@ -442,6 +442,55 @@ class TestMinimizeValidation:
             minimize(bcs_hamiltonian(), Mode.BOSE_EVEN)
 
 
+class TestMergedStarts:
+    """A start that reaches an earlier converged minimum stops there."""
+
+    @pytest.mark.parametrize(
+        "stats,n,mode,quartic,linear,seed",
+        [
+            (BOSE, 1, Mode.BOSE_EVEN, True, False, 102),
+            (BOSE, 2, Mode.BOSE_EVEN, True, False, 104),
+            (BOSE, 2, Mode.BOSE_FULL, True, True, 110),
+            (FERMI, 3, Mode.FERMI_EVEN, True, False, 115),
+            (FERMI, 3, Mode.FERMI_ODD, False, False, 119),
+            (FERMI, 3, Mode.FERMI_ODD, True, False, 120),
+        ],
+    )
+    def test_merging_changes_no_result(self, stats, n, mode, quartic, linear, seed,
+                                       monkeypatch):
+        # acceptance-corpus problems, each with several starts that all
+        # reach one minimum
+        h = random_bounded_hamiltonian(
+            stats, n, np.random.default_rng(seed), quartic=quartic, linear=linear
+        )
+        opts = MinimizeOptions(tol_grad=2.5e-9, seed=seed)
+        calls = []
+        engine = CompiledPolynomial.vacuum_blocks
+
+        def counted(self, *args, **kwargs):
+            calls.append(None)
+            return engine(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledPolynomial, "vacuum_blocks", counted)
+        merged = minimize(h, mode, opts)
+        merged_calls = len(calls)
+        # not 0: a state at an earlier minimum can read an overlap of 1 + ulp
+        monkeypatch.setattr(variational, "MERGE_DELTA", -math.inf)
+        calls.clear()
+        separate = minimize(h, mode, opts)
+        for name in ("status", "iterations", "energy", "residual", "n_starts"):
+            assert getattr(merged, name) == getattr(separate, name)
+        assert np.array_equal(merged.trace, separate.trace)
+        assert np.array_equal(merged.spectrum, separate.spectrum)
+        for name in ("u", "v", "shift", "odd"):
+            assert np.array_equal(getattr(merged.map, name), getattr(separate.map, name))
+        for name in ("constant", "linear", "pairing", "single_particle"):
+            assert np.array_equal(getattr(merged.blocks, name), getattr(separate.blocks, name))
+        assert merged_calls < len(calls)
+        if seed in (104, 115):
+            assert 2 * merged_calls <= len(calls)
+
+
 class TestDescentInvariants:
     @pytest.mark.parametrize(
         "stats,mode",
@@ -524,6 +573,32 @@ class TestCertify:
         # fitted curvature approximates the single-particle block value 1.0
         assert max(report.quadratic_rel_errors) <= 0.05
         assert report.passed
+
+    def test_bose_full_saddle_fails_the_displacement_check(self):
+        # one start stops at the vacuum, which is stationary with D = [-1]:
+        # every displacement lowers the energy, so it is no minimum
+        h = attractive_quartic()
+        res = minimize(h, Mode.BOSE_FULL, MinimizeOptions(multistarts=1))
+        assert (res.status, res.energy) == (RunStatus.CONVERGED, 0.0)
+        assert np.allclose(res.spectrum, [-1.0])
+        report = certify(res, h, Mode.BOSE_FULL)
+        assert report.fd_passed and report.gauge_passed
+        assert report.quadratic_passed is False
+        assert not report.passed
+
+    def test_bose_full_saddle_with_one_descending_mode(self):
+        # D = diag(-1, 100): y* D y > 0 on each of the five random
+        # displacements of the curvature fit, but mode 1 alone lowers the
+        # energy, so the check reads D's lowest eigenvalue
+        h = WickPolynomial.from_terms(
+            2, BOSE, [([1], [1], -1.0), ([2], [2], 100.0), ([1, 1], [1, 1], 0.1)]
+        )
+        res = minimize(h, Mode.BOSE_FULL, MinimizeOptions(multistarts=1))
+        assert (res.status, res.iterations) == (RunStatus.CONVERGED, 0)
+        assert np.allclose(res.spectrum, [-1.0, 100.0])
+        report = certify(res, h, Mode.BOSE_FULL)
+        assert max(report.quadratic_rel_errors) <= 0.05
+        assert report.quadratic_passed is False
 
     def test_bcs_gauge_sweep(self):
         h = bcs_hamiltonian()
