@@ -5,10 +5,14 @@ row is its occupations dotted with the per-mode strides.  ``quantize`` is the
 one route from operators to matrices: it applies each monomial to every
 basis column at once, right to left, multiplying in sqrt(m) factors (Bose)
 or Jordan-Wigner signs (Fermi), and drops a column when a mode empties or
-passes its cutoff.  The ladder matrices are quantized once per basis and
-cached on it; Gaussian vectors are built from them by the literal
-exponential series.  Matrices stay dense: the module checks the polynomial
-engine and the optimizer at small mode counts.
+passes its cutoff.  State vectors never meet a ladder matrix: each basis
+caches one index map per mode (source rows, target rows, factors) by the
+same rules, and a creator or annihilator acts on a vector by one scatter.
+A Gaussian vector, displaced or not, is the one series of
+exp(1/2 a*.z.a* + beta.a*)|0>; truncated creators acting on the vacuum never
+come back from past the cutoff, so it is the exact projection of the state
+onto the box.  Operator matrices stay dense: the module checks the
+polynomial engine and the optimizer at small mode counts.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
 
 from .bogoliubov import (
     DEGENERACY_RTOL,
@@ -91,17 +94,26 @@ class FockBasis:
         return self.occupations.shape[0]
 
     @cached_property
-    def ladders(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-mode (annihilation, creation) matrices, read-only."""
-        pairs = []
-        for i in range(1, self.n_modes + 1):
-            unit = WickPolynomial.from_terms(self.n_modes, self.stats, [((), (i,), 1.0)])
-            ann = quantize(unit, self)
-            cre = ann.conj().T
-            ann.setflags(write=False)
-            cre.setflags(write=False)
-            pairs.append((ann, cre))
-        return pairs
+    def raising(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per-mode (source rows, target rows, factors) of a*_i, read-only.
+
+        a*_i sends row src to row src + strides[i] times sqrt(m_i + 1)
+        (Bose) or the Jordan-Wigner sign of the modes before i (Fermi), the
+        rules of ``quantize``; a_i is the same map read backwards.
+        """
+        maps = []
+        for i, cutoff in enumerate(self.cutoffs):
+            occ = self.occupations[:, i]
+            src = np.flatnonzero(occ < cutoff)
+            if self.stats is Statistics.FERMI:
+                fac = 1.0 - 2.0 * (self.occupations[src, :i].sum(axis=1) % 2)
+            else:
+                fac = np.sqrt(occ[src] + 1.0)
+            dst = src + self.strides[i]
+            for arr in (src, dst, fac):
+                arr.setflags(write=False)
+            maps.append((src, dst, fac))
+        return maps
 
 
 @dataclass(frozen=True)
@@ -151,12 +163,12 @@ def quantize(poly: WickPolynomial, basis: FockBasis) -> np.ndarray:
     return out
 
 
-def _linear_matrix(basis: FockBasis, x: np.ndarray) -> np.ndarray:
-    """Matrix of sum_i x_i a*_i + conj(x_i) a_i."""
-    out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for (ann, cre), xi in zip(basis.ladders, x):
-        out += xi * cre
-        out += np.conj(xi) * ann
+def _apply_linear(basis: FockBasis, x: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(sum_i x_i a*_i + conj(x_i) a_i) vec."""
+    out = np.zeros_like(vec)
+    for (src, dst, fac), xi in zip(basis.raising, x):
+        out[dst] += xi * fac * vec[src]
+        out[src] += np.conj(xi) * fac * vec[dst]
     return out
 
 
@@ -187,10 +199,14 @@ def gaussian_vector(
 ) -> FockVector:
     """Normalized vector of the charted Gaussian state.
 
-    Builds the pair-exponential series termwise, applies the determinant
-    normalization, then the displacement (Bose) as a matrix exponential.
-    The deviation of the constructed norm from 1 is kept as a diagnostic
-    before the final exact normalization.
+    The state is c exp(1/2 a*.z.a* + beta.a*)|0>, with alpha = i shift,
+    beta = alpha - z conj(alpha) and c the determinant normalization times
+    exp(-|alpha|^2/2 + 1/2 conj(alpha).z.conj(alpha)) (a displaced squeezed
+    state; Ma & Rhodes, Phys. Rev. A 41, 4625 (1990)).  The series is summed
+    term by term, and what it builds is the exact projection of the state
+    onto the box.  ``norm_defect`` is 1 minus the norm of that projection,
+    1 - sqrt(p) when the box holds probability p of the state, kept as a
+    diagnostic before the final normalization.
     """
     if chart.stats is not basis.stats or chart.n_modes != basis.n_modes:
         raise StatisticsMismatchError("chart and basis disagree")
@@ -203,22 +219,26 @@ def gaussian_vector(
             f"{basis.cutoffs}; raise the cutoff"
         )
     n = basis.n_modes
-    creators = [cre for _, cre in basis.ladders]
     half_z = 0.5 * chart.z
+    alpha = 1j * chart.shift
+    beta = alpha - chart.z @ alpha.conj()
 
-    def apply_pair(vec: np.ndarray) -> np.ndarray:
-        """sum_ij z_ij/2 a*_i a*_j vec, with 2n ladder products."""
-        mixed = half_z @ np.array([cre @ vec for cre in creators])
+    def apply_exponent(vec: np.ndarray) -> np.ndarray:
+        """(1/2 a*.z.a* + beta.a*) vec, with 2n ladder steps."""
+        raised = np.zeros((n, vec.size), dtype=complex)
+        for row, (src, dst, fac) in zip(raised, basis.raising):
+            row[dst] = fac * vec[src]
+        mixed = half_z @ raised + beta[:, None] * vec
         out = np.zeros_like(vec)
-        for cre, row in zip(creators, mixed):
-            out += cre @ row
+        for (src, dst, fac), row in zip(basis.raising, mixed):
+            out[dst] += fac * row[src]
         return out
 
+    # order k fills occupation sectors k..2k, so the box ends the series
     term = vacuum_vector(basis).amplitudes.copy()
     total = term.copy()
-    max_pairs = sum(basis.cutoffs) // 2 + 1
-    for k in range(1, max_pairs + 1):
-        term = apply_pair(term) / k
+    for k in range(1, sum(basis.cutoffs) + 1):
+        term = apply_exponent(term) / k
         tnorm = np.linalg.norm(term)
         if tnorm == 0.0:
             break
@@ -233,12 +253,8 @@ def gaussian_vector(
     else:
         _, logdet = np.linalg.slogdet(np.eye(n) + zdz)
         norm_factor = math.exp(-0.25 * logdet)
-    total = norm_factor * total
-
-    if chart.stats is Statistics.BOSE and np.any(chart.shift != 0):
-        disp = _linear_matrix(basis, chart.shift)
-        disp *= 1j  # in place: one dense matrix fewer at the memory peak
-        total = expm_multiply(disp, total)
+    # -|alpha|^2/2 + conj(alpha).z.conj(alpha)/2 = -conj(alpha).beta/2
+    total = (norm_factor * np.exp(-0.5 * alpha.conj() @ beta)) * total
 
     norm = float(np.linalg.norm(total))
     defect = abs(norm - 1.0)
@@ -253,7 +269,8 @@ def state_of_map(
     Bosonic maps go through the chart directly.  Fermionic maps that have no
     vacuum overlap (odd parity, or occupied Slater directions) are factored
     through unit-vector reflections until the remaining even part is
-    nondegenerate; the reflections are then applied as dense unitaries.
+    nondegenerate; the reflections are then applied through the basis's
+    ladder maps.
     """
     if m.stats is Statistics.BOSE:
         return gaussian_vector(chart_from_map(m), basis, tail_tol)
@@ -271,7 +288,7 @@ def state_of_map(
     vec = gaussian_vector(chart, basis, tail_tol)
     amp = vec.amplitudes
     for direction in reversed(applied):
-        amp = _linear_matrix(basis, direction) @ amp
+        amp = _apply_linear(basis, direction, amp)
     return FockVector(basis, amp / np.linalg.norm(amp), norm_defect=vec.norm_defect)
 
 

@@ -1,10 +1,18 @@
 """Shared builders for randomized test inputs."""
 
-import numpy as np
+import os
 
-from quasivac import Generator, Statistics, WickPolynomial, compose, from_generator
-from quasivac.bogoliubov import random_number_conserving
-from quasivac.ordering import LinearOperator, multiply_linear
+# One BLAS/OpenMP thread, set before numpy is first imported: the suite's
+# matrices are small, and next to another CPU-bound process a thread pool
+# spends most of its time waiting for a core.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from quasivac import Generator, Statistics, WickPolynomial, compose, from_generator  # noqa: E402
+from quasivac.bogoliubov import random_number_conserving  # noqa: E402
+from quasivac.ordering import LinearOperator, multiply_linear  # noqa: E402
 
 
 def random_free_hermitian(stats, n, rng, degree=4, scale=0.5, include_odd=False):

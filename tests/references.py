@@ -3,8 +3,9 @@
 Each reaches a number by a route the library itself does not take: the
 group conditions and the invariant form of a map read off its matrices, the
 chart of a generator from its closed form instead of from its map, a
-generator's state by exponentiating its quantized matrix, and a block
-decomposition rebuilt into a polynomial.  They use public names only.
+generator's state by exponentiating its quantized matrix, a block
+decomposition rebuilt into a polynomial, and dense ladder matrices quantized
+from unit monomials.  They use public names only.
 """
 
 import math
@@ -108,6 +109,16 @@ def exp_generator(g, basis, vec):
     out = expm_multiply(1j * gmat, vec.amplitudes)
     norm = float(np.linalg.norm(out))
     return FockVector(basis, out / norm, norm_defect=abs(norm - 1.0))
+
+
+def ladders(basis):
+    """Per-mode dense (annihilation, creation) matrices of the basis."""
+    pairs = []
+    for i in range(1, basis.n_modes + 1):
+        unit = WickPolynomial.from_terms(basis.n_modes, basis.stats, [((), (i,), 1.0)])
+        ann = quantize(unit, basis)
+        pairs.append((ann, ann.conj().T))
+    return pairs
 
 
 def reassemble(blocks):

@@ -1,4 +1,4 @@
-"""Truncated Fock oracle: ladders, quantization, Gaussian vectors."""
+"""Truncated Fock oracle: ladder maps, quantization, Gaussian vectors."""
 
 import math
 
@@ -19,9 +19,10 @@ from quasivac import (
 from quasivac.bogoliubov import ThoulessChart, reflection
 from quasivac.errors import DimensionCapError, TailToleranceError
 from quasivac.fock import expectation, gaussian_vector, vacuum_vector
+from quasivac.variational import oracle_basis
 
 from conftest import random_free_hermitian, random_valid_map
-from references import exp_generator
+from references import exp_generator, ladders
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -89,24 +90,21 @@ class TestBasis:
 class TestLadders:
     def test_fermi_single_mode_matrix(self):
         basis = FockBasis.build(FERMI, 1)
-        ann, cre = basis.ladders[0]
+        ann, cre = ladders(basis)[0]
         assert np.array_equal(ann, np.array([[0, 1], [0, 0]], dtype=complex))
         assert np.array_equal(cre, ann.conj().T)
 
     def test_bose_matrix_elements(self):
         basis = FockBasis.build(BOSE, 1, cutoff=2)
-        ann, cre = basis.ladders[0]
+        ann, cre = ladders(basis)[0]
         vec = np.zeros(3, complex)
         vec[2] = 1.0  # |2>
         assert np.allclose(ann @ vec, [0, math.sqrt(2), 0])
         assert np.array_equal(cre, ann.conj().T)
-        # built once per basis, shared read-only
-        assert basis.ladders is basis.ladders
-        assert not ann.flags.writeable and not cre.flags.writeable
 
     def test_fermi_car_exact(self):
         basis = FockBasis.build(FERMI, 2)
-        (a1, c1), (a2, c2) = basis.ladders
+        (a1, c1), (a2, c2) = ladders(basis)
         eye = np.eye(basis.dimension)
         assert np.array_equal(a1 @ a2 + a2 @ a1, np.zeros_like(a1))
         assert np.array_equal(c1 @ c2 + c2 @ c1, np.zeros_like(a1))
@@ -115,13 +113,36 @@ class TestLadders:
 
     def test_bose_ccr_on_untruncated_states(self):
         basis = FockBasis.build(BOSE, 2, cutoff=5)
-        (a1, c1), (a2, c2) = basis.ladders
+        (a1, c1), (a2, c2) = ladders(basis)
         comm = a1 @ c1 - c1 @ a1
         cross = a1 @ c2 - c2 @ a1
         for col in range(basis.dimension):
             if basis.occupations[col][0] < 5:
                 assert abs(comm[col, col] - 1.0) < 1e-14
             assert np.max(np.abs(cross[:, col])) < 1e-14
+
+
+class TestRaisingMaps:
+    @pytest.mark.parametrize(
+        "stats,n,cutoff", [(BOSE, 2, (3, 1)), (BOSE, 3, (2, 3, 1)), (FERMI, 3, 1)]
+    )
+    def test_maps_reproduce_quantized_ladders(self, stats, n, cutoff):
+        # the Jordan-Wigner signs of the Fermi case sit in the factors
+        basis = FockBasis.build(stats, n, cutoff)
+        for i, (src, dst, fac) in enumerate(basis.raising, start=1):
+            cre = np.zeros((basis.dimension, basis.dimension), complex)
+            cre[dst, src] = fac
+            unit_cre = WickPolynomial.from_terms(n, stats, [((i,), (), 1.0)])
+            unit_ann = WickPolynomial.from_terms(n, stats, [((), (i,), 1.0)])
+            assert np.array_equal(cre, quantize(unit_cre, basis))
+            assert np.array_equal(cre.T, quantize(unit_ann, basis))
+
+    def test_maps_cached_read_only(self):
+        basis = FockBasis.build(BOSE, 2, cutoff=(2, 1))
+        # built once per basis, shared read-only
+        assert basis.raising is basis.raising
+        for arrays in basis.raising:
+            assert not any(arr.flags.writeable for arr in arrays)
 
 
 class TestQuantize:
@@ -137,15 +158,15 @@ class TestQuantize:
         cases = [(BOSE, 2, 5), (FERMI, 3, 1), (BOSE, 3, 2), (BOSE, 2, (3, 1))]
         for stats, n, cutoff in cases:
             basis = FockBasis.build(stats, n, cutoff)
-            ladders = basis.ladders
+            pairs = ladders(basis)
             poly = random_free_hermitian(stats, n, rng, include_odd=True)
             expected = np.zeros((basis.dimension, basis.dimension), complex)
             for (cr, an), coeff in poly.items():
                 mat = np.eye(basis.dimension, dtype=complex)
                 for i in cr:
-                    mat = mat @ ladders[i - 1][1]
+                    mat = mat @ pairs[i - 1][1]
                 for i in an:
-                    mat = mat @ ladders[i - 1][0]
+                    mat = mat @ pairs[i - 1][0]
                 expected += coeff * mat
             assert np.max(np.abs(quantize(poly, basis) - expected)) < 1e-12
 
@@ -226,6 +247,15 @@ class TestGaussianVector:
             )
             assert vec.amplitudes[k] / phase == pytest.approx(expected, abs=1e-10)
 
+    def test_norm_defect_counts_weight_outside_the_box(self):
+        # a coherent state |alpha| = 1.5 keeps sum_{k<=4} e^{-2.25} 2.25^k / k!
+        # of its weight in a cutoff-4 box
+        basis = FockBasis.build(BOSE, 1, cutoff=4)
+        chart = ThoulessChart(BOSE, np.zeros((1, 1), complex), np.array([1.5 + 0j]))
+        vec = gaussian_vector(chart, basis)
+        kept = sum(math.exp(-2.25) * 2.25**k / math.factorial(k) for k in range(5))
+        assert vec.norm_defect == pytest.approx(1.0 - math.sqrt(kept), rel=1e-12)
+
     def test_tail_tolerance_error(self):
         basis = FockBasis.build(BOSE, 1, cutoff=10)
         chart = ThoulessChart(BOSE, np.array([[0.9]], dtype=complex), np.zeros(1, complex))
@@ -303,7 +333,7 @@ class TestStateOfMap:
         n = 2
         cutoff = 16
         basis = FockBasis.build(stats, n, cutoff)
-        ladders = basis.ladders
+        pairs = ladders(basis)
         for _ in range(4):
             m = random_valid_map(
                 stats, n, rng, pair_scale=0.12, shift_scale=0.2 if stats is BOSE else 0.0,
@@ -311,16 +341,30 @@ class TestStateOfMap:
             )
             vec = state_of_map(m, basis)
             for i in range(n):
-                bop = sum(m.u[i, j] * ladders[j][0] + m.v[i, j] * ladders[j][1]
+                bop = sum(m.u[i, j] * pairs[j][0] + m.v[i, j] * pairs[j][1]
                           for j in range(n))
                 residual = bop @ vec.amplitudes + m.shift[i] * vec.amplitudes
                 assert np.linalg.norm(residual) < 1e-7
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_displaced_vector_is_exact_projection(self, n):
+        # the in-box part of the state in a box 16 quanta wider, renormalized,
+        # is the state built in the oracle's own box
+        rng = np.random.default_rng(29 + n)
+        h = number_operator(n, BOSE)
+        for _ in range(3):
+            m = random_valid_map(BOSE, n, rng, pair_scale=0.3, shift_scale=0.3, gauge=True)
+            basis = oracle_basis(m, h)
+            wide = FockBasis.build(BOSE, n, basis.cutoffs[0] + 16)
+            inbox = state_of_map(m, wide).amplitudes[basis.occupations @ wide.strides]
+            inbox = inbox / np.linalg.norm(inbox)
+            assert np.max(np.abs(state_of_map(m, basis).amplitudes - inbox)) < 1e-13
 
     def test_fermi_odd_random_map_annihilated(self):
         rng = np.random.default_rng(13)
         n = 3
         basis = FockBasis.build(FERMI, n)
-        ladders = basis.ladders
+        pairs = ladders(basis)
         e2 = np.zeros(n, complex)
         e2[1] = 1.0
         from quasivac import compose
@@ -328,7 +372,7 @@ class TestStateOfMap:
         m = compose(reflection(e2), random_valid_map(FERMI, n, rng, pair_scale=0.4))
         vec = state_of_map(m, basis)
         for i in range(n):
-            bop = sum(m.u[i, j] * ladders[j][0] + m.v[i, j] * ladders[j][1] for j in range(n))
+            bop = sum(m.u[i, j] * pairs[j][0] + m.v[i, j] * pairs[j][1] for j in range(n))
             assert np.linalg.norm(bop @ vec.amplitudes) < 1e-10
 
 
