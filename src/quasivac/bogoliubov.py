@@ -57,7 +57,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BogoliubovMap:
     stats: Statistics
     u: np.ndarray

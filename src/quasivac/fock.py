@@ -206,7 +206,9 @@ def gaussian_vector(
     term by term, and what it builds is the exact projection of the state
     onto the box.  ``norm_defect`` is 1 minus the norm of that projection,
     1 - sqrt(p) when the box holds probability p of the state, kept as a
-    diagnostic before the final normalization.
+    diagnostic before the final normalization.  TailToleranceError is raised
+    when ``series_tail`` of the pair amplitude, or the weight 1 - p the box
+    cuts off (which counts the displacement), reaches ``tail_tol``.
     """
     if chart.stats is not basis.stats or chart.n_modes != basis.n_modes:
         raise StatisticsMismatchError("chart and basis disagree")
@@ -257,8 +259,10 @@ def gaussian_vector(
     total = (norm_factor * np.exp(-0.5 * alpha.conj() @ beta)) * total
 
     norm = float(np.linalg.norm(total))
-    defect = abs(norm - 1.0)
-    return FockVector(basis, total / norm, norm_defect=defect)
+    if 1.0 - norm * norm >= tail_tol:
+        raise TailToleranceError(f"the box at cutoffs {basis.cutoffs} cuts off "
+                                 f"{1.0 - norm * norm:.3e} of the state; raise the cutoff")
+    return FockVector(basis, total / norm, norm_defect=abs(norm - 1.0))
 
 
 def state_of_map(

@@ -9,10 +9,11 @@ emitting a contraction term at every matching pair:
 Fermionic signs are accumulated as exact integer factors before any floating
 multiplication, so antisymmetry cancellations are exact.
 
-``CompiledPolynomial.vacuum_blocks`` evaluates vacuum expectations of
-substituted products without ordering, as signed sums over precomputed
-matching tables (Wick's theorem), batching all terms of one degree and all
-probes together.
+``CompiledPolynomial`` evaluates vacuum expectations of substituted
+products without ordering (Wick's theorem), through gather-product-scatter
+plans compiled once with one row per (term, matching): a fixed number of
+array operations per map gathers each row's contractions from the Gram
+matrix of the substituted images, multiplies them and sums them into slots.
 """
 
 from __future__ import annotations
@@ -186,45 +187,67 @@ def _matching_table(probes: int, d: int, fermi: bool, partial: bool, right: bool
     The probes p (positions -probes .. -1) are pure annihilators and the
     optional right probe q (position d, if ``right``) a pure creator, so each
     probe contracts with a factor and none is left unmatched; matchings that
-    contract two probes are left out.  Matching e becomes row e of ``index``,
-    pointing into the ``_pair_values`` vector (factor contractions, unmatched
-    scalars, padding 1), and row e of ``scatter``: its sign, (-1)^crossings
-    for fermions, in the column of the probes' partners (k, or k * d + l,
-    left to right).
+    contract two probes are left out.  Matching e becomes row e of
+    ``index``: its factor contractions a * d + b (a < b), its unmatched
+    factors d * d + u and padding d * d + d; entry e of ``signs``,
+    (-1)^crossings for fermions; and row e of ``partners``, the factor each
+    probe contracts with, left to right.
     """
     ends = list(range(-probes, 0)) + ([d] if right else [])
-    rows, targets, signs = [], [], []
+    rows, partners, signs = [], [], []
     for pairs, alone in _matchings(tuple(range(-probes, d + right)), partial):
         partner = dict(pairs) | {b: a for a, b in pairs}
         if any(not 0 <= partner.get(p, -1) < d for p in ends):
             continue
-        targets.append(sum(partner[p] * d ** (len(ends) - 1 - k) for k, p in enumerate(ends)))
+        partners.append([partner[p] for p in ends])
         rows.append([a * d + b for a, b in pairs if a >= 0 and b < d] + [d * d + u for u in alone])
         crossings = sum(a < c < b < e for a, b in pairs for c, e in pairs)
         signs.append(-1.0 if fermi and crossings % 2 else 1.0)
     width = max([1] + [len(r) for r in rows])
     index = np.array([r + [d * d + d] * (width - len(r)) for r in rows], int).reshape(-1, width)
-    scatter = np.zeros((len(rows), d ** len(ends)))
-    scatter[np.arange(len(rows)), targets] = signs
-    index.setflags(write=False)
-    scatter.setflags(write=False)
-    return index, scatter
+    table = (index, np.array(partners, int).reshape(len(rows), len(ends)), np.array(signs))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
-def _pair_values(cre: np.ndarray, ann: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-    """Per product of d factors: contractions ann_k . cre_l, scalars, then 1."""
-    t, d = scalars.shape
-    contractions = np.matmul(ann, cre.transpose(0, 2, 1)).reshape(t, d * d)
-    return np.concatenate([contractions, scalars, np.ones((t, 1))], axis=1)
+def _compile(groups, images: int, fermi: bool, partial: bool, tables) -> tuple:
+    """Plan of the sums of ``tables`` ((probes, right probe) pairs) over terms
+    whose factors are rows of ``images`` images: per (table, term, matching)
+    the positions of its values in [Gram matrix, scalars, 1] (padded with the
+    1; stored transposed), its weight c_t * sign, and its slot (its probes'
+    partners, after the earlier tables' slots) as real and imaginary halves."""
+    one = images * images + images
+    index, weights, slots = [np.zeros((0, 1), int)], [np.zeros(0)], [np.zeros(0, int)]
+    offset = 0
+    for probes, right in tables:
+        for rows, coeffs in groups:
+            t, d = rows.shape
+            table, partners, signs = _matching_table(probes, d, fermi, partial, right)
+            pairs = (rows[:, :, None] * images + rows[:, None, :]).reshape(t, d * d)
+            source = np.concatenate([pairs, images * images + rows, np.full((t, 1), one)], axis=1)
+            index.append(source[:, table].reshape(-1, table.shape[1]))
+            weights.append(np.outer(coeffs, signs).ravel())
+            slot = np.zeros((t, len(signs)), int)
+            for column in partners.T:
+                slot = slot * images + rows[:, column]
+            slots.append(offset + slot.ravel())
+        offset += images ** (probes + right)
+    width = max(part.shape[1] for part in index)
+    index = np.concatenate([np.pad(part, ((0, 0), (0, width - part.shape[1])), constant_values=one)
+                            for part in index])
+    halves = (2 * np.concatenate(slots)[:, None] + np.arange(2)).ravel()
+    return np.ascontiguousarray(index.T), np.concatenate(weights), halves, offset
 
 
-def _matching_sums(values: np.ndarray, table) -> np.ndarray:
-    """Signed sums over the table's matchings, per product and probe partners."""
-    index, scatter = table
-    weights = values[:, index[:, 0]]
-    for column in index.T[1:]:
-        weights = weights * values[:, column]
-    return weights @ scatter
+def _gather_product_scatter(plan, values: np.ndarray) -> np.ndarray:
+    """Per slot, the sum over its rows of weight times the gathered product."""
+    index, weights, halves, size = plan
+    terms = values[index[0]]
+    for column in index[1:]:
+        terms = terms * values[column]
+    terms = terms * weights
+    return np.bincount(halves, terms.view(float), 2 * size).view(complex)
 
 
 def product_vacuum_expectation(stats: Statistics, ops: Sequence[LinearOperator]) -> complex:
@@ -235,27 +258,32 @@ def product_vacuum_expectation(stats: Statistics, ops: Sequence[LinearOperator])
     part of an earlier factor with the creation part of a later one, with the
     fermionic crossing sign, and every unmatched factor contributes its
     scalar.  This is an independent route to the same number as normal
-    ordering the product and reading off its constant term.
+    ordering the product and reading off its constant term, run as the plan
+    of one term whose factors are the operators themselves.
     """
     if not ops:
         return 1.0 + 0j
     if any(op.n_modes != ops[0].n_modes for op in ops):
         raise StatisticsMismatchError("operators must share one mode count")
-    values = _pair_values(
-        np.array([[op.creation for op in ops]]),
-        np.array([[op.annihilation for op in ops]]),
-        np.array([[op.scalar for op in ops]]),
-    )
-    table = _matching_table(0, len(ops), stats is Statistics.FERMI, True)
-    return complex(_matching_sums(values, table)[0, 0])
+    cre, ann = np.array([op.creation for op in ops]), np.array([op.annihilation for op in ops])
+    values = np.concatenate([(ann @ cre.T).ravel(), [op.scalar for op in ops], [1.0]])
+    term = [(np.arange(len(ops))[None, :], np.ones(1, complex))]
+    plan = _compile(term, len(ops), stats is Statistics.FERMI, True, ((0, False),))
+    return complex(_gather_product_scatter(plan, values)[0])
+
+
+#: The (probes, right probe) tables of each plan, in slot order: the
+#: constant (1 slot), the linear block (2n) and P ((2n)^2); D ((2n)^2).
+PLANS = {"blocks": ((0, False), (1, False), (2, False)), "single": ((1, True),)}
 
 
 class CompiledPolynomial:
-    """A polynomial's terms as index arrays, grouped by degree d.
+    """A polynomial compiled into gather-product-scatter plans.
 
-    Each group is (rows (T, d), coefficients (T,)); a row lists a term's
-    factors as rows of the stacked image table in ``vacuum_blocks``: a*_i at
-    i - 1, a_i at n_modes + i - 1.  Built once, evaluated at many maps.
+    Each term lists its factors as rows of the stacked image table in
+    ``vacuum_blocks`` (a*_i at i - 1, a_i at n_modes + i - 1), grouped by
+    degree.  The plans of ``PLANS``, over perfect matchings or, for shifted
+    maps, partial ones, are compiled on first use and kept.
     """
 
     def __init__(self, poly: WickPolynomial):
@@ -269,8 +297,17 @@ class CompiledPolynomial:
             (np.array(rows, int).reshape(len(rows), d), np.array(coeffs, complex))
             for d, (rows, coeffs) in sorted(by_degree.items())
         ]
+        self.plans: dict[tuple[str, bool], tuple] = {}
 
-    def vacuum_blocks(self, inv, gradient: bool = True, single: bool = False) -> Blocks:
+    def plan_sums(self, name: str, partial: bool, values: np.ndarray) -> np.ndarray:
+        """Slot sums of a plan of ``PLANS`` at the gather source ``values``."""
+        if (name, partial) not in self.plans:
+            self.plans[name, partial] = _compile(self.groups, 2 * self.n_modes,
+                                                 self.stats is Statistics.FERMI, partial,
+                                                 PLANS[name])
+        return _gather_product_scatter(self.plans[name, partial], values)
+
+    def vacuum_blocks(self, inv, single: bool = False) -> Blocks:
         """Low-degree blocks after a_i -> sum_j u_ij b_j + v_ij b*_j + shift_i.
 
         ``inv`` carries (u, v, shift), as the inverse of a Bogoliubov map
@@ -279,49 +316,32 @@ class CompiledPolynomial:
         product of term t,
 
             constant  = sum_t c_t <O_t>,
-            linear[i] = sum_t c_t <b_i O_t>               (zero unless ``gradient``),
-            pairing   = (P +- P^T) / 4 with P[i, j] = sum_t c_t <b_j b_i O_t>
-                        (- for fermions; zero unless ``gradient``),
+            linear[i] = sum_t c_t <b_i O_t>,
+            pairing   = (P +- P^T) / 4 with P[i, j] = sum_t c_t <b_i b_j O_t>
+                        (- for fermions),
             single_particle[i, j] = sum_t c_t <b_i O_t b*_j> - constant delta_ij
-                        (None unless ``single``),
+                        (None unless ``single``).
 
-        evaluating all terms of one degree, and all probes b, in one batch.
-        The delta_ij term is the contraction of b_i with b*_j, which the
-        table of ``single_particle`` leaves out.  Without a shift no factor
-        has a scalar, so a table over an odd number of positions has no
-        matching: the linear table runs only where a shift or an odd degree
-        can make it nonzero.
+        The 2n images of a*_i and a_i are stacked once, and their Gram
+        matrix G = ann cre^T holds every contraction.  The "blocks" plan
+        gathers from [G, scalars, 1], multiplies along its rows and scatters
+        the weighted products into the constant, a 2n vector m and a (2n)^2
+        matrix M, one slot per probe partner, and the "single" plan into
+        M'; then linear = m cre, P = cre^T M cre and D = cre^T M' ann.  The
+        delta_ij term is the contraction of b_i with b*_j, which the table
+        of D leaves out.  Without a shift no image has a scalar, and the
+        perfect-matching plans serve.
         """
-        n = self.n_modes
-        fermi = self.stats is Statistics.FERMI
+        big = 2 * self.n_modes
         cre = np.concatenate([np.conj(inv.u), inv.v])
         ann = np.concatenate([np.conj(inv.v), inv.u])
         sca = np.concatenate([np.conj(inv.shift), inv.shift])
-        constant = 0j
-        lin = np.zeros(n, complex)
-        pairs = np.zeros((n, n), complex)
-        one_body = np.zeros((n, n), complex) if single else None
-        for rows, coeffs in self.groups:
-            t, d = rows.shape
-            c, a, scalars = cre[rows], ann[rows], sca[rows]
-            values = _pair_values(c, a, scalars)
-            partial = bool(np.any(scalars != 0))
-            sums = _matching_sums(values, _matching_table(0, d, fermi, partial))
-            constant += coeffs @ sums[:, 0]
-            if gradient and (partial or d % 2):
-                w = coeffs[:, None] * _matching_sums(values, _matching_table(1, d, fermi, partial))
-                lin += w.reshape(-1) @ c.reshape(-1, n)
-            if gradient:
-                w = _matching_sums(values, _matching_table(2, d, fermi, partial)).reshape(t, d, d)
-                # x[t, l, j] = sum_k w[t, k, l] c[t, k, j]: probe b_j meets factor k
-                x = coeffs[:, None, None] * np.matmul(w.transpose(0, 2, 1), c)
-                pairs += c.reshape(-1, n).T @ x.reshape(-1, n)
-            if single:
-                table = _matching_table(1, d, fermi, partial, True)
-                w = _matching_sums(values, table).reshape(t, d, d)
-                # x[t, k, j] = sum_l w[t, k, l] a[t, l, j]: b_i meets k, b*_j meets l
-                x = coeffs[:, None, None] * np.matmul(w, a)
-                one_body += c.reshape(-1, n).T @ x.reshape(-1, n)
+        values = np.concatenate([(ann @ cre.T).ravel(), sca, [1.0]])
+        partial = bool(inv.shift.any())
+        sums = self.plan_sums("blocks", partial, values)
+        p = cre.T @ sums[1 + big:].reshape(big, big) @ cre
         # P counts the coefficient of b*_i b*_j once per order of the probes
-        pairs = -0.25 * (pairs - pairs.T) if fermi else 0.25 * (pairs + pairs.T)
-        return Blocks(self.stats, complex(constant), lin, pairs, one_body)
+        pairing = 0.25 * (p - p.T) if self.stats is Statistics.FERMI else 0.25 * (p + p.T)
+        one_body = (cre.T @ self.plan_sums("single", partial, values).reshape(big, big) @ ann
+                    if single else None)
+        return Blocks(self.stats, complex(sums[0]), sums[1:1 + big] @ cre, pairing, one_body)

@@ -41,7 +41,7 @@ from .bogoliubov import (
     random_number_conserving,
     reflection,
 )
-from .errors import HermiticityError, ParityError, StatisticsMismatchError
+from .errors import HermiticityError, ParityError, StatisticsMismatchError, TailToleranceError
 from .ordering import (
     CompiledPolynomial,
     LinearOperator,
@@ -127,7 +127,7 @@ class MinimizeOptions:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimizationResult:
     map: BogoliubovMap
     blocks: Blocks
@@ -219,7 +219,7 @@ def _noise(energy: float) -> float:
 
 
 def _trace_array(rows) -> np.ndarray:
-    out = np.array(rows, dtype=float).reshape(-1, 2)
+    out = np.array(rows, dtype=float, ndmin=2)
     out.setflags(write=False)
     return out
 
@@ -266,9 +266,8 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
         accepted = None
         for _ in range(MAX_BACKTRACKS):
             candidate = compose(u_map, from_generator(direction.scaled(step)))
-            # Armijo trials need the energy alone; a terminal trial's blocks
-            # are those of the next iterate if it is accepted.
-            trial = compiled.vacuum_blocks(inverse(candidate), terminal)
+            # an accepted trial's blocks are the next iterate's
+            trial = compiled.vacuum_blocks(inverse(candidate))
             t_energy = float(trial.constant.real)
             if terminal:
                 better = t_energy <= energy + noise and trial.residual <= residual * (1.0 - 1e-3)
@@ -281,8 +280,7 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
         if accepted is None:
             status = RunStatus.STALLED
             break
-        u_map = accepted
-        blocks = trial if terminal else compiled.vacuum_blocks(inverse(u_map))
+        u_map, blocks = accepted, trial
         iterations += 1
     return u_map, status, iterations, _trace_array(trace)
 
@@ -417,7 +415,8 @@ def oracle_basis(
 
     The bosonic per-mode cutoff is grown until the series tail at a radius
     0.1 past the state's pair amplitude clears a tenth of
-    ``fock.DEFAULT_TAIL_TOL``.
+    ``fock.DEFAULT_TAIL_TOL``, and, for a displaced state, until the weight
+    the box cuts off from the state clears it too.
     """
     if h.stats is Statistics.FERMI:
         return fock.FockBasis.build(h.stats, h.n_modes, dimension_cap=dimension_cap)
@@ -425,7 +424,14 @@ def oracle_basis(
     chosen = fock.DEFAULT_CUTOFF
     while fock.series_tail(reach, chosen) >= 0.1 * fock.DEFAULT_TAIL_TOL:
         chosen += 2
-    return fock.FockBasis.build(h.stats, h.n_modes, chosen, dimension_cap=dimension_cap)
+    while True:
+        basis = fock.FockBasis.build(h.stats, h.n_modes, chosen, dimension_cap=dimension_cap)
+        try:
+            if m.shift.any():
+                fock.state_of_map(m, basis, 0.1 * fock.DEFAULT_TAIL_TOL)
+            return basis
+        except TailToleranceError:
+            chosen += 2
 
 
 def certify(

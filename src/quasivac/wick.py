@@ -205,7 +205,7 @@ class WickPolynomial:
         return _finalize(self.n_modes, self.stats, accum)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Blocks:
     """The degree <= 2 blocks of a normal-ordered polynomial,
 
@@ -246,7 +246,7 @@ class Blocks:
         return self.linear_norm + self.pairing_norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformedBlocks(Blocks):
     """Every block of a normal-ordered polynomial: ``Blocks`` + ``remainder``.
 

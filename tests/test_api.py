@@ -3,12 +3,14 @@ names the benchmark's tracer wraps."""
 
 import ast
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import os
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import quasivac
@@ -75,6 +77,25 @@ def test_src_defines_only_what_src_uses():
 def test_minimize_options_fields():
     fields = set(quasivac.MinimizeOptions.__dataclass_fields__)
     assert fields == {"tol_grad", "max_iterations", "multistarts", "seed"}
+
+
+def test_result_types_are_slotted():
+    # a result and its map and blocks carry no per-instance __dict__, and
+    # dataclasses.replace still rebuilds them through __post_init__
+    h = quasivac.WickPolynomial.from_terms(
+        1, quasivac.Statistics.BOSE, [([1], [1], 1.0), ([1, 1], [], 0.3), ([], [1, 1], 0.3)]
+    )
+    res = quasivac.minimize(h, quasivac.Mode.BOSE_EVEN)
+    full = quasivac.residual_blocks(h, res.map)
+    for obj, field, value in ((res, "iterations", 7), (res.map, "shift", [0.5]),
+                              (res.blocks, "constant", 1j), (full, "linear_defect", 0.5)):
+        assert not hasattr(obj, "__dict__")
+        copy = dataclasses.replace(obj, **{field: value})
+        assert type(copy) is type(obj)
+        for f in dataclasses.fields(obj):
+            expected = value if f.name == field else getattr(obj, f.name)
+            assert np.array_equal(getattr(copy, f.name), expected)
+    assert not dataclasses.replace(res.map, shift=[0.5]).shift.flags.writeable
 
 
 def test_readme_quickstart_runs():

@@ -162,6 +162,24 @@ class TestRun:
         }
         assert [type(v) for v in summary.values()] == [float, float, float, int]
 
+    def test_displaced_minimum_fits_the_oracle_box(self, tmp_path):
+        # H = a*a + 3 (a* + a) is least, -9, at the coherent state of
+        # amplitude 3, nine quanta on average: a default-cutoff box cuts off
+        # 29% of its weight
+        spec = write_spec(tmp_path, {
+            "statistics": "bose", "modes": 1, "hermitian_complete": True,
+            "terms": [{"creation": [1], "annihilation": [1], "coeff": [1.0, 0.0]},
+                      {"creation": [1], "annihilation": [], "coeff": [3.0, 0.0]}],
+        })
+        report = run(spec, Mode.BOSE_FULL, tol=1e-9)
+        assert report["status"] == "converged"
+        assert report["energy"] == pytest.approx(-9.0, abs=1e-8)
+        oracle = report["oracle"]
+        assert oracle["state_cutoff"] > 10
+        assert oracle["tail_defect"] < 1e-10
+        assert oracle["expectation"] == pytest.approx(-9.0, abs=1e-8)
+        assert report["certification"]["passed"]
+
     def test_bcs_report(self):
         report = run(str(SPECS / "bcs_two_mode.json"), Mode.FERMI_EVEN, seed=3, tol=1e-9)
         assert report["status"] == "converged"

@@ -249,16 +249,24 @@ class TestGaussianVector:
 
     def test_norm_defect_counts_weight_outside_the_box(self):
         # a coherent state |alpha| = 1.5 keeps sum_{k<=4} e^{-2.25} 2.25^k / k!
-        # of its weight in a cutoff-4 box
+        # of its weight in a cutoff-4 box (a box that small raises by default)
         basis = FockBasis.build(BOSE, 1, cutoff=4)
         chart = ThoulessChart(BOSE, np.zeros((1, 1), complex), np.array([1.5 + 0j]))
-        vec = gaussian_vector(chart, basis)
+        vec = gaussian_vector(chart, basis, tail_tol=1.0)
         kept = sum(math.exp(-2.25) * 2.25**k / math.factorial(k) for k in range(5))
         assert vec.norm_defect == pytest.approx(1.0 - math.sqrt(kept), rel=1e-12)
 
     def test_tail_tolerance_error(self):
         basis = FockBasis.build(BOSE, 1, cutoff=10)
         chart = ThoulessChart(BOSE, np.array([[0.9]], dtype=complex), np.zeros(1, complex))
+        with pytest.raises(TailToleranceError):
+            gaussian_vector(chart, basis)
+
+    def test_tail_tolerance_error_counts_the_displacement(self):
+        # a coherent state of amplitude 3 keeps 29% of its weight past 10
+        # quanta, which the pair-amplitude estimate alone does not see
+        basis = FockBasis.build(BOSE, 1, cutoff=10)
+        chart = ThoulessChart(BOSE, np.zeros((1, 1), complex), np.array([3.0 + 0j]))
         with pytest.raises(TailToleranceError):
             gaussian_vector(chart, basis)
 

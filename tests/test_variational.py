@@ -491,6 +491,48 @@ class TestMergedStarts:
             assert 2 * merged_calls <= len(calls)
 
 
+class TestEngineCalls:
+    @pytest.mark.parametrize(
+        "stats,n,mode,quartic,linear,seed",
+        [
+            (BOSE, 2, Mode.BOSE_EVEN, True, False, 104),
+            (BOSE, 2, Mode.BOSE_FULL, True, True, 110),
+            (FERMI, 3, Mode.FERMI_EVEN, True, False, 115),
+            (FERMI, 3, Mode.FERMI_ODD, True, False, 120),
+        ],
+    )
+    def test_one_engine_call_per_trial(self, stats, n, mode, quartic, linear, seed,
+                                       monkeypatch):
+        # each line-search trial is one engine call whose blocks, if the
+        # trial is accepted, are the next iterate's; add one call per start
+        # and one for the result's D
+        h = random_bounded_hamiltonian(
+            stats, n, np.random.default_rng(seed), quartic=quartic, linear=linear
+        )
+        engine_calls, generated = [], []
+        engine = CompiledPolynomial.vacuum_blocks
+        generate = variational.from_generator
+
+        def counted_engine(self, *args, **kwargs):
+            engine_calls.append(None)
+            return engine(self, *args, **kwargs)
+
+        def counted_generate(g):
+            generated.append(None)
+            return generate(g)
+
+        monkeypatch.setattr(CompiledPolynomial, "vacuum_blocks", counted_engine)
+        monkeypatch.setattr(variational, "from_generator", counted_generate)
+        res = minimize(h, mode, MinimizeOptions(tol_grad=2.5e-9, seed=seed))
+        # the random extra starts are generated too; the base starts are
+        # the identity, or the n unit reflections in FERMI_ODD
+        extras = res.n_starts - (n if mode is Mode.FERMI_ODD else 1)
+        trials = len(generated) - extras
+        assert res.status is RunStatus.CONVERGED
+        assert trials > res.iterations
+        assert len(engine_calls) == trials + res.n_starts + 1
+
+
 class TestDescentInvariants:
     @pytest.mark.parametrize(
         "stats,mode",
