@@ -85,6 +85,17 @@ class BogoliubovMap:
         return self.u.shape[0]
 
 
+def _adopt(stats: Statistics, u: np.ndarray, v: np.ndarray, shift: np.ndarray,
+           odd: bool = False) -> BogoliubovMap:
+    """Map on fresh complex arrays computed from valid maps: no checks, no copies."""
+    for a in (u, v, shift):
+        a.setflags(write=False)
+    m = object.__new__(BogoliubovMap)
+    for name, value in zip(("stats", "u", "v", "shift", "odd"), (stats, u, v, shift, odd)):
+        object.__setattr__(m, name, value)
+    return m
+
+
 def _require_same(m1: BogoliubovMap, m2: BogoliubovMap) -> None:
     if m1.stats is not m2.stats or m1.n_modes != m2.n_modes:
         raise StatisticsMismatchError("maps differ in statistics or mode count")
@@ -101,7 +112,7 @@ def compose(m1: BogoliubovMap, m2: BogoliubovMap) -> BogoliubovMap:
     u = m2.u @ m1.u + m2.v @ np.conj(m1.v)
     v = m2.u @ m1.v + m2.v @ np.conj(m1.u)
     shift = m2.u @ m1.shift + m2.v @ np.conj(m1.shift) + m2.shift
-    return BogoliubovMap(m1.stats, u, v, shift, odd=m1.odd ^ m2.odd)
+    return _adopt(m1.stats, u, v, shift, m1.odd ^ m2.odd)
 
 
 def inverse(m: BogoliubovMap) -> BogoliubovMap:
@@ -110,19 +121,18 @@ def inverse(m: BogoliubovMap) -> BogoliubovMap:
     u = m.u.conj().T
     v = sign * m.v.T
     shift = -(u @ m.shift + v @ np.conj(m.shift))
-    return BogoliubovMap(m.stats, u, v, shift, odd=m.odd)
+    return _adopt(m.stats, u, v, shift, m.odd)
 
 
-def overlap(m1: BogoliubovMap, m2: BogoliubovMap) -> float:
-    """Squared overlap |<Phi_1|Phi_2>|^2 of the Gaussian states of two maps.
+def vacuum_overlap(w: BogoliubovMap) -> float:
+    """Squared overlap |<0|Phi_w>|^2; |<Phi_1|Phi_2>|^2 of two maps is that of
+    their relative map w = compose(inverse(m1), m2).
 
-    Onishi's formula (Onishi & Yoshida, Nucl. Phys. 80, 367 (1966)) on the
-    relative map w = compose(inverse(m1), m2): |det w.u| for fermions (0
-    between opposite parities) and 1/|det w.u| for bosons, times
+    Onishi's formula (Onishi & Yoshida, Nucl. Phys. 80, 367 (1966)): |det w.u|
+    for fermions (0 for an odd w) and 1/|det w.u| for bosons, times
     exp(-|beta|^2 + Re(beta^dag z conj(beta))) for a state of w displaced by
     beta = <a>, with z = -w.u^-1 w.v its chart matrix.
     """
-    w = compose(inverse(m1), m2)
     if w.stats is Statistics.FERMI:
         return 0.0 if w.odd else float(abs(np.linalg.det(w.u)))
     weight = 1.0 / float(abs(np.linalg.det(w.u)))
@@ -199,34 +209,30 @@ class Generator:
         )
 
 
-def adjoint_action_matrix(g: Generator) -> np.ndarray:
-    """2n x 2n matrix of the generator acting on the column (a, a*)."""
-    n = g.n_modes
+def exponential_map(stats: Statistics, pair: np.ndarray, shift: np.ndarray) -> BogoliubovMap:
+    """Map of conjugation by the unitary of generator arrays (pair, shift):
+    one matrix exponential of the generator's action on the column (a, a*),
+    with an affine column appended for the bosonic linear part."""
+    n = pair.shape[0]
     a = np.zeros((2 * n, 2 * n), dtype=complex)
-    a[:n, n:] = -1j * g.pair
-    a[n:, :n] = 1j * np.conj(g.pair)
-    return a
+    a[:n, n:] = -1j * pair
+    a[n:, :n] = 1j * np.conj(pair)
+    if stats is Statistics.BOSE and np.any(shift != 0):
+        aug = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+        aug[: 2 * n, : 2 * n] = a
+        aug[:n, 2 * n] = -1j * shift
+        aug[n : 2 * n, 2 * n] = 1j * np.conj(shift)
+        e = scipy.linalg.expm(aug)
+        out_shift = e[:n, 2 * n]
+    else:
+        e = scipy.linalg.expm(a)
+        out_shift = np.zeros(n, complex)
+    return _adopt(stats, e[:n, :n], e[:n, n : 2 * n], out_shift)
 
 
 def from_generator(g: Generator) -> BogoliubovMap:
-    """Bogoliubov map of conjugation by the generated unitary.
-
-    Computed as one matrix exponential of the adjoint-action matrix, with an
-    affine column appended for the bosonic linear part.
-    """
-    n = g.n_modes
-    a = adjoint_action_matrix(g)
-    if g.stats is Statistics.BOSE and np.any(g.shift != 0):
-        aug = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-        aug[: 2 * n, : 2 * n] = a
-        aug[:n, 2 * n] = -1j * g.shift
-        aug[n : 2 * n, 2 * n] = 1j * np.conj(g.shift)
-        e = scipy.linalg.expm(aug)
-        shift = e[:n, 2 * n]
-    else:
-        e = scipy.linalg.expm(a)
-        shift = np.zeros(n, complex)
-    return BogoliubovMap(g.stats, e[:n, :n], e[:n, n : 2 * n], shift)
+    """Bogoliubov map of conjugation by the generated unitary."""
+    return exponential_map(g.stats, g.pair, g.shift)
 
 
 @dataclass(frozen=True)

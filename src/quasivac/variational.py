@@ -10,6 +10,10 @@ iterate a direct check of the first-order expansion; at convergence those
 blocks vanish and only the constant, the particle-conserving quadratic block
 and higher-order terms survive.
 
+A line-search trial costs one ``expm`` (``bogoliubov.exponential_map``),
+one compose and one inverse on arrays, and one engine call: a
+``BogoliubovMap`` validates and copies only at its public constructor.
+
 One engine, one oracle: every block ``minimize`` uses or reports (the
 descent's, and the constant, linear, pairing and particle-conserving blocks
 of a result) comes from the batched Wick engine
@@ -33,13 +37,14 @@ from .bogoliubov import (
     Generator,
     chart_from_map,
     compose,
+    exponential_map,
     from_generator,
     identity,
     inverse,
-    overlap,
     random_generator,
     random_number_conserving,
     reflection,
+    vacuum_overlap,
 )
 from .errors import HermiticityError, ParityError, StatisticsMismatchError, TailToleranceError
 from .ordering import (
@@ -189,17 +194,16 @@ def directional_derivative(blocks: Blocks, direction: Generator) -> float:
     )
 
 
-def descent_direction(blocks: Blocks) -> Generator:
-    """Steepest-descent generator: (gradient sign) * i * pairing, plus
-    i * linear.
+def descent_direction(blocks: Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Steepest-descent generator data (pair, shift): (gradient sign) * i *
+    pairing and i * linear.
 
     Along the scaled direction the first-order energy change is
     -2 s (|pairing|_F^2 + |linear|^2), strictly negative away from
     stationarity.  The linear block, and with it the shift, is zero outside
     BOSE_FULL: the other modes take even polynomials and unshifted maps.
     """
-    pair = pairing_gradient_sign(blocks.stats) * 1j * blocks.pairing
-    return Generator(blocks.stats, pair, 1j * blocks.linear)
+    return pairing_gradient_sign(blocks.stats) * 1j * blocks.pairing, 1j * blocks.linear
 
 
 def _check_mode(h: WickPolynomial, mode: Mode) -> None:
@@ -228,15 +232,16 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
              opts: MinimizeOptions, floor_depth: float,
              minima: list[tuple[BogoliubovMap, float]]):
     """One start's descent; a status of None means it merged into one of
-    the converged ``minima``, (map, energy) pairs of earlier starts."""
+    the converged ``minima``, (inverse map, energy) pairs of earlier starts."""
     u_map = start
     blocks = compiled.vacuum_blocks(inverse(u_map))
+    norms = blocks.linear_norm, blocks.pairing_norm
     floor = float(blocks.constant.real) - floor_depth
     trace: list[tuple[float, float]] = []
     iterations = 0
     while True:
         energy = float(blocks.constant.real)
-        lin_norm, pair_norm = blocks.linear_norm, blocks.pairing_norm
+        lin_norm, pair_norm = norms
         residual = lin_norm + pair_norm
         trace.append((energy, residual))
         if not math.isfinite(energy) or energy < floor:
@@ -248,16 +253,19 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
         if residual < opts.tol_grad:
             status = RunStatus.CONVERGED
             break
-        if any(energy >= e1 - _noise(e1) and 1.0 - overlap(m1, u_map) < MERGE_DELTA
-               for m1, e1 in minima):
+        if any(energy >= e1 - _noise(e1)
+               and 1.0 - vacuum_overlap(compose(inv1, u_map)) < MERGE_DELTA
+               for inv1, e1 in minima):
             status = None
             break
         if iterations >= opts.max_iterations:
             status = RunStatus.MAX_ITERATIONS
             break
-        direction = descent_direction(blocks)
-        slope = 2.0 * (pair_norm**2 + lin_norm**2)
-        step = min(STEP_INIT, STEP_NORM_CAP / max(direction.norm, 1e-300))
+        pair, shift = descent_direction(blocks)
+        # i and the sign move no magnitude: the direction's norm is sqrt(squared)
+        squared = pair_norm**2 + lin_norm**2
+        slope = 2.0 * squared
+        step = min(STEP_INIT, STEP_NORM_CAP / max(math.sqrt(squared), 1e-300))
         # Below this the Armijo decrement is invisible in double precision;
         # switch to accepting steps on strict residual decrease instead,
         # still requiring the energy not to rise beyond rounding noise.
@@ -265,12 +273,13 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
         terminal = ARMIJO * step * slope < noise
         accepted = None
         for _ in range(MAX_BACKTRACKS):
-            candidate = compose(u_map, from_generator(direction.scaled(step)))
+            candidate = compose(u_map, exponential_map(u_map.stats, step * pair, step * shift))
             # an accepted trial's blocks are the next iterate's
             trial = compiled.vacuum_blocks(inverse(candidate))
             t_energy = float(trial.constant.real)
+            t_norms = trial.linear_norm, trial.pairing_norm
             if terminal:
-                better = t_energy <= energy + noise and trial.residual <= residual * (1.0 - 1e-3)
+                better = t_energy <= energy + noise and sum(t_norms) <= residual * (1.0 - 1e-3)
             else:
                 better = t_energy <= energy - ARMIJO * step * slope
             if math.isfinite(t_energy) and better:
@@ -280,7 +289,7 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
         if accepted is None:
             status = RunStatus.STALLED
             break
-        u_map, blocks = accepted, trial
+        u_map, blocks, norms = accepted, trial, t_norms
         iterations += 1
     return u_map, status, iterations, _trace_array(trace)
 
@@ -319,7 +328,7 @@ def minimize(
     the same engine as the descent.  Nothing here normal orders: ``certify``
     checks the blocks against ``residual_blocks``.  The starts run in order,
     and one whose state overlaps an earlier converged minimum to within
-    ``MERGE_DELTA`` of 1 (``bogoliubov.overlap``), at an energy no lower than
+    ``MERGE_DELTA`` of 1 (``bogoliubov.vacuum_overlap``), at an energy no lower than
     that minimum's beyond the line-search noise, stops as merged: it found
     nothing new and takes no part in choosing the winner.  Converged starts
     whose energies lie within the line-search noise of the lowest tie, and
@@ -334,7 +343,7 @@ def minimize(
     for start in _starts(h, mode, opts):
         runs.append(_descend(compiled, start, opts, ENERGY_FLOOR_SPAN * scale, minima))
         if runs[-1][1] is RunStatus.CONVERGED:
-            minima.append((runs[-1][0], runs[-1][3][-1, 0]))
+            minima.append((inverse(runs[-1][0]), runs[-1][3][-1, 0]))
     unbounded = [r for r in runs if r[1] is RunStatus.UNBOUNDED_BELOW]
     converged = [r for r in runs if r[1] is RunStatus.CONVERGED]
     if unbounded:

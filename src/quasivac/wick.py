@@ -216,7 +216,8 @@ class Blocks:
 
     ``pairing`` is symmetric (Bose) or antisymmetric (Fermi); its entries and
     the ``linear`` vector are the creation-side coefficients.
-    ``single_particle`` is None where it was not evaluated.
+    ``single_particle`` is None where it was not evaluated.  The arrays are
+    taken over, not copied, and made read-only in place.
     """
 
     stats: Statistics
@@ -228,7 +229,7 @@ class Blocks:
     def __post_init__(self):
         for name in ("linear", "pairing", "single_particle"):
             if getattr(self, name) is not None:
-                arr = np.array(getattr(self, name), dtype=complex)
+                arr = np.asarray(getattr(self, name), dtype=complex)
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 

@@ -1,6 +1,8 @@
 """Shared builders for randomized test inputs."""
 
+import importlib.util
 import os
+import sys
 
 # One BLAS/OpenMP thread, set before numpy is first imported: the suite's
 # matrices are small, and next to another CPU-bound process a thread pool
@@ -13,6 +15,20 @@ import numpy as np  # noqa: E402
 from quasivac import Generator, Statistics, WickPolynomial, compose, from_generator  # noqa: E402
 from quasivac.bogoliubov import random_number_conserving  # noqa: E402
 from quasivac.ordering import LinearOperator, multiply_linear  # noqa: E402
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def perfbench_module(name):
+    """A module of the benchmark, loaded once from its file in ``perfbench/``."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, os.path.join(PERFBENCH, f"{name}.py"))
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up by name while the file runs
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 def random_free_hermitian(stats, n, rng, degree=4, scale=0.5, include_odd=False):

@@ -4,7 +4,6 @@ names the benchmark's tracer wraps."""
 import ast
 import contextlib
 import dataclasses
-import importlib.util
 import io
 import os
 import re
@@ -14,6 +13,8 @@ import numpy as np
 import pytest
 
 import quasivac
+
+from conftest import perfbench_module
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
@@ -115,10 +116,14 @@ def test_readme_quickstart_runs():
 def test_benchmark_tracer_targets_exist():
     # perfbench/spans.py replaces these attributes in place; a missing one
     # makes ``perfbench/run.py --trace 1`` raise AttributeError
-    path = os.path.join(ROOT, "perfbench", "spans.py")
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = perfbench_module("spans")
     assert spans.TARGETS
     for module, attr, name, _ in spans.TARGETS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
+    originals = [(module, attr, getattr(module, attr)) for module, attr, _, _ in spans.TARGETS]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, attr) is fn for module, attr, fn in originals)

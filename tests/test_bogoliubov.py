@@ -18,10 +18,10 @@ from quasivac import (
 from quasivac.bogoliubov import (
     chart_from_map,
     identity,
-    overlap,
     random_generator,
     random_number_conserving,
     reflection,
+    vacuum_overlap,
 )
 from quasivac.errors import ChartDomainError, DegeneracyError, InvalidGeneratorError
 from quasivac.fock import gaussian_vector, vacuum_vector
@@ -125,6 +125,17 @@ class TestIdentityComposeInverse:
         assert compose(even, odd).odd is True
         assert compose(even, even).odd is False
         assert max(residual_norms(compose(odd, even))) <= 1e-10
+
+    def test_results_are_read_only_and_the_constructor_copies(self):
+        rng = np.random.default_rng(9)
+        m = random_valid_map(BOSE, 2, rng, pair_scale=0.3, shift_scale=0.2)
+        g = random_generator(2, BOSE, rng, 0.2, 0.1)
+        for out in (compose(m, m), inverse(m), from_generator(g)):
+            assert not any(a.flags.writeable for a in (out.u, out.v, out.shift))
+        u = np.array(m.u)
+        built = BogoliubovMap(BOSE, u, m.v, m.shift)
+        u[0, 0] += 1.0
+        assert built.u[0, 0] == m.u[0, 0]
 
 
 class TestReflection:
@@ -313,6 +324,11 @@ class TestGaugeCovariance:
             assert abs(sweep.linear_norm - base.linear_norm) < 1e-8
             assert abs(sweep.pairing_norm - base.pairing_norm) < 1e-8
             assert np.max(np.abs(spec - base_spec)) < 1e-8
+
+
+def overlap(m1, m2):
+    """|<Phi_1|Phi_2>|^2 through the relative map, as the merge test forms it."""
+    return vacuum_overlap(compose(inverse(m1), m2))
 
 
 class TestOverlap:

@@ -32,6 +32,7 @@ from quasivac.variational import descent_direction, directional_derivative, subs
 from quasivac.wick import DEGREE_CAP
 
 from conftest import (
+    perfbench_module,
     random_bounded_hamiltonian,
     random_free_hermitian,
     random_valid_map,
@@ -163,21 +164,21 @@ class TestDescentDirection:
         blocks = residual_blocks(
             WickPolynomial.empty(1, BOSE).add_term([1], [1], 1.0), identity(1, BOSE)
         )
-        g = descent_direction(blocks)
-        assert np.all(g.pair == 0)
-        assert np.all(g.shift == 0)
+        pair, shift = descent_direction(blocks)
+        assert np.all(pair == 0)
+        assert np.all(shift == 0)
 
     def test_bose_anomalous_direction(self):
         blocks = residual_blocks(squeezed_oscillator(), identity(1, BOSE))
-        g = descent_direction(blocks)
-        assert np.allclose(g.pair, [[0.3j]])
-        assert np.all(g.shift == 0)
+        pair, shift = descent_direction(blocks)
+        assert np.allclose(pair, [[0.3j]])
+        assert np.all(shift == 0)
 
     def test_bose_full_linear_direction(self):
         blocks = residual_blocks(displaced_oscillator(), identity(1, BOSE))
-        g = descent_direction(blocks)
-        assert np.allclose(g.shift, [0.5j])
-        assert np.allclose(g.pair, 0)
+        pair, shift = descent_direction(blocks)
+        assert np.allclose(shift, [0.5j])
+        assert np.allclose(pair, 0)
 
     @pytest.mark.parametrize("stats", [BOSE, FERMI])
     def test_first_order_decrease(self, stats):
@@ -186,7 +187,7 @@ class TestDescentDirection:
         h = random_free_hermitian(stats, n, rng)
         m = random_valid_map(stats, n, rng, pair_scale=0.2)
         blocks = residual_blocks(h, m)
-        g = descent_direction(blocks)
+        g = Generator(stats, *descent_direction(blocks))
         expected = -2.0 * (blocks.pairing_norm**2 + blocks.linear_norm**2)
         assert directional_derivative(blocks, g) == pytest.approx(expected, rel=1e-12)
 
@@ -511,26 +512,39 @@ class TestEngineCalls:
         )
         engine_calls, generated = [], []
         engine = CompiledPolynomial.vacuum_blocks
-        generate = variational.from_generator
+        generate = variational.exponential_map
 
         def counted_engine(self, *args, **kwargs):
             engine_calls.append(None)
             return engine(self, *args, **kwargs)
 
-        def counted_generate(g):
+        def counted_generate(*args):
             generated.append(None)
-            return generate(g)
+            return generate(*args)
 
         monkeypatch.setattr(CompiledPolynomial, "vacuum_blocks", counted_engine)
-        monkeypatch.setattr(variational, "from_generator", counted_generate)
+        monkeypatch.setattr(variational, "exponential_map", counted_generate)
         res = minimize(h, mode, MinimizeOptions(tol_grad=2.5e-9, seed=seed))
-        # the random extra starts are generated too; the base starts are
-        # the identity, or the n unit reflections in FERMI_ODD
-        extras = res.n_starts - (n if mode is Mode.FERMI_ODD else 1)
-        trials = len(generated) - extras
+        # each trial exponentiates its step once; the random extra starts
+        # go through from_generator, which this does not count
+        trials = len(generated)
         assert res.status is RunStatus.CONVERGED
         assert trials > res.iterations
         assert len(engine_calls) == trials + res.n_starts + 1
+
+
+class TestTraceEndsAtResult:
+    @pytest.mark.parametrize(
+        "name", ["corpus-104", "corpus-110", "corpus-115", "corpus-120", "dense-bose3-203"]
+    )
+    def test_last_row_is_the_result_exactly(self, name):
+        # the descent carries its iterate as arrays; result_at evaluates the
+        # winner's final map again, and must read the same numbers
+        inputs = perfbench_module("inputs")
+        p = next(p for p in inputs.corpus_problems() + inputs.dense_problems() if p.name == name)
+        res = minimize(p.h, p.mode, p.opts)
+        assert res.status is RunStatus.CONVERGED
+        assert tuple(res.trace[-1]) == (res.energy, res.residual)
 
 
 class TestDescentInvariants:

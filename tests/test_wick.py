@@ -10,6 +10,7 @@ from quasivac import Statistics, TransformedBlocks, WickPolynomial
 from quasivac.errors import DegreeCapError, IndexRangeError
 from quasivac.wick import (
     PRUNE_THRESHOLD,
+    Blocks,
     TermParity,
     canonicalize_term,
     extract_blocks,
@@ -216,6 +217,14 @@ def _random_blocks(stats, n, rng):
         linear_defect=0.0,
         pairing_defect=0.0,
     )
+
+
+def test_blocks_take_their_arrays_over_read_only():
+    linear, pairing = np.zeros(2, complex), np.eye(2, dtype=complex)
+    blocks = Blocks(Statistics.BOSE, 1j, linear, pairing, None)
+    assert blocks.linear is linear and blocks.pairing is pairing
+    assert not linear.flags.writeable and not pairing.flags.writeable
+    assert blocks.single_particle is None
 
 
 class TestRoundTrip:
