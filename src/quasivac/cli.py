@@ -163,8 +163,9 @@ def hamiltonian_from_payload(payload: dict) -> WickPolynomial:
     )
 
 
-def _complex_matrix(a: np.ndarray) -> list:
-    return [[[x.real, x.imag] for x in row] for row in np.asarray(a, complex)]
+def _complex_pairs(a: np.ndarray) -> list:
+    """[re, im] pairs of plain floats, nested as the array is."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _matrix_from_payload(rows: list) -> np.ndarray:
@@ -173,9 +174,9 @@ def _matrix_from_payload(rows: list) -> np.ndarray:
 
 def serialize_map(m: BogoliubovMap) -> dict:
     return {
-        "u": _complex_matrix(m.u),
-        "v": _complex_matrix(m.v),
-        "shift": [[x.real, x.imag] for x in m.shift],
+        "u": _complex_pairs(m.u),
+        "v": _complex_pairs(m.v),
+        "shift": _complex_pairs(m.shift),
         "odd": m.odd,
         "statistics": m.stats.value,
     }
@@ -263,9 +264,9 @@ def _oracle_payload(
     except QuasivacError as exc:
         payload["skipped_reason"] = str(exc)
         return payload
-    payload["expectation"] = float(
-        fock.expectation(vec, fock.quantize(poly, state_basis)).real
-    )
+    amps = vec.amplitudes[None]
+    hamps = fock.apply_polynomial(poly, state_basis, amps)
+    payload["expectation"] = float(np.vdot(amps, hamps).real)
     payload["tail_defect"] = vec.norm_defect
     payload["ground_energy"] = fock.ground_energy(poly, ground_basis)
     payload["gap"] = energy - payload["ground_energy"]
@@ -305,7 +306,7 @@ def run(
         result = minimize(poly, mode, opts)
         report["status"] = result.status.value
         report["energy"] = result.energy
-        report["D"] = _complex_matrix(result.blocks.single_particle)
+        report["D"] = _complex_pairs(result.blocks.single_particle)
         report["D_spectrum"] = [float(x) for x in result.spectrum]
         report["residual_K"] = result.blocks.linear_norm
         report["residual_O"] = result.blocks.pairing_norm

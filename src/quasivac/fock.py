@@ -1,27 +1,30 @@
-"""Brute-force verifier on dense truncated Fock spaces.
+"""Brute-force verifier on truncated Fock spaces.
 
 Occupation tuples are enumerated with mode 1 varying fastest, so a state's
-row is its occupations dotted with the per-mode strides.  ``quantize`` is the
-one route from operators to matrices: it applies each monomial to every
-basis column at once, right to left, multiplying in sqrt(m) factors (Bose)
-or Jordan-Wigner signs (Fermi), and drops a column when a mode empties or
-passes its cutoff.  State vectors never meet a ladder matrix: each basis
-caches one index map per mode (source rows, target rows, factors) by the
-same rules, and a creator or annihilator acts on a vector by one scatter.
-A Gaussian vector, displaced or not, is the one series of
-exp(1/2 a*.z.a* + beta.a*)|0>; truncated creators acting on the vacuum never
-come back from past the cutoff, so it is the exact projection of the state
-onto the box.  Operator matrices stay dense: the module checks the
-polynomial engine and the optimizer at small mode counts.
+row is its occupations dotted with the per-mode strides.  Every operator
+reaches the space through one set of rules: a monomial acts on every basis
+column at once, right to left, multiplying in sqrt(m) factors (Bose) or
+Jordan-Wigner signs (Fermi), and drops a column when a mode empties or
+passes its cutoff, which gives its (row, column, value) triples.
+``apply_polynomial`` applies a polynomial through them as one sparse
+product, and ``quantize`` scatters them into the dense matrix an eigensolve
+needs.  Each basis also caches one index map per mode (source rows, target
+rows, factors) by the same rules, through which ladders act on vectors.
+States come stacked: a (K, dim) block holds one vector per row.  The
+Gaussian vectors of K charts, displaced or not, are the amplitudes of
+exp(1/2 a*.z.a* + beta.a*)|0>, filled shell by shell of total occupation
+from a_i psi = (beta_i + sum_j z_ij a*_j) psi; each amplitude in the box
+needs only lower ones, so the block is the exact projection of the states
+onto the box.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .bogoliubov import (
     DEGENERACY_RTOL,
@@ -115,6 +118,40 @@ class FockBasis:
             maps.append((src, dst, fac))
         return maps
 
+    @cached_property
+    def shells(self) -> tuple[np.ndarray, ...]:
+        """The rows in order of total occupation, and the data of the
+        amplitude recursion in that order.
+
+        Returns (order, bounds, mode, inv, gather, factor).  Shell s holds
+        positions bounds[s - 1]:bounds[s] of ``order`` (the vacuum, shell 0,
+        is position 0).  Column p - 1 of the other arrays belongs to the row
+        m = order[p]: the mode i of its first quantum and 1/f for the factor
+        f of a*_i at r = m - e_i; ``gather`` row 0 is the position of r, and
+        row j + 1 that of r - e_j, with ``factor`` 1 and the factor of a*_j
+        from r - e_j to r (position 0 and factor 0 where r_j = 0).  The
+        factors are those of ``raising``.
+        """
+        n, strides = self.n_modes, self.strides
+        ladder = np.zeros((self.dimension, n))  # ladder[row, j]: factor of a*_j at row
+        for j, (src, _, fac) in enumerate(self.raising):
+            ladder[src, j] = fac
+        occ = self.occupations
+        total = occ.sum(axis=1)
+        order = np.argsort(total, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        rows = order[1:]
+        mode = np.argmax(occ[rows] > 0, axis=1)
+        src = rows - strides[mode]
+        occupied = occ[src] > 0
+        lower = np.where(occupied, src[:, None] - strides, 0)
+        bounds = np.append(np.flatnonzero(np.diff(total[order])) + 1, order.size)
+        gather = np.vstack([position[src], position[lower].T])
+        factor = np.vstack([np.ones(src.size),
+                            np.where(occupied, ladder[lower, np.arange(n)], 0.0).T])
+        return order, bounds, mode, 1.0 / ladder[src, mode], gather, factor
+
 
 @dataclass(frozen=True)
 class FockVector:
@@ -132,19 +169,18 @@ class FockVector:
         object.__setattr__(self, "amplitudes", amp)
 
 
-def vacuum_vector(basis: FockBasis) -> FockVector:
-    amp = np.zeros(basis.dimension, complex)
-    amp[0] = 1.0  # all occupations zero
-    return FockVector(basis, amp)
+def _monomial_rules(poly: WickPolynomial, basis: FockBasis):
+    """(target rows, source columns, values) of each monomial on the basis.
 
-
-def quantize(poly: WickPolynomial, basis: FockBasis) -> np.ndarray:
-    """Dense matrix of the polynomial on the truncated space."""
+    Each monomial acts on every basis column at once, right to left,
+    multiplying in sqrt(m) factors (Bose) or Jordan-Wigner signs (Fermi),
+    and drops a column when a mode empties or passes its cutoff.
+    """
     if poly.stats is not basis.stats or poly.n_modes != basis.n_modes:
         raise StatisticsMismatchError("polynomial and basis disagree")
     dim = basis.dimension
-    out = np.zeros((dim, dim), dtype=complex)
     fermi = basis.stats is Statistics.FERMI
+    rules = []
     for (cr, an), coeff in poly.items():
         cols, occ, fac = np.arange(dim), basis.occupations, np.ones(dim)
         # right to left: the annihilators act first
@@ -159,23 +195,40 @@ def quantize(poly: WickPolynomial, basis: FockBasis) -> np.ndarray:
             else:
                 fac *= np.sqrt(occ[:, i - 1] + (step > 0))
             occ[:, i - 1] += step
-        out[occ @ basis.strides, cols] += coeff * fac
+        rules.append((occ @ basis.strides, cols, coeff * fac))
+    return rules
+
+
+def quantize(poly: WickPolynomial, basis: FockBasis) -> np.ndarray:
+    """Dense matrix of the polynomial on the truncated space."""
+    out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for rows, cols, vals in _monomial_rules(poly, basis):
+        out[rows, cols] += vals
     return out
 
 
-def _apply_linear(basis: FockBasis, x: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """(sum_i x_i a*_i + conj(x_i) a_i) vec."""
-    out = np.zeros_like(vec)
-    for (src, dst, fac), xi in zip(basis.raising, x):
-        out[dst] += xi * fac * vec[src]
-        out[src] += np.conj(xi) * fac * vec[dst]
+def apply_polynomial(poly: WickPolynomial, basis: FockBasis, block: np.ndarray) -> np.ndarray:
+    """The polynomial applied to each row of a (K, dim) block of vectors.
+
+    One sparse product with the matrix ``quantize`` would fill densely.
+    """
+    rules = _monomial_rules(poly, basis)
+    if not rules:
+        return np.zeros(np.shape(block), dtype=complex)
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*rules))
+    dim = basis.dimension
+    matrix = scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
+    return (matrix @ np.asarray(block).T).T
+
+
+def apply_linear(basis: FockBasis, cre: np.ndarray, ann: np.ndarray,
+                 block: np.ndarray) -> np.ndarray:
+    """Row k of the (K, dim) block times sum_j cre[k, j] a*_j + ann[k, j] a_j."""
+    out = np.zeros_like(block)
+    for j, (src, dst, fac) in enumerate(basis.raising):
+        out[:, dst] += (cre[:, j : j + 1] * fac) * block[:, src]
+        out[:, src] += (ann[:, j : j + 1] * fac) * block[:, dst]
     return out
-
-
-def expectation(vec: FockVector, matrix: np.ndarray) -> complex:
-    if matrix.shape != (vec.basis.dimension, vec.basis.dimension):
-        raise StatisticsMismatchError("matrix does not match the vector dimension")
-    return complex(np.vdot(vec.amplitudes, matrix @ vec.amplitudes))
 
 
 def ground_energy(poly: WickPolynomial, basis: FockBasis) -> float:
@@ -194,106 +247,115 @@ def series_tail(radius: float, cutoff: int) -> float:
     return radius ** (2 * (cutoff // 2 + 1)) / (1.0 - radius * radius)
 
 
-def gaussian_vector(
-    chart: ThoulessChart, basis: FockBasis, tail_tol: float = DEFAULT_TAIL_TOL
-) -> FockVector:
-    """Normalized vector of the charted Gaussian state.
+def gaussian_vectors(
+    charts: list[ThoulessChart], basis: FockBasis, tail_tol: float = DEFAULT_TAIL_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized vectors of the charted Gaussian states, as rows of a
+    (K, dim) block, and their ``norm_defect`` values.
 
-    The state is c exp(1/2 a*.z.a* + beta.a*)|0>, with alpha = i shift,
+    State k is c_k exp(1/2 a*.z_k.a* + beta_k.a*)|0>, with alpha = i shift,
     beta = alpha - z conj(alpha) and c the determinant normalization times
     exp(-|alpha|^2/2 + 1/2 conj(alpha).z.conj(alpha)) (a displaced squeezed
-    state; Ma & Rhodes, Phys. Rev. A 41, 4625 (1990)).  The series is summed
-    term by term, and what it builds is the exact projection of the state
-    onto the box.  ``norm_defect`` is 1 minus the norm of that projection,
-    1 - sqrt(p) when the box holds probability p of the state, kept as a
-    diagnostic before the final normalization.  TailToleranceError is raised
-    when ``series_tail`` of the pair amplitude, or the weight 1 - p the box
-    cuts off (which counts the displacement), reaches ``tail_tol``.
+    state; Ma & Rhodes, Phys. Rev. A 41, 4625 (1990)).  The amplitudes of
+    all K states are filled together, shell by shell of total occupation
+    (``FockBasis.shells``), and each is exact, so the block holds the exact
+    projection of each state onto the box.  ``norm_defect`` is 1 minus the
+    norm of that projection, 1 - sqrt(p) when the box holds probability p of
+    the state, kept as a diagnostic before the final normalization.
+    TailToleranceError is raised when, for any of the states, ``series_tail``
+    of the pair amplitude or the weight 1 - p the box cuts off (which counts
+    the displacement) reaches ``tail_tol``.
     """
-    if chart.stats is not basis.stats or chart.n_modes != basis.n_modes:
-        raise StatisticsMismatchError("chart and basis disagree")
-    est = 0.0
-    if chart.stats is Statistics.BOSE:
-        est = series_tail(float(np.linalg.norm(chart.z, 2)), min(basis.cutoffs))
-    if est >= tail_tol:
-        raise TailToleranceError(
-            f"estimated series tail {est:.3e} exceeds {tail_tol:.1e} at cutoffs "
-            f"{basis.cutoffs}; raise the cutoff"
-        )
-    n = basis.n_modes
-    half_z = 0.5 * chart.z
-    alpha = 1j * chart.shift
-    beta = alpha - chart.z @ alpha.conj()
+    for chart in charts:
+        if chart.stats is not basis.stats or chart.n_modes != basis.n_modes:
+            raise StatisticsMismatchError("chart and basis disagree")
+    if basis.stats is Statistics.BOSE:
+        for chart in charts:
+            est = series_tail(float(np.linalg.norm(chart.z, 2)), min(basis.cutoffs))
+            if est >= tail_tol:
+                raise TailToleranceError(
+                    f"estimated series tail {est:.3e} exceeds {tail_tol:.1e} at cutoffs "
+                    f"{basis.cutoffs}; raise the cutoff"
+                )
+    n, dim, count = basis.n_modes, basis.dimension, len(charts)
+    if not count:
+        return np.zeros((0, dim), dtype=complex), np.zeros(0)
+    z = np.array([chart.z for chart in charts])
+    alpha = 1j * np.array([chart.shift for chart in charts])
+    beta = alpha - (z @ alpha.conj()[:, :, None])[:, :, 0]
+    # a_i exp(Q)|0> = (beta_i + sum_j z_ij a*_j) exp(Q)|0>: the row m = r + e_i
+    # is (beta_i psi[r] + sum_j z_ij (a*_j psi)[r]) / f, all from lower shells
+    order, bounds, mode, inv, gather, factor = basis.shells
+    weights = factor * inv * np.concatenate(
+        [beta[:, None, mode], z.transpose(0, 2, 1)[:, :, mode]], axis=1)
+    shelled = np.zeros((count, dim), dtype=complex)
+    shelled[:, 0] = 1.0  # the vacuum
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        t = slice(start - 1, stop - 1)
+        shelled[:, start:stop] = np.sum(weights[:, :, t] * shelled[:, gather[:, t]], axis=1)
+    total = np.empty_like(shelled)
+    total[:, order] = shelled
 
-    def apply_exponent(vec: np.ndarray) -> np.ndarray:
-        """(1/2 a*.z.a* + beta.a*) vec, with 2n ladder steps."""
-        raised = np.zeros((n, vec.size), dtype=complex)
-        for row, (src, dst, fac) in zip(raised, basis.raising):
-            row[dst] = fac * vec[src]
-        mixed = half_z @ raised + beta[:, None] * vec
-        out = np.zeros_like(vec)
-        for (src, dst, fac), row in zip(basis.raising, mixed):
-            out[dst] += fac * row[src]
-        return out
-
-    # order k fills occupation sectors k..2k, so the box ends the series
-    term = vacuum_vector(basis).amplitudes.copy()
-    total = term.copy()
-    for k in range(1, sum(basis.cutoffs) + 1):
-        term = apply_exponent(term) / k
-        tnorm = np.linalg.norm(term)
-        if tnorm == 0.0:
-            break
-        total += term
-        if tnorm < 1e-17:
-            break
-
-    zdz = chart.z.conj().T @ chart.z
-    if chart.stats is Statistics.BOSE:
+    zdz = z.conj().transpose(0, 2, 1) @ z
+    if basis.stats is Statistics.BOSE:
         _, logdet = np.linalg.slogdet(np.eye(n) - zdz)
-        norm_factor = math.exp(0.25 * logdet)
+        norm_factor = np.exp(0.25 * logdet)
     else:
         _, logdet = np.linalg.slogdet(np.eye(n) + zdz)
-        norm_factor = math.exp(-0.25 * logdet)
+        norm_factor = np.exp(-0.25 * logdet)
     # -|alpha|^2/2 + conj(alpha).z.conj(alpha)/2 = -conj(alpha).beta/2
-    total = (norm_factor * np.exp(-0.5 * alpha.conj() @ beta)) * total
+    total *= (norm_factor * np.exp(-0.5 * np.sum(alpha.conj() * beta, axis=1)))[:, None]
 
-    norm = float(np.linalg.norm(total))
-    if 1.0 - norm * norm >= tail_tol:
-        raise TailToleranceError(f"the box at cutoffs {basis.cutoffs} cuts off "
-                                 f"{1.0 - norm * norm:.3e} of the state; raise the cutoff")
-    return FockVector(basis, total / norm, norm_defect=abs(norm - 1.0))
+    norm = np.linalg.norm(total, axis=1)
+    for weight in 1.0 - norm * norm:
+        if weight >= tail_tol:
+            raise TailToleranceError(f"the box at cutoffs {basis.cutoffs} cuts off "
+                                     f"{weight:.3e} of the state; raise the cutoff")
+    return total / norm[:, None], np.abs(norm - 1.0)
+
+
+def states_of_maps(
+    maps: list[BogoliubovMap], basis: FockBasis, tail_tol: float = DEFAULT_TAIL_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors of the Gaussian states the maps reach from the vacuum, as rows
+    of a (K, dim) block, and their ``norm_defect`` values.
+
+    Bosonic maps go through their charts directly.  Fermionic maps that have
+    no vacuum overlap (odd parity, or occupied Slater directions) are
+    factored through unit-vector reflections until the remaining even part
+    is nondegenerate; the reflections are then applied through the basis's
+    ladder maps.  All charts go through one ``gaussian_vectors`` call.
+    """
+    peeled = [_chart_through_reflections(m) for m in maps]
+    amps, defects = gaussian_vectors([chart for chart, _ in peeled], basis, tail_tol)
+    for row, (_, applied) in zip(amps, peeled):
+        # the last reflection peeled off is the first applied to the vector
+        for direction in reversed(applied):
+            row[:] = apply_linear(basis, direction[None], direction.conj()[None], row[None])[0]
+        if applied:
+            row /= np.linalg.norm(row)
+    return amps, defects
+
+
+def _chart_through_reflections(m: BogoliubovMap) -> tuple[ThoulessChart, list[np.ndarray]]:
+    """Chart of the map after the unit-vector reflections peeled off it, in order."""
+    work, applied = m, []
+    for _ in range(m.n_modes + 1):
+        try:
+            return chart_from_map(work), applied
+        except DegeneracyError:
+            work, direction = _peel_reflection(work)
+            applied.append(direction)
+    raise DegeneracyError("could not factor the map through reflections")
 
 
 def state_of_map(
     m: BogoliubovMap, basis: FockBasis, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> FockVector:
-    """Vector of the Gaussian state reached by applying the map to the vacuum.
-
-    Bosonic maps go through the chart directly.  Fermionic maps that have no
-    vacuum overlap (odd parity, or occupied Slater directions) are factored
-    through unit-vector reflections until the remaining even part is
-    nondegenerate; the reflections are then applied through the basis's
-    ladder maps.
-    """
-    if m.stats is Statistics.BOSE:
-        return gaussian_vector(chart_from_map(m), basis, tail_tol)
-    work = m
-    applied: list[np.ndarray] = []
-    for _ in range(m.n_modes + 1):
-        try:
-            chart = chart_from_map(work)
-            break
-        except DegeneracyError:
-            work, direction = _peel_reflection(work)
-            applied.append(direction)
-    else:
-        raise DegeneracyError("could not factor the map through reflections")
-    vec = gaussian_vector(chart, basis, tail_tol)
-    amp = vec.amplitudes
-    for direction in reversed(applied):
-        amp = _apply_linear(basis, direction, amp)
-    return FockVector(basis, amp / np.linalg.norm(amp), norm_defect=vec.norm_defect)
+    """Vector of the Gaussian state reached by applying the map to the
+    vacuum: ``states_of_maps`` of one map."""
+    amps, defects = states_of_maps([m], basis, tail_tol)
+    return FockVector(basis, amps[0], norm_defect=float(defects[0]))
 
 
 def _numerical_rank(mat: np.ndarray) -> tuple[int, float]:

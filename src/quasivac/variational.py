@@ -17,10 +17,13 @@ one compose and one inverse on arrays, and one engine call: a
 One engine, one oracle: every block ``minimize`` uses or reports (the
 descent's, and the constant, linear, pairing and particle-conserving blocks
 of a result) comes from the batched Wick engine
-``ordering.CompiledPolynomial``.  ``residual_blocks`` normal orders the
-substituted polynomial in full; it is the independent reference, asserted
-against a result's blocks once in ``certify`` (and property-tested), so a
-bug in either is loud.
+``ordering.CompiledPolynomial``.  ``certify`` asserts a result's blocks
+against the same blocks read from its state in the truncated Fock space,
+the expectations of H between the state and its one- and
+two-quasiparticle excitations, so a bug in either is loud.
+``residual_blocks`` normal orders the substituted polynomial in full; it is
+the paper's rewritten H with its degree >= 3 remainder, and the tests
+check the engine against it.
 """
 
 from __future__ import annotations
@@ -326,7 +329,7 @@ def minimize(
     ``ENERGY_FLOOR_SPAN`` times the largest non-constant |coefficient| below
     the start's), and reports the blocks at the final map, D included, from
     the same engine as the descent.  Nothing here normal orders: ``certify``
-    checks the blocks against ``residual_blocks``.  The starts run in order,
+    checks the blocks against the Fock state.  The starts run in order,
     and one whose state overlaps an earlier converged minimum to within
     ``MERGE_DELTA`` of 1 (``bogoliubov.vacuum_overlap``), at an energy no lower than
     that minimum's beyond the line-search noise, stops as merged: it found
@@ -386,8 +389,36 @@ def result_at(
     )
 
 
-def _crosscheck_routes(blocks: Blocks, oracle: TransformedBlocks) -> None:
-    """The batched engine must reproduce the normal-ordering route."""
+def _quasiparticle_ladders(m: BogoliubovMap, basis: fock.FockBasis, vec: np.ndarray,
+                           adjoint: bool) -> np.ndarray:
+    """Rows b*_i vec (``adjoint``) or b_i vec of the map's operators
+    b_i = sum_j u_ij a_j + v_ij a*_j + shift_i."""
+    cre, ann, shift = (m.u.conj(), m.v.conj(), m.shift.conj()) if adjoint else (m.v, m.u, m.shift)
+    block = np.repeat(vec[None], m.n_modes, axis=0)
+    return fock.apply_linear(basis, cre, ann, block) + shift[:, None] * block
+
+
+def _state_blocks(m: BogoliubovMap, basis: fock.FockBasis, psi: np.ndarray, hpsi: np.ndarray,
+                  excited: np.ndarray, h_excited: np.ndarray) -> Blocks:
+    """The blocks read from the state psi of the map, which every b_i annihilates.
+
+    With H psi and the rows b*_i psi and H b*_i psi:  E = <psi|H psi>,
+    linear_i = <b*_i psi|H psi>, pairing_ij = 1/2 <b*_j b*_i psi|H psi>
+    = 1/2 <b*_i psi|b_j H psi> and D_ij = <b*_i psi|H b*_j psi> - E delta_ij.
+    """
+    energy = np.vdot(psi, hpsi)
+    lowered = _quasiparticle_ladders(m, basis, hpsi, adjoint=False)
+    return Blocks(
+        m.stats,
+        energy,
+        excited.conj() @ hpsi,
+        0.5 * (excited.conj() @ lowered.T),
+        excited.conj() @ h_excited.T - energy * np.eye(m.n_modes),
+    )
+
+
+def _crosscheck_routes(blocks: Blocks, oracle: Blocks) -> None:
+    """The batched engine must reproduce the blocks read from the state."""
     scale = max(1.0, abs(blocks.constant))
     if abs(blocks.constant - oracle.constant) > 1e-8 * scale or any(
         np.max(np.abs(getattr(blocks, name) - getattr(oracle, name)), initial=0.0) > 1e-8 * scale
@@ -454,39 +485,57 @@ def certify(
     """Check the stationarity structure of a converged run against brute force.
 
     The oracle's Fock basis is built first: if it exceeds ``dimension_cap``
-    the DimensionCapError ends the call before anything else runs.  Then
-    the result's blocks must equal those of ``residual_blocks`` at its map
-    to 1e-8 relative (else RuntimeError): the engine against full normal
-    ordering, which on large dense polynomials costs more than the rest of
-    the battery.  Then four checks: residual norms of the linear and anomalous
-    blocks; finite-difference derivatives of the truncated-Fock energy along
-    ``FD_DIRECTIONS`` random generator directions against the analytic
-    first-order values; for the full bosonic mode, the quadratic growth of
-    the energy along displacements against the particle-conserving block D,
-    whose lowest eigenvalue must not be negative beyond 1e-8 of its largest;
-    invariance of the reported data under ``GAUGE_SWEEPS`` random gauge
-    (number-conserving) right-compositions.
+    the DimensionCapError ends the call before anything else runs.  The
+    state psi of the result's map and every probe state of the checks below
+    are built as one stacked block (``fock.states_of_maps``), and H acts on
+    that block, and on the excitations b*_i psi, in one sparse product
+    (``fock.apply_polynomial``).  The result's blocks must first equal those
+    read from psi to 1e-8 relative (else RuntimeError): E = <psi|H psi>,
+    linear_i = <b*_i psi|H psi>, pairing_ij = 1/2 <b*_j b*_i psi|H psi> and
+    D_ij = <b*_i psi|H b*_j psi> - E delta_ij.  Then four checks: residual
+    norms of the linear and anomalous blocks; finite-difference derivatives
+    of the truncated-Fock energy along ``FD_DIRECTIONS`` random generator
+    directions against the analytic first-order values; for the full
+    bosonic mode, the quadratic growth of the energy along five random
+    displacements against the particle-conserving block D, whose lowest
+    eigenvalue must not be negative beyond 1e-8 of its largest; invariance
+    of the reported data under ``GAUGE_SWEEPS`` random gauge
+    (number-conserving) right-compositions.  The directions, displacements
+    and gauges are drawn from ``seed`` in that order.
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
     basis = oracle_basis(result.map, h, dimension_cap)
-    _crosscheck_routes(result.blocks, residual_blocks(h, result.map))
     rng = np.random.default_rng(seed)
-    hmat = fock.quantize(h, basis)
     u_map = result.map
     blocks = result.blocks
+    n = h.n_modes
 
-    def oracle_energy(m: BogoliubovMap) -> float:
-        vec = fock.state_of_map(m, basis)
-        return float(fock.expectation(vec, hmat).real)
+    directions = []
+    for _ in range(FD_DIRECTIONS):
+        g = random_generator(n, h.stats, rng, 1.0, 1.0 if mode is Mode.BOSE_FULL else 0.0)
+        directions.append(g.scaled(1.0 / max(g.norm, 1e-300)))
+    displacements = []
+    if mode is Mode.BOSE_FULL:
+        for _ in range(5):
+            y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            displacements.append(y / np.linalg.norm(y))
+    steps = directions + [Generator(h.stats, np.zeros((n, n), complex), y) for y in displacements]
+    # the minimum, then each step forward and back, all in one block
+    probes = [u_map] + [compose(u_map, from_generator(g.scaled(s)))
+                        for g in steps for s in (fd_step, -fd_step)]
+    states, _ = fock.states_of_maps(probes, basis)
+    excited = _quasiparticle_ladders(u_map, basis, states[0], adjoint=True)
+    acted = fock.apply_polynomial(h, basis, np.vstack([states, excited]))
+    count = len(probes)
+    oracle = _state_blocks(u_map, basis, states[0], acted[0], excited, acted[count:])
+    _crosscheck_routes(blocks, oracle)
+    energies = np.sum(states.conj() * acted[:count], axis=1).real.tolist()
+    e_zero, e_pairs = energies[0], list(zip(energies[1::2], energies[2::2]))
 
     fd_devs: list[float] = []
     fd_tols: list[float] = []
-    for _ in range(FD_DIRECTIONS):
-        g = random_generator(h.n_modes, h.stats, rng, 1.0, 1.0 if mode is Mode.BOSE_FULL else 0.0)
-        g = g.scaled(1.0 / max(g.norm, 1e-300))
-        e_plus = oracle_energy(compose(u_map, from_generator(g.scaled(fd_step))))
-        e_minus = oracle_energy(compose(u_map, from_generator(g.scaled(-fd_step))))
+    for g, (e_plus, e_minus) in zip(directions, e_pairs):
         fd = (e_plus - e_minus) / (2 * fd_step)
         analytic = directional_derivative(blocks, g)
         fd_devs.append(abs(fd - analytic))
@@ -496,14 +545,8 @@ def certify(
     quad_errors = None
     quad_passed = None
     if mode is Mode.BOSE_FULL:
-        e_zero = oracle_energy(u_map)
         errs = []
-        for _ in range(5):
-            y = rng.standard_normal(h.n_modes) + 1j * rng.standard_normal(h.n_modes)
-            y = y / np.linalg.norm(y)
-            g = Generator(h.stats, np.zeros((h.n_modes, h.n_modes), complex), y)
-            e_plus = oracle_energy(compose(u_map, from_generator(g.scaled(fd_step))))
-            e_minus = oracle_energy(compose(u_map, from_generator(g.scaled(-fd_step))))
+        for y, (e_plus, e_minus) in zip(displacements, e_pairs[FD_DIRECTIONS:]):
             # second central difference estimates E'' = 2c for E = B + c s^2
             fitted = (e_plus - 2 * e_zero + e_minus) / (2 * fd_step**2)
             analytic = float(np.real(np.conj(y) @ blocks.single_particle @ y))

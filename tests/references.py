@@ -4,8 +4,10 @@ Each reaches a number by a route the library itself does not take: the
 group conditions and the invariant form of a map read off its matrices, the
 chart of a generator from its closed form instead of from its map, a
 generator's state by exponentiating its quantized matrix, a block
-decomposition rebuilt into a polynomial, and dense ladder matrices quantized
-from unit monomials.  They use public names only.
+decomposition rebuilt into a polynomial, dense ladder matrices quantized
+from unit monomials, and expectations through dense matrices.  The vacuum
+vector and the one-chart case of ``fock.gaussian_vectors`` are kept here
+for the tests that build single states.  They use public names only.
 """
 
 import math
@@ -15,8 +17,8 @@ from scipy.sparse.linalg import expm_multiply
 
 from quasivac import Statistics, WickPolynomial, from_generator, quantize
 from quasivac.bogoliubov import ThoulessChart, chart_from_map
-from quasivac.errors import ChartDomainError
-from quasivac.fock import FockVector
+from quasivac.errors import ChartDomainError, StatisticsMismatchError
+from quasivac.fock import DEFAULT_TAIL_TOL, FockVector, gaussian_vectors
 
 
 def residual_norms(m):
@@ -100,6 +102,25 @@ def generator_polynomial(g):
             entries.append(((i + 1,), (), y))
             entries.append(((), (i + 1,), np.conj(y)))
     return WickPolynomial.from_terms(n, g.stats, entries)
+
+
+def gaussian_vector(chart, basis, tail_tol=DEFAULT_TAIL_TOL):
+    """Vector of one charted Gaussian state."""
+    amps, defects = gaussian_vectors([chart], basis, tail_tol)
+    return FockVector(basis, amps[0], norm_defect=float(defects[0]))
+
+
+def vacuum_vector(basis):
+    amp = np.zeros(basis.dimension, complex)
+    amp[0] = 1.0  # all occupations zero
+    return FockVector(basis, amp)
+
+
+def expectation(vec, matrix):
+    """<vec|matrix|vec> with a dense matrix, e.g. ``quantize``'s."""
+    if matrix.shape != (vec.basis.dimension, vec.basis.dimension):
+        raise StatisticsMismatchError("matrix does not match the vector dimension")
+    return complex(np.vdot(vec.amplitudes, matrix @ vec.amplitudes))
 
 
 def exp_generator(g, basis, vec):

@@ -26,17 +26,18 @@ from quasivac import (
     state_of_map,
 )
 from quasivac.bogoliubov import chart_from_map, random_number_conserving
-from quasivac.fock import (
-    expectation,
-    gaussian_vector,
-    series_tail,
-    vacuum_vector,
-)
+from quasivac.fock import series_tail
 from quasivac.ordering import substitute_linear
 from quasivac.variational import directional_derivative, substitution_rows
 
 from conftest import random_bounded_hamiltonian, random_free_hermitian, random_valid_map
-from references import chart_from_generator, exp_generator
+from references import (
+    chart_from_generator,
+    exp_generator,
+    expectation,
+    gaussian_vector,
+    vacuum_vector,
+)
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI

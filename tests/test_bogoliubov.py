@@ -24,10 +24,16 @@ from quasivac.bogoliubov import (
     vacuum_overlap,
 )
 from quasivac.errors import ChartDomainError, DegeneracyError, InvalidGeneratorError
-from quasivac.fock import gaussian_vector, vacuum_vector
 
 from conftest import random_bounded_hamiltonian, random_valid_map
-from references import chart_from_generator, exp_generator, preserves_form, residual_norms
+from references import (
+    chart_from_generator,
+    exp_generator,
+    gaussian_vector,
+    preserves_form,
+    residual_norms,
+    vacuum_vector,
+)
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI

@@ -180,6 +180,32 @@ class TestRun:
         assert oracle["expectation"] == pytest.approx(-9.0, abs=1e-8)
         assert report["certification"]["passed"]
 
+    @pytest.mark.parametrize("name,mode", [
+        ("squeezed_oscillator", Mode.BOSE_EVEN),
+        ("displaced_oscillator", Mode.BOSE_FULL),
+        ("bcs_two_mode", Mode.FERMI_EVEN),
+        ("fermi_single_mode", Mode.FERMI_ODD),
+    ])
+    def test_report_holds_plain_json_types(self, name, mode):
+        # exact types: a numpy float64 is a float subclass and would pass isinstance
+        plain = (dict, list, str, int, float, bool, type(None))
+        found = set()
+
+        def walk(node):
+            found.add(type(node))
+            if isinstance(node, dict):
+                assert all(type(k) is str for k in node)
+                for value in node.values():
+                    walk(value)
+            elif isinstance(node, list):
+                for value in node:
+                    walk(value)
+
+        report = run(str(SPECS / f"{name}.json"), mode, tol=1e-9)
+        assert report["status"] == "converged"
+        walk(report)
+        assert found <= set(plain), found - set(plain)
+
     def test_bcs_report(self):
         report = run(str(SPECS / "bcs_two_mode.json"), Mode.FERMI_EVEN, seed=3, tol=1e-9)
         assert report["status"] == "converged"

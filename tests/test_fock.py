@@ -11,6 +11,7 @@ from quasivac import (
     Generator,
     Statistics,
     WickPolynomial,
+    compose,
     ground_energy,
     quantize,
     residual_blocks,
@@ -18,11 +19,11 @@ from quasivac import (
 )
 from quasivac.bogoliubov import ThoulessChart, reflection
 from quasivac.errors import DimensionCapError, TailToleranceError
-from quasivac.fock import expectation, gaussian_vector, vacuum_vector
+from quasivac.fock import apply_linear, apply_polynomial, states_of_maps
 from quasivac.variational import oracle_basis
 
 from conftest import random_free_hermitian, random_valid_map
-from references import exp_generator, ladders
+from references import exp_generator, expectation, gaussian_vector, ladders, vacuum_vector
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -382,6 +383,73 @@ class TestStateOfMap:
         for i in range(n):
             bop = sum(m.u[i, j] * pairs[j][0] + m.v[i, j] * pairs[j][1] for j in range(n))
             assert np.linalg.norm(bop @ vec.amplitudes) < 1e-10
+
+
+class TestStackedStates:
+    @pytest.mark.parametrize("stats,n,cutoff,shift_scale,reflect", [
+        (BOSE, 2, (9, 7), 0.0, False),   # squeezed
+        (BOSE, 2, (12, 10), 0.4, False),  # squeezed and displaced
+        (FERMI, 3, 1, 0.0, False),        # even
+        (FERMI, 3, 1, 0.0, True),         # odd, through a reflection
+    ])
+    def test_rows_are_the_states_of_each_map(self, stats, n, cutoff, shift_scale, reflect):
+        rng = np.random.default_rng(41)
+        basis = FockBasis.build(stats, n, cutoff)
+        maps = []
+        for k in range(4):
+            m = random_valid_map(stats, n, rng, pair_scale=0.3, shift_scale=shift_scale,
+                                 gauge=True)
+            if reflect:
+                m = compose(reflection(np.eye(n, dtype=complex)[k % n]), m)
+            maps.append(m)
+        amps, defects = states_of_maps(maps, basis, tail_tol=1.0)
+        assert amps.shape == (len(maps), basis.dimension)
+        for row, defect, m in zip(amps, defects, maps):
+            one = state_of_map(m, basis, tail_tol=1.0)
+            phase = np.vdot(one.amplitudes, row)
+            assert abs(abs(phase) - 1.0) < 1e-12
+            assert np.max(np.abs(row - phase * one.amplitudes)) < 1e-12
+            assert defect == pytest.approx(one.norm_defect, abs=1e-12)
+
+    def test_a_row_cut_off_by_the_box_raises(self):
+        # the middle map is a coherent state of amplitude 3, whose 10-quantum
+        # box cuts off 29% of its weight
+        basis = FockBasis.build(BOSE, 1, cutoff=10)
+        near = BogoliubovMap(BOSE, np.eye(1), np.zeros((1, 1)), np.array([0.1 + 0j]))
+        far = BogoliubovMap(BOSE, np.eye(1), np.zeros((1, 1)), np.array([3.0 + 0j]))
+        states_of_maps([near, near], basis)
+        with pytest.raises(TailToleranceError, match="cuts off"):
+            states_of_maps([near, far, near], basis)
+        squeezed = BogoliubovMap(BOSE, np.array([[math.cosh(1.5)]]),
+                                 np.array([[math.sinh(1.5)]]), np.zeros(1, complex))
+        with pytest.raises(TailToleranceError, match="estimated series tail"):
+            states_of_maps([near, squeezed], basis)
+
+
+class TestSparseAction:
+    @pytest.mark.parametrize("stats,n,cutoff", [(BOSE, 2, (4, 3)), (BOSE, 1, 9), (FERMI, 3, 1)])
+    def test_polynomial_action_is_the_quantized_product(self, stats, n, cutoff):
+        rng = np.random.default_rng(43)
+        basis = FockBasis.build(stats, n, cutoff)
+        for _ in range(3):
+            poly = random_free_hermitian(stats, n, rng, include_odd=True)
+            block = rng.standard_normal((3, basis.dimension)) + 1j * rng.standard_normal(
+                (3, basis.dimension))
+            expected = (quantize(poly, basis) @ block.T).T
+            assert np.max(np.abs(apply_polynomial(poly, basis, block) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("stats,n,cutoff", [(BOSE, 2, (4, 3)), (FERMI, 3, 1)])
+    def test_linear_action_is_the_ladder_sum(self, stats, n, cutoff):
+        rng = np.random.default_rng(47)
+        basis = FockBasis.build(stats, n, cutoff)
+        pairs = ladders(basis)
+        cre = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        ann = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        block = rng.standard_normal((2, basis.dimension)) + 0j
+        got = apply_linear(basis, cre, ann, block)
+        for k in range(2):
+            op = sum(cre[k, j] * pairs[j][1] + ann[k, j] * pairs[j][0] for j in range(n))
+            assert np.max(np.abs(got[k] - op @ block[k])) < 1e-12
 
 
 class TestEngineOracleAgreement:

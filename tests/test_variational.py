@@ -1,5 +1,6 @@
 """Minimization over Gaussian states and the stationarity certification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from quasivac import (
 from quasivac import variational
 from quasivac.bogoliubov import identity, reflection
 from quasivac.errors import HermiticityError, ParityError
-from quasivac.fock import expectation
 from quasivac.ordering import CompiledPolynomial, substitute_linear
 from quasivac.variational import descent_direction, directional_derivative, substitution_rows
 from quasivac.wick import DEGREE_CAP
@@ -37,6 +37,7 @@ from conftest import (
     random_free_hermitian,
     random_valid_map,
 )
+from references import expectation
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -679,6 +680,28 @@ class TestCertify:
         res = minimize(h, Mode.FERMI_ODD, MinimizeOptions(tol_grad=1e-10))
         report = certify(res, h, Mode.FERMI_ODD)
         assert report.passed
+
+    @pytest.mark.parametrize("mode,stats,seed,linear", [
+        (Mode.BOSE_EVEN, BOSE, 103, False),
+        (Mode.BOSE_FULL, BOSE, 109, True),
+        (Mode.FERMI_EVEN, FERMI, 111, False),
+        (Mode.FERMI_ODD, FERMI, 117, False),
+    ])
+    def test_cross_check_catches_one_wrong_block_entry(self, mode, stats, seed, linear):
+        # the result's blocks are checked against an independent route to
+        # 1e-8 relative: one entry off by 1e-6 relative must raise
+        h = random_bounded_hamiltonian(stats, 2, np.random.default_rng(seed), linear=linear)
+        res = minimize(h, mode, MinimizeOptions(tol_grad=1e-10, seed=seed))
+        assert res.status is RunStatus.CONVERGED
+        assert certify(res, h, mode).passed
+        delta = 1e-6 * max(1.0, abs(res.energy))
+        for name, entry in (("constant", ()), ("linear", (1,)), ("pairing", (0, 1)),
+                            ("single_particle", (1, 0))):
+            value = np.array(getattr(res.blocks, name))
+            value[entry] += delta
+            blocks = dataclasses.replace(res.blocks, **{name: value[()]})
+            with pytest.raises(RuntimeError, match="inconsistency"):
+                certify(dataclasses.replace(res, blocks=blocks), h, mode)
 
     def test_requires_converged_input(self):
         h = (
