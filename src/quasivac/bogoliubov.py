@@ -152,21 +152,19 @@ def number_conserving(p: np.ndarray, stats: Statistics) -> BogoliubovMap:
     return BogoliubovMap(stats, p, np.zeros((n, n), complex), np.zeros(n, complex))
 
 
-def reflection(direction: np.ndarray, stats: Statistics = Statistics.FERMI) -> BogoliubovMap:
+def reflection(direction: np.ndarray) -> BogoliubovMap:
     """Odd fermionic map implemented by the unitary  y_i a*_i + conj(y_i) a_i.
 
     Conjugation by that unitary sends a_k to  (y y^dag - 1) a + (y y^T) a*,
     which is what this returns; ``direction`` must be a unit vector.
     """
-    if stats is not Statistics.FERMI:
-        raise StatisticsMismatchError("reflections exist only for fermions")
     y = np.asarray(direction, dtype=complex)
     if abs(np.linalg.norm(y) - 1.0) > 1e-12:
         raise InvalidMapError("reflection direction must have unit norm")
     n = y.shape[0]
     u = np.outer(y, np.conj(y)) - np.eye(n)
     v = np.outer(y, y)
-    return BogoliubovMap(stats, u, v, np.zeros(n, complex), odd=True)
+    return BogoliubovMap(Statistics.FERMI, u, v, np.zeros(n, complex), odd=True)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ A Hamiltonian spec is a JSON object
         {"creation": [1, 1], "annihilation": [], "coeff": [0.3, 0.0]},
         ...
       ],
-      "hermitian_complete": false,
-      "options": {"cutoff": 10}
+      "hermitian_complete": false
     }
 
 with 1-based mode indices.  ``hermitian_complete`` (or the CLI flag) adds the
@@ -23,6 +22,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from typing import Any
 
@@ -39,13 +39,13 @@ from .errors import (
 from .ordering import CompiledPolynomial
 from .variational import (
     HERMITIAN_TOL,
+    CertificationReport,
     MinimizeOptions,
     MinimizationResult,
     Mode,
     RunStatus,
     certify,
     minimize,
-    oracle_basis,
     result_at,
 )
 from .wick import Statistics, WickPolynomial, _finalize
@@ -67,21 +67,27 @@ def load_spec(path: str) -> dict:
         raise _fail(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}")
     if not isinstance(data, dict):
         raise _fail(path, "top level must be an object")
-    for key in ("statistics", "modes", "terms"):
-        if key not in data:
-            raise _fail(path, f"missing required field '{key}'")
     return data
 
 
 def parse_hamiltonian(path: str, hermitian_complete: bool | None = None) -> WickPolynomial:
-    """Parse a spec file into a canonical polynomial.
+    """Parse a spec file into a canonical polynomial (``_hamiltonian_of``)."""
+    return _hamiltonian_of(load_spec(path), path, hermitian_complete)
 
-    ``hermitian_complete=None`` defers to the file's own flag; True forces
-    completion.  Raises SpecFormatError with term/field diagnostics, and
-    HermiticityError when the (possibly completed) polynomial is not
-    Hermitian.
+
+def _hamiltonian_of(data: Any, path: str, hermitian_complete: bool | None = None) -> WickPolynomial:
+    """Check a spec object and build its canonical polynomial.
+
+    ``path`` names the object in messages.  ``hermitian_complete=None``
+    defers to the object's own flag; True forces completion.  Raises
+    SpecFormatError with term/field diagnostics, and HermiticityError when
+    the (possibly completed) polynomial is not Hermitian.
     """
-    data = load_spec(path)
+    if not isinstance(data, dict):
+        raise _fail(path, "must be an object")
+    for key in ("statistics", "modes", "terms"):
+        if key not in data:
+            raise _fail(path, f"missing required field '{key}'")
     stats_name = data["statistics"]
     if stats_name not in ("bose", "fermi"):
         raise _fail(path, f"statistics must be 'bose' or 'fermi', got {stats_name!r}")
@@ -151,18 +157,6 @@ def serialize_hamiltonian(poly: WickPolynomial) -> dict:
     }
 
 
-def hamiltonian_from_payload(payload: dict) -> WickPolynomial:
-    stats = Statistics(payload["statistics"])
-    return WickPolynomial.from_terms(
-        payload["modes"],
-        stats,
-        [
-            (t["creation"], t["annihilation"], complex(t["coeff"][0], t["coeff"][1]))
-            for t in payload["terms"]
-        ],
-    )
-
-
 def _complex_pairs(a: np.ndarray) -> list:
     """[re, im] pairs of plain floats, nested as the array is."""
     return np.stack([a.real, a.imag], axis=-1).tolist()
@@ -192,23 +186,20 @@ def map_from_payload(payload: dict) -> BogoliubovMap:
     )
 
 
-def _certification_payload(
-    result: MinimizationResult,
-    poly: WickPolynomial,
-    mode: Mode,
-    fd_step: float,
-    seed: int,
-    dimension_cap: int = fock.DEFAULT_DIMENSION_CAP,
-) -> dict:
-    """Run the certification battery; skip it when its basis exceeds the cap."""
+def _certificate(result: MinimizationResult, poly: WickPolynomial, mode: Mode,
+                 fd_step: float, seed: int,
+                 dimension_cap: int = fock.DEFAULT_DIMENSION_CAP) -> CertificationReport | str:
+    """``certify``'s report, or why it was skipped: its basis exceeds the cap."""
     try:
-        cert = certify(
-            result, poly, mode, fd_step=fd_step, seed=seed, dimension_cap=dimension_cap
-        )
+        return certify(result, poly, mode, fd_step=fd_step, seed=seed, dimension_cap=dimension_cap)
     except DimensionCapError as exc:
-        payload = dict.fromkeys(("fd_check", "quadratic_check", "gauge_check", "passed"))
-        payload["skipped_reason"] = str(exc)
-        return payload
+        return str(exc)
+
+
+def _certification_payload(cert: CertificationReport | str) -> dict:
+    if isinstance(cert, str):
+        return {**dict.fromkeys(("fd_check", "quadratic_check", "gauge_check", "passed")),
+                "skipped_reason": cert}
     return {
         "fd_check": {
             "deviations": list(cert.fd_deviations),
@@ -232,45 +223,27 @@ def _certification_payload(
     }
 
 
-def _oracle_payload(
-    poly: WickPolynomial,
-    m: BogoliubovMap,
-    energy: float,
-    cutoff: int,
-    dimension_cap: int = fock.DEFAULT_DIMENSION_CAP,
-) -> dict:
-    """Brute-force expectation of the map's state, ground energy and gap."""
-    payload: dict[str, Any] = {
-        "expectation": None,
-        "ground_energy": None,
-        "gap": None,
-        "cutoff": None,
-        "state_cutoff": None,
-        "tail_defect": None,
-        "skipped_reason": None,
-    }
+def _oracle_payload(poly: WickPolynomial, cert: CertificationReport | str, energy: float,
+                    cutoff: int, dimension_cap: int = fock.DEFAULT_DIMENSION_CAP) -> dict:
+    """The certificate's expectation and state data, with the ground energy
+    eigensolved at ``cutoff`` and the gap to it."""
     try:
         ground_basis = fock.FockBasis.build(poly.stats, poly.n_modes, cutoff, dimension_cap)
-        # the state may need a larger truncation than the eigensolve to keep
-        # the pair-amplitude series tail below tolerance
-        state_basis = oracle_basis(m, poly, dimension_cap=dimension_cap)
     except DimensionCapError as exc:
-        payload["skipped_reason"] = str(exc)
-        return payload
-    payload["cutoff"] = 1 if poly.stats is Statistics.FERMI else cutoff
-    payload["state_cutoff"] = state_basis.cutoffs[0]
-    try:
-        vec = fock.state_of_map(m, state_basis)
-    except QuasivacError as exc:
-        payload["skipped_reason"] = str(exc)
-        return payload
-    amps = vec.amplitudes[None]
-    hamps = fock.apply_polynomial(poly, state_basis, amps)
-    payload["expectation"] = float(np.vdot(amps, hamps).real)
-    payload["tail_defect"] = vec.norm_defect
-    payload["ground_energy"] = fock.ground_energy(poly, ground_basis)
-    payload["gap"] = energy - payload["ground_energy"]
-    return payload
+        cert = str(exc)  # skipped for the eigensolve's box before the state's
+    if isinstance(cert, str):
+        keys = ("expectation", "ground_energy", "gap", "cutoff", "state_cutoff", "tail_defect")
+        return {**dict.fromkeys(keys), "skipped_reason": cert}
+    ground = fock.ground_energy(poly, ground_basis)
+    return {
+        "expectation": cert.expectation,
+        "ground_energy": ground,
+        "gap": energy - ground,
+        "cutoff": 1 if poly.stats is Statistics.FERMI else cutoff,
+        "state_cutoff": cert.oracle_cutoff,
+        "tail_defect": cert.tail_defect,
+        "skipped_reason": None,
+    }
 
 
 def run(
@@ -320,12 +293,9 @@ def run(
         }
         report["map"] = serialize_map(result.map)
         if result.status is RunStatus.CONVERGED:
-            report["certification"] = _certification_payload(
-                result, poly, mode, fd_step, seed, dimension_cap
-            )
-            report["oracle"] = _oracle_payload(
-                poly, result.map, result.energy, cutoff, dimension_cap
-            )
+            cert = _certificate(result, poly, mode, fd_step, seed, dimension_cap)
+            report["certification"] = _certification_payload(cert)
+            report["oracle"] = _oracle_payload(poly, cert, result.energy, cutoff, dimension_cap)
         else:
             report["certification"] = None
             report["oracle"] = None
@@ -339,15 +309,26 @@ def run(
     return report
 
 
+def _recertify(report_path: str, fd_step: float = 3e-4,
+               seed: int = 1234) -> tuple[dict, WickPolynomial, CertificationReport | str]:
+    """A stored report, its Hamiltonian and ``_certificate`` at its map.  Raises
+    QuasivacError when the report is not converged or fails the spec checks."""
+    report = load_spec(report_path)
+    if report.get("status") != "converged":
+        raise QuasivacError(f"report status is {report.get('status')!r}")
+    poly = _hamiltonian_of(report.get("hamiltonian"), f"{report_path}: hamiltonian")
+    result = result_at(CompiledPolynomial(poly), map_from_payload(report["map"]))
+    return report, poly, _certificate(result, poly, Mode(report["mode"]), fd_step, seed)
+
+
 def verify_report(report_path: str, tol: float = 1e-6) -> dict:
     """Recompute the oracle numbers of a stored report and compare."""
-    with open(report_path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    if report.get("status") != "converged":
-        return {"passed": False, "reason": f"report status is {report.get('status')!r}"}
-    poly = hamiltonian_from_payload(report["hamiltonian"])
+    try:
+        report, poly, cert = _recertify(report_path)
+    except QuasivacError as exc:
+        return {"passed": False, "reason": str(exc)}
     cutoff = (report.get("oracle") or {}).get("cutoff") or fock.DEFAULT_CUTOFF
-    oracle = _oracle_payload(poly, map_from_payload(report["map"]), report["energy"], cutoff)
+    oracle = _oracle_payload(poly, cert, report["energy"], cutoff)
     if oracle["skipped_reason"] is not None:
         return {"passed": False, "reason": oracle["skipped_reason"]}
     difference = abs(oracle["expectation"] - report["energy"])
@@ -364,15 +345,27 @@ def verify_report(report_path: str, tol: float = 1e-6) -> dict:
 
 def certify_report(report_path: str, fd_step: float = 3e-4, seed: int = 1234) -> dict:
     """Re-run the certification battery for a stored converged report."""
-    with open(report_path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    if report.get("status") != "converged":
-        return {"passed": False, "reason": f"report status is {report.get('status')!r}"}
-    poly = hamiltonian_from_payload(report["hamiltonian"])
-    result = result_at(CompiledPolynomial(poly), map_from_payload(report["map"]))
-    payload = _certification_payload(result, poly, Mode(report["mode"]), fd_step, seed)
+    try:
+        _, _, cert = _recertify(report_path, fd_step, seed)
+    except QuasivacError as exc:
+        return {"passed": False, "reason": str(exc)}
+    payload = _certification_payload(cert)
     payload["fd_step"] = fd_step
     return payload
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -389,23 +382,23 @@ def main(argv: list[str] | None = None) -> int:
         required=True,
         choices=[m.value for m in Mode],
     )
-    p_min.add_argument("--tol", type=float, default=1e-8)
-    p_min.add_argument("--cutoff", type=int, default=fock.DEFAULT_CUTOFF)
+    p_min.add_argument("--tol", type=_positive_float, default=1e-8)
+    p_min.add_argument("--cutoff", type=_nonnegative_int, default=fock.DEFAULT_CUTOFF)
     p_min.add_argument("--seed", type=int, default=42)
     p_min.add_argument("--report", default=None, help="write the JSON report here")
     p_min.add_argument("--hermitian-complete", action="store_true", default=None)
-    p_min.add_argument("--fd-step", type=float, default=3e-4)
+    p_min.add_argument("--fd-step", type=_positive_float, default=3e-4)
     p_min.add_argument("--max-iterations", type=int, default=5000)
     p_min.add_argument("--multistarts", type=int, default=None)
     p_min.add_argument("--dimension-cap", type=int, default=fock.DEFAULT_DIMENSION_CAP)
 
     p_ver = sub.add_parser("verify", help="re-run the oracle checks of a report")
     p_ver.add_argument("report")
-    p_ver.add_argument("--tol", type=float, default=1e-6)
+    p_ver.add_argument("--tol", type=_positive_float, default=1e-6)
 
     p_cert = sub.add_parser("certify", help="re-run the certification battery")
     p_cert.add_argument("report")
-    p_cert.add_argument("--fd-step", type=float, default=3e-4)
+    p_cert.add_argument("--fd-step", type=_positive_float, default=3e-4)
     p_cert.add_argument("--seed", type=int, default=1234)
 
     args = parser.parse_args(argv)
@@ -431,10 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report["status"] != "error" else 1
     if args.command == "verify":
         out = verify_report(args.report, tol=args.tol)
-        json.dump(out, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return 0 if out.get("passed") else 1
-    out = certify_report(args.report, fd_step=args.fd_step, seed=args.seed)
+    else:
+        out = certify_report(args.report, fd_step=args.fd_step, seed=args.seed)
     json.dump(out, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0 if out.get("passed") else 1

@@ -429,7 +429,9 @@ def _crosscheck_routes(blocks: Blocks, oracle: Blocks) -> None:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of the stationarity battery at a converged map."""
+    """Outcome of the stationarity battery at a converged map, with the
+    per-mode cutoff of the oracle's box (1 for fermions) and the expectation
+    <psi|H psi> and ``norm_defect`` of the map's state psi in that box."""
 
     residual_linear: float
     residual_pairing: float
@@ -440,7 +442,9 @@ class CertificationReport:
     quadratic_passed: bool | None
     gauge_deltas: dict
     gauge_passed: bool
-    oracle_cutoff: int | None
+    oracle_cutoff: int
+    expectation: float
+    tail_defect: float
 
     @property
     def passed(self) -> bool:
@@ -448,29 +452,28 @@ class CertificationReport:
         return self.fd_passed and quad_ok and self.gauge_passed
 
 
-def oracle_basis(
+def oracle_state(
     m: BogoliubovMap, h: WickPolynomial, dimension_cap: int = fock.DEFAULT_DIMENSION_CAP
-) -> fock.FockBasis:
-    """Truncated basis able to represent the state of the map.
+) -> fock.FockVector:
+    """Vector of the map's state in a truncated basis able to represent it.
 
-    The bosonic per-mode cutoff is grown until the series tail at a radius
+    The bosonic per-mode cutoff starts where the series tail at a radius
     0.1 past the state's pair amplitude clears a tenth of
-    ``fock.DEFAULT_TAIL_TOL``, and, for a displaced state, until the weight
-    the box cuts off from the state clears it too.
+    ``fock.DEFAULT_TAIL_TOL``, and grows until the state built in the box
+    clears that tolerance too, the weight the box cuts off included.
     """
-    if h.stats is Statistics.FERMI:
-        return fock.FockBasis.build(h.stats, h.n_modes, dimension_cap=dimension_cap)
-    reach = min(float(np.linalg.norm(chart_from_map(m).z, 2)) + 0.1, 0.999)
     chosen = fock.DEFAULT_CUTOFF
-    while fock.series_tail(reach, chosen) >= 0.1 * fock.DEFAULT_TAIL_TOL:
-        chosen += 2
+    if h.stats is Statistics.BOSE:
+        reach = min(float(np.linalg.norm(chart_from_map(m).z, 2)) + 0.1, 0.999)
+        while fock.series_tail(reach, chosen) >= 0.1 * fock.DEFAULT_TAIL_TOL:
+            chosen += 2
     while True:
         basis = fock.FockBasis.build(h.stats, h.n_modes, chosen, dimension_cap=dimension_cap)
         try:
-            if m.shift.any():
-                fock.state_of_map(m, basis, 0.1 * fock.DEFAULT_TAIL_TOL)
-            return basis
+            return fock.state_of_map(m, basis, 0.1 * fock.DEFAULT_TAIL_TOL)
         except TailToleranceError:
+            if h.stats is Statistics.FERMI:
+                raise  # the fermionic box is the whole space
             chosen += 2
 
 
@@ -484,14 +487,16 @@ def certify(
 ) -> CertificationReport:
     """Check the stationarity structure of a converged run against brute force.
 
-    The oracle's Fock basis is built first: if it exceeds ``dimension_cap``
-    the DimensionCapError ends the call before anything else runs.  The
-    state psi of the result's map and every probe state of the checks below
-    are built as one stacked block (``fock.states_of_maps``), and H acts on
-    that block, and on the excitations b*_i psi, in one sparse product
-    (``fock.apply_polynomial``).  The result's blocks must first equal those
-    read from psi to 1e-8 relative (else RuntimeError): E = <psi|H psi>,
-    linear_i = <b*_i psi|H psi>, pairing_ij = 1/2 <b*_j b*_i psi|H psi> and
+    The state psi of the result's map is built first, in the box
+    ``oracle_state`` picks: if that exceeds ``dimension_cap`` the
+    DimensionCapError ends the call before anything else runs.  The probe
+    states of the checks below are built in the same box as one stacked
+    block (``fock.states_of_maps``), and H acts on psi, the probes and the
+    excitations b*_i psi in one sparse product (``fock.apply_polynomial``).
+    The report carries <psi|H psi> and psi's norm defect.  The result's
+    blocks must first equal those read from psi to 1e-8 relative (else
+    RuntimeError): E = <psi|H psi>, linear_i = <b*_i psi|H psi>,
+    pairing_ij = 1/2 <b*_j b*_i psi|H psi> and
     D_ij = <b*_i psi|H b*_j psi> - E delta_ij.  Then four checks: residual
     norms of the linear and anomalous blocks; finite-difference derivatives
     of the truncated-Fock energy along ``FD_DIRECTIONS`` random generator
@@ -505,7 +510,10 @@ def certify(
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
-    basis = oracle_basis(result.map, h, dimension_cap)
+    if not fd_step > 0:
+        raise ValueError("fd_step must be positive")
+    psi = oracle_state(result.map, h, dimension_cap)
+    basis = psi.basis
     rng = np.random.default_rng(seed)
     u_map = result.map
     blocks = result.blocks
@@ -521,13 +529,13 @@ def certify(
             y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             displacements.append(y / np.linalg.norm(y))
     steps = directions + [Generator(h.stats, np.zeros((n, n), complex), y) for y in displacements]
-    # the minimum, then each step forward and back, all in one block
-    probes = [u_map] + [compose(u_map, from_generator(g.scaled(s)))
-                        for g in steps for s in (fd_step, -fd_step)]
-    states, _ = fock.states_of_maps(probes, basis)
+    # each step forward and back, in one block under psi
+    probes = [compose(u_map, from_generator(g.scaled(s)))
+              for g in steps for s in (fd_step, -fd_step)]
+    states = np.vstack([psi.amplitudes[None], fock.states_of_maps(probes, basis)[0]])
     excited = _quasiparticle_ladders(u_map, basis, states[0], adjoint=True)
     acted = fock.apply_polynomial(h, basis, np.vstack([states, excited]))
-    count = len(probes)
+    count = len(states)
     oracle = _state_blocks(u_map, basis, states[0], acted[0], excited, acted[count:])
     _crosscheck_routes(blocks, oracle)
     energies = np.sum(states.conj() * acted[:count], axis=1).real.tolist()
@@ -578,5 +586,7 @@ def certify(
         quadratic_passed=quad_passed,
         gauge_deltas={k: tuple(v) for k, v in deltas.items()},
         gauge_passed=gauge_passed,
-        oracle_cutoff=None if h.stats is Statistics.FERMI else basis.cutoffs[0],
+        oracle_cutoff=basis.cutoffs[0],
+        expectation=e_zero,
+        tail_defect=psi.norm_defect,
     )

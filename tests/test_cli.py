@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasivac import MinimizeOptions, Statistics, minimize
+from quasivac import MinimizeOptions, Statistics, fock, minimize
 from quasivac.errors import HermiticityError, SpecFormatError
 from quasivac.cli import (
-    hamiltonian_from_payload,
+    _hamiltonian_of,
+    certify_report,
+    main,
     parse_hamiltonian,
     run,
     serialize_hamiltonian,
@@ -119,7 +121,7 @@ class TestParse:
             },
         )
         poly = parse_hamiltonian(path)
-        rebuilt = hamiltonian_from_payload(serialize_hamiltonian(poly))
+        rebuilt = _hamiltonian_of(serialize_hamiltonian(poly), "payload")
         assert max_abs_diff(poly, rebuilt) == 0
         assert rebuilt.stats is Statistics.FERMI
 
@@ -260,7 +262,7 @@ class TestRun:
 
     def test_verify_round_trip(self, tmp_path):
         out = tmp_path / "report.json"
-        run(
+        report = run(
             str(SPECS / "squeezed_oscillator.json"),
             Mode.BOSE_EVEN,
             seed=7,
@@ -271,6 +273,59 @@ class TestRun:
         result = verify_report(str(out))
         assert result["passed"]
         assert result["difference"] < 1e-6
+        assert result["oracle_expectation"] == report["oracle"]["expectation"]
+
+    @pytest.mark.parametrize("name,mode,charts", [
+        ("displaced_oscillator", Mode.BOSE_FULL, 31),
+        ("squeezed_oscillator", Mode.BOSE_EVEN, 21),
+    ])
+    def test_one_fock_pass_per_report(self, name, mode, charts, monkeypatch):
+        # the oracle state psi is built once, by certify, and the oracle
+        # block reads it: the charts built are psi's and the probes' (one
+        # per FD direction and sign, two per bose-full displacement)
+        built = []
+        original = fock.gaussian_vectors
+
+        def spy(batch, *args, **kwargs):
+            built.extend(batch)
+            return original(batch, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "gaussian_vectors", spy)
+        report = run(str(SPECS / f"{name}.json"), mode, tol=1e-9)
+        assert report["certification"]["passed"]
+        assert report["oracle"]["expectation"] == pytest.approx(report["energy"], abs=1e-10)
+        assert len(built) == charts
+
+    def _malformed_report(self, tmp_path, edit):
+        out = tmp_path / "report.json"
+        run(str(SPECS / "squeezed_oscillator.json"), Mode.BOSE_EVEN, tol=1e-9,
+            report_path=str(out))
+        report = json.loads(out.read_text())
+        edit(report["hamiltonian"]["terms"])
+        out.write_text(json.dumps(report))
+        return str(out)
+
+    def test_report_with_index_zero_is_rejected(self, tmp_path, capsys):
+        def edit(terms):
+            term = next(t for t in terms if t["creation"])
+            term["creation"] = [0] * len(term["creation"])
+
+        path = self._malformed_report(tmp_path, edit)
+        for command in ("verify", "certify"):
+            assert main([command, path]) == 1
+            out = json.loads(capsys.readouterr().out)
+            assert out["passed"] is False
+            assert "index 0 outside 1..1" in out["reason"]
+
+    def test_report_with_non_hermitian_hamiltonian_is_rejected(self, tmp_path):
+        # dropping a*a* leaves its adjoint aa without a mirror
+        def edit(terms):
+            terms[:] = [t for t in terms if t["annihilation"] or len(t["creation"]) != 2]
+
+        path = self._malformed_report(tmp_path, edit)
+        for result in (verify_report(path), certify_report(path)):
+            assert result["passed"] is False
+            assert "not Hermitian" in result["reason"]
 
     def test_verify_rejects_non_converged_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -349,3 +404,22 @@ class TestCommandLine:
         assert res.returncode == 0, res.stderr
         report = json.loads(res.stdout)
         assert report["status"] == "converged"
+
+    @pytest.mark.parametrize("args", [
+        ("minimize", "--fd-step", "0"),
+        ("minimize", "--cutoff", "-1"),
+        ("minimize", "--tol", "-1", "--max-iterations", "3"),
+        ("minimize", "--tol", "inf", "--max-iterations", "3"),
+        ("verify", "--tol", "nan"),
+        ("certify", "--fd-step=-1e-3"),
+    ])
+    def test_bad_numbers_are_usage_errors(self, args, capsys):
+        # rejected while the arguments are parsed: the report path is not read
+        command, *options = args
+        target = ([str(SPECS / "squeezed_oscillator.json"), "--mode", "bose-even"]
+                  if command == "minimize" else ["missing.json"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, *options])
+        assert exc.value.code == 2
+        assert "must " in capsys.readouterr().err
+

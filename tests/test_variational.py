@@ -713,3 +713,24 @@ class TestCertify:
         res = minimize(h, Mode.BOSE_EVEN)
         with pytest.raises(ValueError):
             certify(res, h, Mode.BOSE_EVEN)
+
+    @pytest.mark.parametrize("fd_step", [0.0, -3e-4, float("nan")])
+    def test_rejects_a_step_that_is_not_positive(self, fd_step):
+        h = squeezed_oscillator()
+        res = minimize(h, Mode.BOSE_EVEN, MinimizeOptions(tol_grad=1e-9))
+        with pytest.raises(ValueError, match="fd_step"):
+            certify(res, h, Mode.BOSE_EVEN, fd_step=fd_step)
+
+    def test_reports_the_expectation_and_tail_of_its_state(self):
+        # the oracle state is built once and read twice: its <psi|H psi> and
+        # norm defect are the report's, and psi is the oracle_state's
+        h = displaced_oscillator()
+        res = minimize(h, Mode.BOSE_FULL, MinimizeOptions(tol_grad=1e-11))
+        report = certify(res, h, Mode.BOSE_FULL)
+        psi = variational.oracle_state(res.map, h)
+        hpsi = quantize(h, psi.basis) @ psi.amplitudes
+        assert report.expectation == pytest.approx(np.vdot(psi.amplitudes, hpsi).real, abs=1e-12)
+        assert report.expectation == pytest.approx(res.energy, abs=1e-10)
+        assert report.tail_defect == psi.norm_defect
+        assert report.oracle_cutoff == psi.basis.cutoffs[0]
+
