@@ -15,6 +15,10 @@ A Hamiltonian spec is a JSON object
 with 1-based mode indices.  ``hermitian_complete`` (or the CLI flag) adds the
 adjoint of every term whose mirror is missing; the parsed polynomial must be
 Hermitian afterwards or the spec is rejected.
+
+``run`` minimizes a spec and certifies a converged minimum; its report's
+``oracle`` block is read from that certificate alone (``_oracle_payload``).
+``verify`` and ``certify`` re-run the certification at a stored report's map.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .variational import (
 )
 from .wick import Statistics, WickPolynomial, _finalize
 
-REPORT_SCHEMA = "quasivac-report/2"
+REPORT_SCHEMA = "quasivac-report/3"
 
 
 def _fail(path: str, message: str) -> SpecFormatError:
@@ -223,23 +227,16 @@ def _certification_payload(cert: CertificationReport | str) -> dict:
     }
 
 
-def _oracle_payload(poly: WickPolynomial, cert: CertificationReport | str, energy: float,
-                    cutoff: int, dimension_cap: int = fock.DEFAULT_DIMENSION_CAP) -> dict:
-    """The certificate's expectation and state data, with the ground energy
-    eigensolved at ``cutoff`` and the gap to it."""
-    try:
-        ground_basis = fock.FockBasis.build(poly.stats, poly.n_modes, cutoff, dimension_cap)
-    except DimensionCapError as exc:
-        cert = str(exc)  # skipped for the eigensolve's box before the state's
+def _oracle_payload(cert: CertificationReport | str) -> dict:
+    """The certificate's state data and ground energy, both from the state's
+    box and parity sector, and the gap <psi|H psi> - ground energy."""
     if isinstance(cert, str):
-        keys = ("expectation", "ground_energy", "gap", "cutoff", "state_cutoff", "tail_defect")
+        keys = ("expectation", "ground_energy", "gap", "state_cutoff", "tail_defect")
         return {**dict.fromkeys(keys), "skipped_reason": cert}
-    ground = fock.ground_energy(poly, ground_basis)
     return {
         "expectation": cert.expectation,
-        "ground_energy": ground,
-        "gap": energy - ground,
-        "cutoff": 1 if poly.stats is Statistics.FERMI else cutoff,
+        "ground_energy": cert.ground_energy,
+        "gap": cert.expectation - cert.ground_energy,
         "state_cutoff": cert.oracle_cutoff,
         "tail_defect": cert.tail_defect,
         "skipped_reason": None,
@@ -251,7 +248,6 @@ def run(
     mode: Mode,
     seed: int = 42,
     tol: float = 1e-8,
-    cutoff: int = fock.DEFAULT_CUTOFF,
     report_path: str | None = None,
     hermitian_complete: bool | None = None,
     fd_step: float = 3e-4,
@@ -259,7 +255,13 @@ def run(
     multistarts: int | None = None,
     dimension_cap: int = fock.DEFAULT_DIMENSION_CAP,
 ) -> dict:
-    """Minimize the specced Hamiltonian and assemble the JSON report."""
+    """Minimize the specced Hamiltonian and assemble the JSON report.
+
+    A converged minimum is certified (its Fock box grows until it holds the
+    state, up to ``dimension_cap``), and the ``oracle`` block reads the
+    certificate: the state's expectation, the exact ground energy in its box
+    and parity sector, and the gap between them.
+    """
     report: dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -295,7 +297,7 @@ def run(
         if result.status is RunStatus.CONVERGED:
             cert = _certificate(result, poly, mode, fd_step, seed, dimension_cap)
             report["certification"] = _certification_payload(cert)
-            report["oracle"] = _oracle_payload(poly, cert, result.energy, cutoff, dimension_cap)
+            report["oracle"] = _oracle_payload(cert)
         else:
             report["certification"] = None
             report["oracle"] = None
@@ -310,30 +312,35 @@ def run(
 
 
 def _recertify(report_path: str, fd_step: float = 3e-4,
-               seed: int = 1234) -> tuple[dict, WickPolynomial, CertificationReport | str]:
-    """A stored report, its Hamiltonian and ``_certificate`` at its map.  Raises
-    QuasivacError when the report is not converged or fails the spec checks."""
+               seed: int = 1234) -> tuple[float, CertificationReport | str]:
+    """A stored report's energy and ``_certificate`` at its map.  Raises
+    QuasivacError when the report is not converged, fails the spec checks or
+    lacks a valid energy, map or mode."""
     report = load_spec(report_path)
     if report.get("status") != "converged":
         raise QuasivacError(f"report status is {report.get('status')!r}")
     poly = _hamiltonian_of(report.get("hamiltonian"), f"{report_path}: hamiltonian")
-    result = result_at(CompiledPolynomial(poly), map_from_payload(report["map"]))
-    return report, poly, _certificate(result, poly, Mode(report["mode"]), fd_step, seed)
+    try:
+        energy = float(report["energy"])
+        stored, mode = map_from_payload(report["map"]), Mode(report["mode"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _fail(report_path, f"malformed report ({type(exc).__name__}: {exc})") from None
+    result = result_at(CompiledPolynomial(poly), stored)
+    return energy, _certificate(result, poly, mode, fd_step, seed)
 
 
 def verify_report(report_path: str, tol: float = 1e-6) -> dict:
     """Recompute the oracle numbers of a stored report and compare."""
     try:
-        report, poly, cert = _recertify(report_path)
+        energy, cert = _recertify(report_path)
     except QuasivacError as exc:
         return {"passed": False, "reason": str(exc)}
-    cutoff = (report.get("oracle") or {}).get("cutoff") or fock.DEFAULT_CUTOFF
-    oracle = _oracle_payload(poly, cert, report["energy"], cutoff)
+    oracle = _oracle_payload(cert)
     if oracle["skipped_reason"] is not None:
         return {"passed": False, "reason": oracle["skipped_reason"]}
-    difference = abs(oracle["expectation"] - report["energy"])
+    difference = abs(oracle["expectation"] - energy)
     return {
-        "engine_energy": report["energy"],
+        "engine_energy": energy,
         "oracle_expectation": oracle["expectation"],
         "difference": difference,
         "ground_energy": oracle["ground_energy"],
@@ -346,7 +353,7 @@ def verify_report(report_path: str, tol: float = 1e-6) -> dict:
 def certify_report(report_path: str, fd_step: float = 3e-4, seed: int = 1234) -> dict:
     """Re-run the certification battery for a stored converged report."""
     try:
-        _, _, cert = _recertify(report_path, fd_step, seed)
+        _, cert = _recertify(report_path, fd_step, seed)
     except QuasivacError as exc:
         return {"passed": False, "reason": str(exc)}
     payload = _certification_payload(cert)
@@ -361,10 +368,10 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
@@ -383,14 +390,13 @@ def main(argv: list[str] | None = None) -> int:
         choices=[m.value for m in Mode],
     )
     p_min.add_argument("--tol", type=_positive_float, default=1e-8)
-    p_min.add_argument("--cutoff", type=_nonnegative_int, default=fock.DEFAULT_CUTOFF)
     p_min.add_argument("--seed", type=int, default=42)
     p_min.add_argument("--report", default=None, help="write the JSON report here")
     p_min.add_argument("--hermitian-complete", action="store_true", default=None)
     p_min.add_argument("--fd-step", type=_positive_float, default=3e-4)
-    p_min.add_argument("--max-iterations", type=int, default=5000)
-    p_min.add_argument("--multistarts", type=int, default=None)
-    p_min.add_argument("--dimension-cap", type=int, default=fock.DEFAULT_DIMENSION_CAP)
+    p_min.add_argument("--max-iterations", type=_positive_int, default=5000)
+    p_min.add_argument("--multistarts", type=_positive_int, default=None)
+    p_min.add_argument("--dimension-cap", type=_positive_int, default=fock.DEFAULT_DIMENSION_CAP)
 
     p_ver = sub.add_parser("verify", help="re-run the oracle checks of a report")
     p_ver.add_argument("report")
@@ -408,7 +414,6 @@ def main(argv: list[str] | None = None) -> int:
             Mode(args.mode),
             seed=args.seed,
             tol=args.tol,
-            cutoff=args.cutoff,
             report_path=args.report,
             hermitian_complete=args.hermitian_complete,
             fd_step=args.fd_step,

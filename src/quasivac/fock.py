@@ -6,10 +6,10 @@ reaches the space through one set of rules: a monomial acts on every basis
 column at once, right to left, multiplying in sqrt(m) factors (Bose) or
 Jordan-Wigner signs (Fermi), and drops a column when a mode empties or
 passes its cutoff, which gives its (row, column, value) triples.
-``apply_polynomial`` applies a polynomial through them as one sparse
-product, and ``quantize`` scatters them into the dense matrix an eigensolve
-needs.  Each basis also caches one index map per mode (source rows, target
-rows, factors) by the same rules, through which ladders act on vectors.
+``sparse_matrix`` sums them into one sparse matrix, which acts on a stack
+of vectors as one product, and ``quantize`` is its dense form.  Each basis
+also caches one index map per mode (source rows, target rows, factors) by
+the same rules, through which ladders act on vectors.
 States come stacked: a (K, dim) block holds one vector per row.  The
 Gaussian vectors of K charts, displaced or not, are the amplitudes of
 exp(1/2 a*.z.a* + beta.a*)|0>, filled shell by shell of total occupation
@@ -27,7 +27,6 @@ import numpy as np
 import scipy.sparse
 
 from .bogoliubov import (
-    DEGENERACY_RTOL,
     BogoliubovMap,
     ThoulessChart,
     chart_from_map,
@@ -199,26 +198,18 @@ def _monomial_rules(poly: WickPolynomial, basis: FockBasis):
     return rules
 
 
+def sparse_matrix(poly: WickPolynomial, basis: FockBasis) -> scipy.sparse.csr_array:
+    """Sparse matrix of the polynomial on the truncated space, the monomials'
+    triples summed; ``matrix @ block.T`` applies it to a (K, dim) block."""
+    rules = _monomial_rules(poly, basis)
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*rules)) if rules else ([],) * 3
+    dim = basis.dimension
+    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
+
+
 def quantize(poly: WickPolynomial, basis: FockBasis) -> np.ndarray:
     """Dense matrix of the polynomial on the truncated space."""
-    out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for rows, cols, vals in _monomial_rules(poly, basis):
-        out[rows, cols] += vals
-    return out
-
-
-def apply_polynomial(poly: WickPolynomial, basis: FockBasis, block: np.ndarray) -> np.ndarray:
-    """The polynomial applied to each row of a (K, dim) block of vectors.
-
-    One sparse product with the matrix ``quantize`` would fill densely.
-    """
-    rules = _monomial_rules(poly, basis)
-    if not rules:
-        return np.zeros(np.shape(block), dtype=complex)
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(*rules))
-    dim = basis.dimension
-    matrix = scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
-    return (matrix @ np.asarray(block).T).T
+    return sparse_matrix(poly, basis).toarray()
 
 
 def apply_linear(basis: FockBasis, cre: np.ndarray, ann: np.ndarray,
@@ -358,31 +349,13 @@ def state_of_map(
     return FockVector(basis, amps[0], norm_defect=float(defects[0]))
 
 
-def _numerical_rank(mat: np.ndarray) -> tuple[int, float]:
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0, 0.0
-    return int(np.sum(svals > DEGENERACY_RTOL * svals[0])), float(svals[-1])
-
-
 def _peel_reflection(work: BogoliubovMap) -> tuple[BogoliubovMap, np.ndarray]:
-    """Pick the coordinate reflection that best regularizes the u block.
+    """The map after the reflection through the least singular direction x
+    of its u block, and x.
 
-    Progress is measured by the numerical rank of u, which grows by one per
-    reflection through an occupied direction.
+    An occupied direction has u x = 0.  The reflected u keeps u's range and
+    sends x to v conj(x), a unit vector orthogonal to that range (the map is
+    unitary), so each such reflection raises the rank of u by one.
     """
-    n = work.n_modes
-    base_rank, _ = _numerical_rank(work.u)
-    best = None
-    for k in range(n):
-        direction = np.zeros(n, complex)
-        direction[k] = 1.0
-        candidate = compose(reflection(direction), work)
-        score = _numerical_rank(candidate.u)
-        if best is None or score > best[0]:
-            best = (score, candidate, direction)
-    assert best is not None
-    (rank, _), candidate, direction = best
-    if rank <= base_rank:
-        raise DegeneracyError("reflections do not regularize the map")
-    return candidate, direction
+    direction = np.linalg.svd(work.u)[2][-1].conj()
+    return compose(reflection(direction), work), direction

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from . import fock
 from .bogoliubov import (
@@ -430,8 +431,9 @@ def _crosscheck_routes(blocks: Blocks, oracle: Blocks) -> None:
 @dataclass(frozen=True)
 class CertificationReport:
     """Outcome of the stationarity battery at a converged map, with the
-    per-mode cutoff of the oracle's box (1 for fermions) and the expectation
-    <psi|H psi> and ``norm_defect`` of the map's state psi in that box."""
+    per-mode cutoff of the oracle's box (1 for fermions), the expectation
+    <psi|H psi> and ``norm_defect`` of the map's state psi in that box, and
+    the exact ground energy of H in the box's parity sector of psi."""
 
     residual_linear: float
     residual_pairing: float
@@ -445,6 +447,7 @@ class CertificationReport:
     oracle_cutoff: int
     expectation: float
     tail_defect: float
+    ground_energy: float
 
     @property
     def passed(self) -> bool:
@@ -492,8 +495,11 @@ def certify(
     DimensionCapError ends the call before anything else runs.  The probe
     states of the checks below are built in the same box as one stacked
     block (``fock.states_of_maps``), and H acts on psi, the probes and the
-    excitations b*_i psi in one sparse product (``fock.apply_polynomial``).
-    The report carries <psi|H psi> and psi's norm defect.  The result's
+    excitations b*_i psi in one product with its sparse matrix
+    (``fock.sparse_matrix``).  The report carries <psi|H psi>, psi's norm
+    defect and the lowest eigenvalue of that matrix restricted to psi's
+    parity sector (even occupation in ``bose-even`` and ``fermi-even``, odd
+    in ``fermi-odd``, the whole box in ``bose-full``).  The result's
     blocks must first equal those read from psi to 1e-8 relative (else
     RuntimeError): E = <psi|H psi>, linear_i = <b*_i psi|H psi>,
     pairing_ij = 1/2 <b*_j b*_i psi|H psi> and
@@ -534,12 +540,20 @@ def certify(
               for g in steps for s in (fd_step, -fd_step)]
     states = np.vstack([psi.amplitudes[None], fock.states_of_maps(probes, basis)[0]])
     excited = _quasiparticle_ladders(u_map, basis, states[0], adjoint=True)
-    acted = fock.apply_polynomial(h, basis, np.vstack([states, excited]))
+    matrix = fock.sparse_matrix(h, basis)
+    acted = (matrix @ np.vstack([states, excited]).T).T
     count = len(states)
     oracle = _state_blocks(u_map, basis, states[0], acted[0], excited, acted[count:])
     _crosscheck_routes(blocks, oracle)
     energies = np.sum(states.conj() * acted[:count], axis=1).real.tolist()
     e_zero, e_pairs = energies[0], list(zip(energies[1::2], energies[2::2]))
+    # psi's parity sector: the whole box in bose-full, odd rows in fermi-odd, else even
+    parity = basis.occupations.sum(axis=1) % 2
+    sector = np.flatnonzero((parity == (mode is Mode.FERMI_ODD)) | (mode is Mode.BOSE_FULL))
+    # a Fortran-ordered dense sector that LAPACK may overwrite is not copied again
+    sector_matrix = matrix[sector][:, sector].toarray(order="F")
+    ground = float(scipy.linalg.eigh(sector_matrix, eigvals_only=True, overwrite_a=True,
+                                     subset_by_index=(0, 0), driver="evx")[0])
 
     fd_devs: list[float] = []
     fd_tols: list[float] = []
@@ -589,4 +603,5 @@ def certify(
         oracle_cutoff=basis.cutoffs[0],
         expectation=e_zero,
         tail_defect=psi.norm_defect,
+        ground_energy=ground,
     )

@@ -23,7 +23,7 @@ from quasivac.cli import (
 from quasivac.ordering import CompiledPolynomial
 from quasivac.variational import Mode, result_at
 
-from conftest import random_bounded_hamiltonian
+from conftest import perfbench_module, random_bounded_hamiltonian
 from references import max_abs_diff
 
 REPO = Path(__file__).resolve().parent.parent
@@ -133,7 +133,6 @@ class TestRun:
             Mode.BOSE_EVEN,
             seed=7,
             tol=1e-9,
-            cutoff=12,
         )
         assert report["status"] == "converged"
         assert report["energy"] == pytest.approx(-0.1, abs=1e-6)
@@ -180,7 +179,39 @@ class TestRun:
         assert oracle["state_cutoff"] > 10
         assert oracle["tail_defect"] < 1e-10
         assert oracle["expectation"] == pytest.approx(-9.0, abs=1e-8)
+        # the exact ground state is the same coherent state, so the ground
+        # energy solved in the state's box is -9 too
+        assert oracle["ground_energy"] == pytest.approx(-9.0, abs=1e-8)
         assert report["certification"]["passed"]
+
+    def test_oracle_gap_is_never_negative(self, tmp_path):
+        # the ground energy is solved in the box and parity sector of the
+        # minimum's state, which holds that state, so no converged report may
+        # put the variational energy below it beyond rounding
+        inputs = perfbench_module("inputs")
+        checked, negative = [], []
+        for spec in inputs.report_specs(str(REPO), str(tmp_path)):
+            report = run(spec.path, spec.mode, tol=inputs.REPORT_TOL)
+            oracle = report["oracle"]
+            if report["status"] != "converged" or oracle["skipped_reason"] is not None:
+                continue
+            checked.append(spec.name)
+            if oracle["gap"] < -1e-9 * max(1.0, abs(report["energy"])):
+                negative.append((spec.name, oracle["gap"]))
+        assert negative == []
+        assert len(checked) == 14  # all 16 but unstable_oscillator and corpus-105
+
+    @pytest.mark.parametrize("name", ["fermi_single_mode", "corpus-117", "corpus-119"])
+    def test_fermi_odd_gap_is_taken_in_the_odd_sector(self, name, tmp_path):
+        # a quadratic H has a Gaussian ground state in each parity sector: the
+        # odd minimum is exact there, though the even sector lies lower
+        inputs = perfbench_module("inputs")
+        spec = next(s for s in inputs.report_specs(str(REPO), str(tmp_path)) if s.name == name)
+        assert spec.mode is Mode.FERMI_ODD
+        report = run(spec.path, spec.mode, tol=inputs.REPORT_TOL)
+        assert report["status"] == "converged"
+        assert report["oracle"]["gap"] == pytest.approx(0.0, abs=1e-12)
+        assert report["oracle"]["ground_energy"] == pytest.approx(report["energy"], abs=1e-12)
 
     @pytest.mark.parametrize("name,mode", [
         ("squeezed_oscillator", Mode.BOSE_EVEN),
@@ -240,7 +271,7 @@ class TestRun:
         assert report["oracle"]["skipped_reason"] is not None
 
     def test_determinism_modulo_timestamp(self, tmp_path):
-        kwargs = dict(seed=11, tol=1e-8, cutoff=10)
+        kwargs = dict(seed=11, tol=1e-8)
         r1 = run(str(SPECS / "bcs_two_mode.json"), Mode.FERMI_EVEN, **kwargs)
         r2 = run(str(SPECS / "bcs_two_mode.json"), Mode.FERMI_EVEN, **kwargs)
         r1.pop("timestamp")
@@ -267,7 +298,6 @@ class TestRun:
             Mode.BOSE_EVEN,
             seed=7,
             tol=1e-9,
-            cutoff=12,
             report_path=str(out),
         )
         result = verify_report(str(out))
@@ -301,12 +331,13 @@ class TestRun:
         run(str(SPECS / "squeezed_oscillator.json"), Mode.BOSE_EVEN, tol=1e-9,
             report_path=str(out))
         report = json.loads(out.read_text())
-        edit(report["hamiltonian"]["terms"])
+        edit(report)
         out.write_text(json.dumps(report))
         return str(out)
 
     def test_report_with_index_zero_is_rejected(self, tmp_path, capsys):
-        def edit(terms):
+        def edit(report):
+            terms = report["hamiltonian"]["terms"]
             term = next(t for t in terms if t["creation"])
             term["creation"] = [0] * len(term["creation"])
 
@@ -319,13 +350,35 @@ class TestRun:
 
     def test_report_with_non_hermitian_hamiltonian_is_rejected(self, tmp_path):
         # dropping a*a* leaves its adjoint aa without a mirror
-        def edit(terms):
+        def edit(report):
+            terms = report["hamiltonian"]["terms"]
             terms[:] = [t for t in terms if t["annihilation"] or len(t["creation"]) != 2]
 
         path = self._malformed_report(tmp_path, edit)
         for result in (verify_report(path), certify_report(path)):
             assert result["passed"] is False
             assert "not Hermitian" in result["reason"]
+
+    @pytest.mark.parametrize("field,value,reason", [
+        ("map", None, "'map'"),
+        ("mode", "bogus", "'bogus'"),
+        ("energy", None, "'energy'"),
+    ])
+    def test_report_with_bad_field_is_rejected(self, field, value, reason, tmp_path, capsys):
+        # a missing field (value None) or an unknown mode fails the check
+        # with its reason instead of a traceback
+        def edit(report):
+            if value is None:
+                del report[field]
+            else:
+                report[field] = value
+
+        path = self._malformed_report(tmp_path, edit)
+        for command in ("verify", "certify"):
+            assert main([command, path]) == 1
+            out = json.loads(capsys.readouterr().out)
+            assert out["passed"] is False
+            assert reason in out["reason"]
 
     def test_verify_rejects_non_converged_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -370,8 +423,6 @@ class TestCommandLine:
             "bose-even",
             "--tol",
             "1e-9",
-            "--cutoff",
-            "12",
             "--seed",
             "42",
             "--report",
@@ -407,7 +458,10 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("args", [
         ("minimize", "--fd-step", "0"),
-        ("minimize", "--cutoff", "-1"),
+        ("minimize", "--multistarts", "-3"),
+        ("minimize", "--multistarts", "0"),
+        ("minimize", "--dimension-cap", "0"),
+        ("minimize", "--max-iterations", "-1"),
         ("minimize", "--tol", "-1", "--max-iterations", "3"),
         ("minimize", "--tol", "inf", "--max-iterations", "3"),
         ("verify", "--tol", "nan"),
@@ -423,3 +477,11 @@ class TestCommandLine:
         assert exc.value.code == 2
         assert "must " in capsys.readouterr().err
 
+
+    def test_cutoff_is_not_an_option(self, capsys):
+        # the oracle's box is worked out from the state, so there is no knob
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", str(SPECS / "squeezed_oscillator.json"), "--mode", "bose-even",
+                  "--cutoff", "12"])
+        assert exc.value.code == 2
+        assert "--cutoff" in capsys.readouterr().err

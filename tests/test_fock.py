@@ -12,14 +12,20 @@ from quasivac import (
     Statistics,
     WickPolynomial,
     compose,
+    from_generator,
     ground_energy,
     quantize,
     residual_blocks,
     state_of_map,
 )
-from quasivac.bogoliubov import ThoulessChart, reflection
+from quasivac.bogoliubov import ThoulessChart, random_number_conserving, reflection
 from quasivac.errors import DimensionCapError, TailToleranceError
-from quasivac.fock import apply_linear, apply_polynomial, states_of_maps
+from quasivac.fock import (
+    _chart_through_reflections,
+    apply_linear,
+    sparse_matrix,
+    states_of_maps,
+)
 from quasivac.variational import oracle_state
 
 from conftest import random_free_hermitian, random_valid_map
@@ -412,6 +418,31 @@ class TestStackedStates:
             assert np.max(np.abs(row - phase * one.amplitudes)) < 1e-12
             assert defect == pytest.approx(one.norm_defect, abs=1e-12)
 
+    def test_two_occupied_orbitals_peel_twice(self):
+        # modes 1 and 2 occupied on top of a pair in modes 3 and 4, mixed by
+        # a gauge so that no coordinate reflection is one of the occupied
+        # directions: u is rank deficient by two, and each peeled reflection
+        # raises its rank by one
+        rng = np.random.default_rng(5)
+        n = 4
+        basis = FockBasis.build(FERMI, n)
+        pair = np.zeros((n, n), complex)
+        pair[2, 3], pair[3, 2] = 0.4 + 0.2j, -0.4 - 0.2j
+        m = from_generator(Generator(FERMI, pair, np.zeros(n, complex)))
+        for k in (0, 1):
+            m = compose(reflection(np.eye(n, dtype=complex)[k]), m)
+        m = compose(m, random_number_conserving(n, FERMI, rng))
+        assert not m.odd
+        assert np.linalg.matrix_rank(m.u, tol=1e-8) == n - 2
+        _, applied = _chart_through_reflections(m)
+        assert len(applied) == 2
+        vec = states_of_maps([m], basis)[0][0]
+        pairs = ladders(basis)
+        for i in range(n):
+            bop = sum(m.u[i, j] * pairs[j][0] + m.v[i, j] * pairs[j][1] for j in range(n))
+            assert np.linalg.norm(bop @ vec) < 1e-10
+        assert not vec[basis.occupations.sum(axis=1) % 2 == 1].any()
+
     def test_a_row_cut_off_by_the_box_raises(self):
         # the middle map is a coherent state of amplitude 3, whose 10-quantum
         # box cuts off 29% of its weight
@@ -430,14 +461,26 @@ class TestStackedStates:
 class TestSparseAction:
     @pytest.mark.parametrize("stats,n,cutoff", [(BOSE, 2, (4, 3)), (BOSE, 1, 9), (FERMI, 3, 1)])
     def test_polynomial_action_is_the_quantized_product(self, stats, n, cutoff):
+        # each normal-ordered monomial is the product of its quantized
+        # ladders: no intermediate state of a column in the box leaves it
         rng = np.random.default_rng(43)
         basis = FockBasis.build(stats, n, cutoff)
+        pairs = ladders(basis)
         for _ in range(3):
             poly = random_free_hermitian(stats, n, rng, include_odd=True)
             block = rng.standard_normal((3, basis.dimension)) + 1j * rng.standard_normal(
                 (3, basis.dimension))
-            expected = (quantize(poly, basis) @ block.T).T
-            assert np.max(np.abs(apply_polynomial(poly, basis, block) - expected)) < 1e-12
+            expected = np.zeros_like(block)
+            for (cr, an), coeff in poly.items():
+                op = np.eye(basis.dimension)
+                for i in cr:
+                    op = op @ pairs[i - 1][1]
+                for i in an:
+                    op = op @ pairs[i - 1][0]
+                expected += coeff * (op @ block.T).T
+            matrix = sparse_matrix(poly, basis)
+            assert np.max(np.abs((matrix @ block.T).T - expected)) < 1e-12
+            assert np.array_equal(matrix.toarray(), quantize(poly, basis))
 
     @pytest.mark.parametrize("stats,n,cutoff", [(BOSE, 2, (4, 3)), (FERMI, 3, 1)])
     def test_linear_action_is_the_ladder_sum(self, stats, n, cutoff):
