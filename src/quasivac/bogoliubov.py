@@ -96,32 +96,46 @@ def _adopt(stats: Statistics, u: np.ndarray, v: np.ndarray, shift: np.ndarray,
     return m
 
 
-def _require_same(m1: BogoliubovMap, m2: BogoliubovMap) -> None:
-    if m1.stats is not m2.stats or m1.n_modes != m2.n_modes:
-        raise StatisticsMismatchError("maps differ in statistics or mode count")
-
-
 def identity(n: int, stats: Statistics) -> BogoliubovMap:
     return BogoliubovMap(stats, np.eye(n, dtype=complex), np.zeros((n, n), complex),
                          np.zeros(n, complex))
 
 
+def compose_arrays(m1: tuple, m2: tuple) -> tuple:
+    """(u, v, shift) of ``compose`` of two maps' (u, v, shift) arrays."""
+    (u1, v1, s1), (u2, v2, s2) = m1, m2
+    return u2 @ u1 + v2 @ np.conj(v1), u2 @ v1 + v2 @ np.conj(u1), u2 @ s1 + v2 @ np.conj(s1) + s2
+
+
 def compose(m1: BogoliubovMap, m2: BogoliubovMap) -> BogoliubovMap:
     """Map whose conjugation action applies m2 first, then m1."""
-    _require_same(m1, m2)
-    u = m2.u @ m1.u + m2.v @ np.conj(m1.v)
-    v = m2.u @ m1.v + m2.v @ np.conj(m1.u)
-    shift = m2.u @ m1.shift + m2.v @ np.conj(m1.shift) + m2.shift
-    return _adopt(m1.stats, u, v, shift, m1.odd ^ m2.odd)
+    if m1.stats is not m2.stats or m1.n_modes != m2.n_modes:
+        raise StatisticsMismatchError("maps differ in statistics or mode count")
+    arrays = compose_arrays((m1.u, m1.v, m1.shift), (m2.u, m2.v, m2.shift))
+    return _adopt(m1.stats, *arrays, m1.odd ^ m2.odd)
+
+
+def inverse_arrays(stats: Statistics, m: tuple) -> tuple:
+    """(u, v, shift) of ``inverse``, by the adjoint closed form (no matrix inversion)."""
+    u, v, shift = m
+    inv_u = u.conj().T
+    inv_v = (1.0 if stats is Statistics.FERMI else -1.0) * v.T
+    return inv_u, inv_v, -(inv_u @ shift + inv_v @ np.conj(shift))
 
 
 def inverse(m: BogoliubovMap) -> BogoliubovMap:
-    """Group inverse, via the adjoint closed form (no matrix inversion needed)."""
-    sign = 1.0 if m.stats is Statistics.FERMI else -1.0
-    u = m.u.conj().T
-    v = sign * m.v.T
-    shift = -(u @ m.shift + v @ np.conj(m.shift))
-    return _adopt(m.stats, u, v, shift, m.odd)
+    """Group inverse of a map."""
+    return _adopt(m.stats, *inverse_arrays(m.stats, (m.u, m.v, m.shift)), m.odd)
+
+
+def relative_overlap(inv1: BogoliubovMap, m: tuple, odd: bool) -> float:
+    """vacuum_overlap(compose(inv1, m)) for the map m of (u, v, shift) arrays
+    and parity odd; undisplaced, it forms the relative map's u block alone."""
+    u, v, shift = m
+    if inv1.stats is Statistics.BOSE and (shift.any() or inv1.shift.any()):
+        return vacuum_overlap(compose(inv1, BogoliubovMap(inv1.stats, u, v, shift)))
+    det = 0.0 if odd ^ inv1.odd else float(abs(np.linalg.det(u @ inv1.u + v @ np.conj(inv1.v))))
+    return det if inv1.stats is Statistics.FERMI else 1.0 / det
 
 
 def vacuum_overlap(w: BogoliubovMap) -> float:
@@ -207,15 +221,15 @@ class Generator:
         )
 
 
-def exponential_map(stats: Statistics, pair: np.ndarray, shift: np.ndarray) -> BogoliubovMap:
-    """Map of conjugation by the unitary of generator arrays (pair, shift):
-    one matrix exponential of the generator's action on the column (a, a*),
-    with an affine column appended for the bosonic linear part."""
+def exponential_map(stats: Statistics, pair: np.ndarray, shift: np.ndarray) -> tuple:
+    """(u, v, shift) of conjugation by the unitary of generator arrays (pair,
+    shift): one matrix exponential of the generator's action on the column
+    (a, a*), with an affine column appended for the bosonic linear part."""
     n = pair.shape[0]
     a = np.zeros((2 * n, 2 * n), dtype=complex)
     a[:n, n:] = -1j * pair
     a[n:, :n] = 1j * np.conj(pair)
-    if stats is Statistics.BOSE and np.any(shift != 0):
+    if stats is Statistics.BOSE and shift.any():
         aug = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
         aug[: 2 * n, : 2 * n] = a
         aug[:n, 2 * n] = -1j * shift
@@ -225,12 +239,12 @@ def exponential_map(stats: Statistics, pair: np.ndarray, shift: np.ndarray) -> B
     else:
         e = scipy.linalg.expm(a)
         out_shift = np.zeros(n, complex)
-    return _adopt(stats, e[:n, :n], e[:n, n : 2 * n], out_shift)
+    return e[:n, :n], e[:n, n : 2 * n], out_shift
 
 
 def from_generator(g: Generator) -> BogoliubovMap:
     """Bogoliubov map of conjugation by the generated unitary."""
-    return exponential_map(g.stats, g.pair, g.shift)
+    return _adopt(g.stats, *exponential_map(g.stats, g.pair, g.shift))
 
 
 @dataclass(frozen=True)

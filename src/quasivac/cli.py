@@ -351,14 +351,13 @@ def verify_report(report_path: str, tol: float = 1e-6) -> dict:
 
 
 def certify_report(report_path: str, fd_step: float = 3e-4, seed: int = 1234) -> dict:
-    """Re-run the certification battery for a stored converged report."""
+    """Re-run the certification battery for a stored converged report, with
+    the ``oracle`` block of the state it builds."""
     try:
         _, cert = _recertify(report_path, fd_step, seed)
     except QuasivacError as exc:
         return {"passed": False, "reason": str(exc)}
-    payload = _certification_payload(cert)
-    payload["fd_step"] = fd_step
-    return payload
+    return {**_certification_payload(cert), "oracle": _oracle_payload(cert), "fd_step": fd_step}
 
 
 def _positive_float(text: str) -> float:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StatisticsMismatchError
-from .wick import PRUNE_THRESHOLD, Blocks, Statistics, TermKey, WickPolynomial, _finalize
+from .wick import PRUNE_THRESHOLD, Statistics, TermKey, WickPolynomial, _finalize
 
 
 @dataclass(frozen=True)
@@ -307,11 +307,11 @@ class CompiledPolynomial:
                                                  PLANS[name])
         return _gather_product_scatter(self.plans[name, partial], values)
 
-    def vacuum_blocks(self, inv, single: bool = False) -> Blocks:
-        """Low-degree blocks after a_i -> sum_j u_ij b_j + v_ij b*_j + shift_i.
+    def vacuum_blocks(self, u, v, shift, single: bool = False) -> tuple:
+        """Blocks (constant, linear, pairing, single_particle) after
+        a_i -> sum_j u_ij b_j + v_ij b*_j + shift_i, the arrays of a map's inverse.
 
-        ``inv`` carries (u, v, shift), as the inverse of a Bogoliubov map
-        does.  The blocks are those of ``wick.extract_blocks`` on the
+        The blocks are those of ``wick.extract_blocks`` on the
         rewritten polynomial: with <.> the b vacuum and O_t the rewritten
         product of term t,
 
@@ -333,15 +333,15 @@ class CompiledPolynomial:
         perfect-matching plans serve.
         """
         big = 2 * self.n_modes
-        cre = np.concatenate([np.conj(inv.u), inv.v])
-        ann = np.concatenate([np.conj(inv.v), inv.u])
-        sca = np.concatenate([np.conj(inv.shift), inv.shift])
+        cre = np.concatenate([np.conj(u), v])
+        ann = np.concatenate([np.conj(v), u])
+        sca = np.concatenate([np.conj(shift), shift])
         values = np.concatenate([(ann @ cre.T).ravel(), sca, [1.0]])
-        partial = bool(inv.shift.any())
+        partial = bool(shift.any())
         sums = self.plan_sums("blocks", partial, values)
         p = cre.T @ sums[1 + big:].reshape(big, big) @ cre
         # P counts the coefficient of b*_i b*_j once per order of the probes
         pairing = 0.25 * (p - p.T) if self.stats is Statistics.FERMI else 0.25 * (p + p.T)
         one_body = (cre.T @ self.plan_sums("single", partial, values).reshape(big, big) @ ann
                     if single else None)
-        return Blocks(self.stats, complex(sums[0]), sums[1:1 + big] @ cre, pairing, one_body)
+        return complex(sums[0]), sums[1:1 + big] @ cre, pairing, one_body

@@ -10,9 +10,9 @@ iterate a direct check of the first-order expansion; at convergence those
 blocks vanish and only the constant, the particle-conserving quadratic block
 and higher-order terms survive.
 
-A line-search trial costs one ``expm`` (``bogoliubov.exponential_map``),
-one compose and one inverse on arrays, and one engine call: a
-``BogoliubovMap`` validates and copies only at its public constructor.
+The iterate and each line-search trial are bare (u, v, shift) arrays: a
+trial is one ``expm``, the compose and inverse products and one engine call,
+with no ``BogoliubovMap`` and no ``Blocks``.
 
 One engine, one oracle: every block ``minimize`` uses or reports (the
 descent's, and the constant, linear, pairing and particle-conserving blocks
@@ -41,14 +41,16 @@ from .bogoliubov import (
     Generator,
     chart_from_map,
     compose,
+    compose_arrays,
     exponential_map,
     from_generator,
     identity,
     inverse,
+    inverse_arrays,
     random_generator,
     random_number_conserving,
     reflection,
-    vacuum_overlap,
+    relative_overlap,
 )
 from .errors import HermiticityError, ParityError, StatisticsMismatchError, TailToleranceError
 from .ordering import (
@@ -111,6 +113,9 @@ START_SCALE = 0.1
 #: A start whose state overlaps an earlier converged minimum to within this
 #: of 1, at an energy no lower than the minimum's, stops as merged into it.
 MERGE_DELTA = 1e-6
+
+#: Energy differences below this times max(1, |E|) are rounding, not descent.
+NOISE = 64.0 * np.finfo(float).eps
 
 #: Random directions of the finite-difference check and gauges of the sweep.
 FD_DIRECTIONS = 10
@@ -198,16 +203,16 @@ def directional_derivative(blocks: Blocks, direction: Generator) -> float:
     )
 
 
-def descent_direction(blocks: Blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Steepest-descent generator data (pair, shift): (gradient sign) * i *
-    pairing and i * linear.
+def descent_direction(stats: Statistics, linear: np.ndarray, pairing: np.ndarray) -> tuple:
+    """Steepest-descent generator data (pair, shift) at the linear and
+    pairing blocks: (gradient sign) * i * pairing and i * linear.
 
     Along the scaled direction the first-order energy change is
     -2 s (|pairing|_F^2 + |linear|^2), strictly negative away from
     stationarity.  The linear block, and with it the shift, is zero outside
     BOSE_FULL: the other modes take even polynomials and unshifted maps.
     """
-    return pairing_gradient_sign(blocks.stats) * 1j * blocks.pairing, 1j * blocks.linear
+    return pairing_gradient_sign(stats) * 1j * pairing, 1j * linear
 
 
 def _check_mode(h: WickPolynomial, mode: Mode) -> None:
@@ -222,8 +227,14 @@ def _check_mode(h: WickPolynomial, mode: Mode) -> None:
 
 
 def _noise(energy: float) -> float:
-    """Energy differences below this are rounding, not descent."""
-    return 64.0 * np.finfo(float).eps * max(1.0, abs(energy))
+    return NOISE * max(1.0, abs(energy))
+
+
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex array (Frobenius for a matrix): its
+    arithmetic, without its per-call checks."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
 
 
 def _trace_array(rows) -> np.ndarray:
@@ -237,35 +248,32 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
              minima: list[tuple[BogoliubovMap, float]]):
     """One start's descent; a status of None means it merged into one of
     the converged ``minima``, (inverse map, energy) pairs of earlier starts."""
-    u_map = start
-    blocks = compiled.vacuum_blocks(inverse(u_map))
-    norms = blocks.linear_norm, blocks.pairing_norm
-    floor = float(blocks.constant.real) - floor_depth
+    stats, odd, arrays = start.stats, start.odd, (start.u, start.v, start.shift)
+    constant, linear, pairing, _ = compiled.vacuum_blocks(*inverse_arrays(stats, arrays))
+    norms = _norm(linear), _norm(pairing)
+    floor = float(constant.real) - floor_depth
     trace: list[tuple[float, float]] = []
     iterations = 0
     while True:
-        energy = float(blocks.constant.real)
+        energy = float(constant.real)
         lin_norm, pair_norm = norms
         residual = lin_norm + pair_norm
         trace.append((energy, residual))
-        if not math.isfinite(energy) or energy < floor:
-            status = RunStatus.UNBOUNDED_BELOW
-            break
-        if float(np.linalg.norm(u_map.v, "fro")) > MIXING_CAP:
+        if not math.isfinite(energy) or energy < floor or _norm(arrays[1]) > MIXING_CAP:
             status = RunStatus.UNBOUNDED_BELOW
             break
         if residual < opts.tol_grad:
             status = RunStatus.CONVERGED
             break
         if any(energy >= e1 - _noise(e1)
-               and 1.0 - vacuum_overlap(compose(inv1, u_map)) < MERGE_DELTA
+               and 1.0 - relative_overlap(inv1, arrays, odd) < MERGE_DELTA
                for inv1, e1 in minima):
             status = None
             break
         if iterations >= opts.max_iterations:
             status = RunStatus.MAX_ITERATIONS
             break
-        pair, shift = descent_direction(blocks)
+        pair, shift = descent_direction(stats, linear, pairing)
         # i and the sign move no magnitude: the direction's norm is sqrt(squared)
         squared = pair_norm**2 + lin_norm**2
         slope = 2.0 * squared
@@ -275,27 +283,25 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
         # still requiring the energy not to rise beyond rounding noise.
         noise = _noise(energy)
         terminal = ARMIJO * step * slope < noise
-        accepted = None
         for _ in range(MAX_BACKTRACKS):
-            candidate = compose(u_map, exponential_map(u_map.stats, step * pair, step * shift))
+            candidate = compose_arrays(arrays, exponential_map(stats, step * pair, step * shift))
             # an accepted trial's blocks are the next iterate's
-            trial = compiled.vacuum_blocks(inverse(candidate))
-            t_energy = float(trial.constant.real)
-            t_norms = trial.linear_norm, trial.pairing_norm
+            trial = compiled.vacuum_blocks(*inverse_arrays(stats, candidate))
+            t_energy = float(trial[0].real)
+            t_norms = _norm(trial[1]), _norm(trial[2])
             if terminal:
                 better = t_energy <= energy + noise and sum(t_norms) <= residual * (1.0 - 1e-3)
             else:
                 better = t_energy <= energy - ARMIJO * step * slope
             if math.isfinite(t_energy) and better:
-                accepted = candidate
                 break
             step *= STEP_SHRINK
-        if accepted is None:
+        else:
             status = RunStatus.STALLED
             break
-        u_map, blocks, norms = accepted, trial, t_norms
+        arrays, (constant, linear, pairing, _), norms = candidate, trial, t_norms
         iterations += 1
-    return u_map, status, iterations, _trace_array(trace)
+    return BogoliubovMap(stats, *arrays, odd), status, iterations, _trace_array(trace)
 
 
 def _starts(h: WickPolynomial, mode: Mode, opts: MinimizeOptions) -> list[BogoliubovMap]:
@@ -372,7 +378,8 @@ def result_at(
 ) -> MinimizationResult:
     """The result at a map: the engine's blocks with D, the spectrum of the
     Hermitian part of D, and by default a one-point trace."""
-    blocks = compiled.vacuum_blocks(inverse(m), single=True)
+    inv = inverse_arrays(m.stats, (m.u, m.v, m.shift))
+    blocks = Blocks(m.stats, *compiled.vacuum_blocks(*inv, single=True))
     energy = float(blocks.constant.real)
     spectrum = np.linalg.eigvalsh(
         (blocks.single_particle + blocks.single_particle.conj().T) / 2

@@ -21,6 +21,7 @@ from quasivac.bogoliubov import (
     random_generator,
     random_number_conserving,
     reflection,
+    relative_overlap,
     vacuum_overlap,
 )
 from quasivac.errors import ChartDomainError, DegeneracyError, InvalidGeneratorError
@@ -375,3 +376,46 @@ class TestOverlap:
         assert self.dense(m1, m2, FockBasis.build(FERMI, 3)) < 1e-28
         assert overlap(m1, m2) == 0.0
         assert overlap(m2, m1) == 0.0
+
+
+class TestRelativeOverlap:
+    """The merge test's overlap, taken from the iterate's arrays: undisplaced,
+    the relative map's u block alone, bit for bit the full formula."""
+
+    @staticmethod
+    def shortcut(m1, m2):
+        return relative_overlap(inverse(m1), (m2.u, m2.v, m2.shift), m2.odd)
+
+    @pytest.mark.parametrize("stats", [BOSE, FERMI])
+    def test_even_maps_take_the_full_formula_bitwise(self, stats):
+        rng = np.random.default_rng(59)
+        for n in (1, 2, 3, 4):
+            for scale in (0.1, 0.6):
+                m1, m2 = (random_valid_map(stats, n, rng, scale, gauge=True) for _ in range(2))
+                for a, b in ((m1, m2), (m2, m1), (m1, m1)):
+                    assert self.shortcut(a, b) == overlap(a, b)
+
+    def test_fermi_odd_maps(self):
+        rng = np.random.default_rng(61)
+        for n in (2, 3):
+            even = random_valid_map(FERMI, n, rng, 0.6, gauge=True)
+            odd1, odd2 = (compose(random_valid_map(FERMI, n, rng, 0.6, gauge=True),
+                                  reflection(unit_vector(n, rng))) for _ in range(2))
+            # a relative map of odd parity reads 0, in either order
+            assert self.shortcut(even, odd1) == 0.0
+            assert self.shortcut(odd1, even) == 0.0
+            # two odd maps make an even relative map
+            assert self.shortcut(odd1, odd2) == overlap(odd1, odd2) > 0.0
+
+    def test_displaced_bose_maps_take_the_full_formula(self):
+        rng = np.random.default_rng(67)
+        for n in (1, 2, 3):
+            plain = random_valid_map(BOSE, n, rng, 0.3, gauge=True)
+            moved1, moved2 = (random_valid_map(BOSE, n, rng, 0.3, 0.5, gauge=True)
+                              for _ in range(2))
+            for a, b in ((plain, moved1), (moved1, plain), (moved1, moved2)):
+                full = overlap(a, b)
+                assert self.shortcut(a, b) == full
+                # the displacement factor is what the u block alone would miss
+                u_only = 1.0 / abs(np.linalg.det(compose(inverse(a), b).u))
+                assert full < u_only * (1.0 - 1e-3)

@@ -305,6 +305,21 @@ class TestRun:
         assert result["difference"] < 1e-6
         assert result["oracle_expectation"] == report["oracle"]["expectation"]
 
+    @pytest.mark.parametrize("name,mode", [
+        ("squeezed_oscillator", Mode.BOSE_EVEN),
+        ("displaced_oscillator", Mode.BOSE_FULL),
+        ("fermi_single_mode", Mode.FERMI_ODD),
+    ])
+    def test_certify_reports_its_oracle(self, name, mode, tmp_path):
+        # certify solves the ground energy in the state's box; it returns the
+        # oracle block run wrote, read from the same certificate at the same map
+        out = tmp_path / "report.json"
+        report = run(str(SPECS / f"{name}.json"), mode, tol=1e-9, report_path=str(out))
+        result = certify_report(str(out))
+        assert result["passed"]
+        assert result["oracle"] == report["oracle"]
+        assert result["oracle"]["skipped_reason"] is None
+
     @pytest.mark.parametrize("name,mode,charts", [
         ("displaced_oscillator", Mode.BOSE_FULL, 31),
         ("squeezed_oscillator", Mode.BOSE_EVEN, 21),

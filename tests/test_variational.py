@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quasivac import (
+    BogoliubovMap,
     FockBasis,
     Generator,
     MinimizeOptions,
@@ -18,18 +19,22 @@ from quasivac import (
     compose,
     from_generator,
     ground_energy,
-    inverse,
     minimize,
     quantize,
     residual_blocks,
     state_of_map,
 )
-from quasivac import variational
+from quasivac import bogoliubov, variational
 from quasivac.bogoliubov import identity, reflection
 from quasivac.errors import HermiticityError, ParityError
 from quasivac.ordering import CompiledPolynomial, substitute_linear
-from quasivac.variational import descent_direction, directional_derivative, substitution_rows
-from quasivac.wick import DEGREE_CAP
+from quasivac.variational import (
+    descent_direction,
+    directional_derivative,
+    result_at,
+    substitution_rows,
+)
+from quasivac.wick import DEGREE_CAP, Blocks
 
 from conftest import (
     perfbench_module,
@@ -119,7 +124,7 @@ class TestResidualBlocks:
             m = random_valid_map(stats, n, rng, pair_scale=0.3,
                                  shift_scale=0.3 if stats is BOSE else 0.0, gauge=True)
             blocks = residual_blocks(h, m)
-            engine = CompiledPolynomial(h).vacuum_blocks(inverse(m), single=True)
+            engine = result_at(CompiledPolynomial(h), m).blocks
             assert abs(engine.constant - blocks.constant) < 1e-10
             for name in ("linear", "pairing", "single_particle"):
                 assert np.max(np.abs(getattr(engine, name) - getattr(blocks, name))) < 1e-10
@@ -149,7 +154,7 @@ class TestResidualBlocks:
             if fermi:
                 m = compose(m, reflection(np.eye(n)[0]))
             blocks = residual_blocks(h, m)
-            engine = CompiledPolynomial(h).vacuum_blocks(inverse(m), single=True)
+            engine = result_at(CompiledPolynomial(h), m).blocks
             scale = max(1.0, abs(blocks.constant), np.max(np.abs(blocks.linear)),
                         np.max(np.abs(blocks.pairing)))
             assert abs(engine.constant - blocks.constant) <= 1e-12 * scale
@@ -165,19 +170,19 @@ class TestDescentDirection:
         blocks = residual_blocks(
             WickPolynomial.empty(1, BOSE).add_term([1], [1], 1.0), identity(1, BOSE)
         )
-        pair, shift = descent_direction(blocks)
+        pair, shift = descent_direction(blocks.stats, blocks.linear, blocks.pairing)
         assert np.all(pair == 0)
         assert np.all(shift == 0)
 
     def test_bose_anomalous_direction(self):
         blocks = residual_blocks(squeezed_oscillator(), identity(1, BOSE))
-        pair, shift = descent_direction(blocks)
+        pair, shift = descent_direction(blocks.stats, blocks.linear, blocks.pairing)
         assert np.allclose(pair, [[0.3j]])
         assert np.all(shift == 0)
 
     def test_bose_full_linear_direction(self):
         blocks = residual_blocks(displaced_oscillator(), identity(1, BOSE))
-        pair, shift = descent_direction(blocks)
+        pair, shift = descent_direction(blocks.stats, blocks.linear, blocks.pairing)
         assert np.allclose(shift, [0.5j])
         assert np.allclose(pair, 0)
 
@@ -188,7 +193,7 @@ class TestDescentDirection:
         h = random_free_hermitian(stats, n, rng)
         m = random_valid_map(stats, n, rng, pair_scale=0.2)
         blocks = residual_blocks(h, m)
-        g = Generator(stats, *descent_direction(blocks))
+        g = Generator(stats, *descent_direction(blocks.stats, blocks.linear, blocks.pairing))
         expected = -2.0 * (blocks.pairing_norm**2 + blocks.linear_norm**2)
         assert directional_derivative(blocks, g) == pytest.approx(expected, rel=1e-12)
 
@@ -532,6 +537,33 @@ class TestEngineCalls:
         assert res.status is RunStatus.CONVERGED
         assert trials > res.iterations
         assert len(engine_calls) == trials + res.n_starts + 1
+
+
+class TestTrialsOnArrays:
+    def test_maps_and_blocks_are_built_per_start_not_per_trial(self, monkeypatch):
+        # a line-search trial runs on bare (u, v, shift) arrays: maps are
+        # adopted or validated, and Blocks built, for the starts, the merge
+        # test's minima and the result only
+        p = next(p for p in perfbench_module("inputs").corpus_problems()
+                 if p.name == "corpus-104")
+        built = {"adopted": 0, "validated": 0, "blocks": 0, "trials": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                built[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bogoliubov, "_adopt", counted("adopted", bogoliubov._adopt))
+        monkeypatch.setattr(BogoliubovMap, "__post_init__",
+                            counted("validated", BogoliubovMap.__post_init__))
+        monkeypatch.setattr(Blocks, "__post_init__", counted("blocks", Blocks.__post_init__))
+        monkeypatch.setattr(variational, "exponential_map",
+                            counted("trials", variational.exponential_map))
+        res = minimize(p.h, p.mode, p.opts)
+        assert res.status is RunStatus.CONVERGED
+        assert built.pop("trials") > 100 * res.n_starts
+        assert all(count <= 3 * res.n_starts for count in built.values()), built
 
 
 class TestTraceEndsAtResult:
