@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .errors import (
     ChartDomainError,
@@ -104,7 +105,10 @@ def identity(n: int, stats: Statistics) -> BogoliubovMap:
 def compose_arrays(m1: tuple, m2: tuple) -> tuple:
     """(u, v, shift) of ``compose`` of two maps' (u, v, shift) arrays."""
     (u1, v1, s1), (u2, v2, s2) = m1, m2
-    return u2 @ u1 + v2 @ np.conj(v1), u2 @ v1 + v2 @ np.conj(u1), u2 @ s1 + v2 @ np.conj(s1) + s2
+    u, v = u2 @ u1 + v2 @ np.conj(v1), u2 @ v1 + v2 @ np.conj(u1)
+    if np.count_nonzero(s1) or np.count_nonzero(s2):
+        return u, v, u2 @ s1 + v2 @ np.conj(s1) + s2
+    return u, v, np.zeros(len(s1), complex)
 
 
 def compose(m1: BogoliubovMap, m2: BogoliubovMap) -> BogoliubovMap:
@@ -120,7 +124,9 @@ def inverse_arrays(stats: Statistics, m: tuple) -> tuple:
     u, v, shift = m
     inv_u = u.conj().T
     inv_v = (1.0 if stats is Statistics.FERMI else -1.0) * v.T
-    return inv_u, inv_v, -(inv_u @ shift + inv_v @ np.conj(shift))
+    if np.count_nonzero(shift):
+        return inv_u, inv_v, -(inv_u @ shift + inv_v @ np.conj(shift))
+    return inv_u, inv_v, np.zeros(len(shift), complex)
 
 
 def inverse(m: BogoliubovMap) -> BogoliubovMap:
@@ -132,7 +138,7 @@ def relative_overlap(inv1: BogoliubovMap, m: tuple, odd: bool) -> float:
     """vacuum_overlap(compose(inv1, m)) for the map m of (u, v, shift) arrays
     and parity odd; undisplaced, it forms the relative map's u block alone."""
     u, v, shift = m
-    if inv1.stats is Statistics.BOSE and (shift.any() or inv1.shift.any()):
+    if inv1.stats is Statistics.BOSE and (np.count_nonzero(shift) or np.count_nonzero(inv1.shift)):
         return vacuum_overlap(compose(inv1, BogoliubovMap(inv1.stats, u, v, shift)))
     det = 0.0 if odd ^ inv1.odd else float(abs(np.linalg.det(u @ inv1.u + v @ np.conj(inv1.v))))
     return det if inv1.stats is Statistics.FERMI else 1.0 / det
@@ -221,24 +227,37 @@ class Generator:
         )
 
 
+def _pade_exponential(work: np.ndarray) -> np.ndarray:
+    """exp(work[0]) by ``scipy.linalg.expm``'s branch for a matrix neither
+    diagonal nor triangular, without its checks: the Padé kernels (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) on its (5, k, k) scratch."""
+    m, s = pick_pade_structure(work)
+    info = pade_UV_calc(work, m) if m >= 0 else m
+    if info:
+        raise (MemoryError if m < 0 or info <= -11 else RuntimeError)(
+            f"scipy's Padé kernels failed in expm (error code {info})")
+    e = work[0]
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def exponential_map(stats: Statistics, pair: np.ndarray, shift: np.ndarray) -> tuple:
     """(u, v, shift) of conjugation by the unitary of generator arrays (pair,
     shift): one matrix exponential of the generator's action on the column
-    (a, a*), with an affine column appended for the bosonic linear part."""
+    (a, a*), with an affine column appended for the bosonic linear part.  A
+    zero pair block (a diagonal or triangular matrix) goes to scipy's expm."""
     n = pair.shape[0]
-    a = np.zeros((2 * n, 2 * n), dtype=complex)
-    a[:n, n:] = -1j * pair
-    a[n:, :n] = 1j * np.conj(pair)
-    if stats is Statistics.BOSE and shift.any():
-        aug = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-        aug[: 2 * n, : 2 * n] = a
-        aug[:n, 2 * n] = -1j * shift
-        aug[n : 2 * n, 2 * n] = 1j * np.conj(shift)
-        e = scipy.linalg.expm(aug)
-        out_shift = e[:n, 2 * n]
-    else:
-        e = scipy.linalg.expm(a)
-        out_shift = np.zeros(n, complex)
+    shifted = stats is Statistics.BOSE and np.count_nonzero(shift) > 0
+    work = np.zeros((5, 2 * n + shifted, 2 * n + shifted), dtype=complex)
+    a = work[0]
+    a[:n, n : 2 * n] = -1j * pair
+    a[n : 2 * n, :n] = 1j * np.conj(pair)
+    if shifted:
+        a[:n, 2 * n] = -1j * shift
+        a[n : 2 * n, 2 * n] = 1j * np.conj(shift)
+    e = _pade_exponential(work) if np.count_nonzero(pair) else scipy.linalg.expm(a)
+    out_shift = e[:n, 2 * n] if shifted else np.zeros(n, complex)
     return e[:n, :n], e[:n, n : 2 * n], out_shift
 
 

@@ -332,12 +332,15 @@ class CompiledPolynomial:
         of D leaves out.  Without a shift no image has a scalar, and the
         perfect-matching plans serve.
         """
-        big = 2 * self.n_modes
+        n, big = self.n_modes, 2 * self.n_modes
         cre = np.concatenate([np.conj(u), v])
         ann = np.concatenate([np.conj(v), u])
-        sca = np.concatenate([np.conj(shift), shift])
-        values = np.concatenate([(ann @ cre.T).ravel(), sca, [1.0]])
-        partial = bool(shift.any())
+        values = np.empty(big * big + big + 1, complex)
+        np.matmul(ann, cre.T, out=values[: big * big].reshape(big, big))
+        np.conj(shift, out=values[big * big : big * big + n])
+        values[big * big + n : -1] = shift
+        values[-1] = 1
+        partial = np.count_nonzero(shift) > 0
         sums = self.plan_sums("blocks", partial, values)
         p = cre.T @ sums[1 + big:].reshape(big, big) @ cre
         # P counts the coefficient of b*_i b*_j once per order of the probes

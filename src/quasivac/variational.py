@@ -11,8 +11,8 @@ blocks vanish and only the constant, the particle-conserving quadratic block
 and higher-order terms survive.
 
 The iterate and each line-search trial are bare (u, v, shift) arrays: a
-trial is one ``expm``, the compose and inverse products and one engine call,
-with no ``BogoliubovMap`` and no ``Blocks``.
+trial is scipy's Padé kernels, the compose products and one engine call,
+with no ``BogoliubovMap``, no ``Blocks`` and, unshifted, no shift arithmetic.
 
 One engine, one oracle: every block ``minimize`` uses or reports (the
 descent's, and the constant, linear, pairing and particle-conserving blocks

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 from quasivac import (
     BogoliubovMap,
@@ -15,9 +17,13 @@ from quasivac import (
     inverse,
     state_of_map,
 )
+from quasivac import bogoliubov
 from quasivac.bogoliubov import (
     chart_from_map,
+    compose_arrays,
+    exponential_map,
     identity,
+    inverse_arrays,
     random_generator,
     random_number_conserving,
     reflection,
@@ -419,3 +425,147 @@ class TestRelativeOverlap:
                 # the displacement factor is what the u block alone would miss
                 u_only = 1.0 / abs(np.linalg.det(compose(inverse(a), b).u))
                 assert full < u_only * (1.0 - 1e-3)
+
+
+def action_matrix(pair, shift):
+    """The generator's action on the column (a, a*), with the affine column
+    appended when the shift is nonzero: the matrix ``exponential_map``
+    exponentiates."""
+    n = pair.shape[0]
+    k = 2 * n + bool(np.any(shift != 0))
+    a = np.zeros((k, k), complex)
+    a[:n, n : 2 * n] = -1j * pair
+    a[n : 2 * n, :n] = 1j * np.conj(pair)
+    if k > 2 * n:
+        a[:n, 2 * n] = -1j * shift
+        a[n : 2 * n, 2 * n] = 1j * np.conj(shift)
+    return a
+
+
+def same_bytes(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def random_pair(stats, n, rng, norm):
+    """Random pair matrix of the statistics' symmetry and spectral norm ``norm``."""
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    pair = (raw + raw.T) / 2 if stats is BOSE else (raw - raw.T) / 2
+    top = np.linalg.norm(pair, 2)  # 0 for one fermionic mode
+    return pair * (norm / top) if top else pair
+
+
+class TestExponentialMatchesScipy:
+    """``exponential_map`` calls scipy's Padé kernels itself; its blocks must
+    be, byte for byte, those of ``scipy.linalg.expm`` on the same matrix."""
+
+    @staticmethod
+    def check(stats, pair, shift):
+        e = scipy.linalg.expm(action_matrix(pair, shift))
+        n = pair.shape[0]
+        u, v, out_shift = exponential_map(stats, pair, shift)
+        assert same_bytes(u, e[:n, :n])
+        assert same_bytes(v, e[:n, n : 2 * n])
+        assert same_bytes(out_shift, e[:n, 2 * n] if e.shape[0] > 2 * n else np.zeros(n, complex))
+
+    @pytest.mark.parametrize("stats", [BOSE, FERMI])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pair_norms_from_small_to_squared(self, stats, n):
+        rng = np.random.default_rng(71 + n)
+        for norm in (1e-3, 0.05, 0.3, 1.0, 2.5, 8.0):
+            pair = random_pair(stats, n, rng, norm)
+            shifts = [np.zeros(n, complex)]
+            if stats is BOSE:
+                shifts.append(0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+            for shift in shifts:
+                self.check(stats, pair, shift)
+
+    def test_large_norms_run_the_squarings(self):
+        # below norm ~5.4 no squaring runs; the byte test above must reach one
+        work = np.zeros((5, 4, 4), complex)
+        work[0] = action_matrix(random_pair(BOSE, 2, np.random.default_rng(3), 8.0),
+                                np.zeros(2, complex))
+        assert pick_pade_structure(work)[1] > 0
+
+    @pytest.mark.parametrize("stats", [BOSE, FERMI])
+    def test_identity(self, stats):
+        for n in (1, 3):
+            self.check(stats, np.zeros((n, n), complex), np.zeros(n, complex))
+            u, v, shift = exponential_map(stats, np.zeros((n, n), complex), np.zeros(n, complex))
+            assert same_bytes(u, np.eye(n, dtype=complex)) and not v.any() and not shift.any()
+
+    def test_shift_only_stays_on_scipys_triangular_branch(self, monkeypatch):
+        # a pure displacement's matrix is upper triangular: exponential_map
+        # hands it to scipy's expm, and a matrix with a pair block it does not
+        expm, seen = scipy.linalg.expm, []
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: seen.append(a.copy()) or expm(a))
+        rng = np.random.default_rng(79)
+        for n in (1, 2, 4):
+            shift = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            u, _, out_shift = exponential_map(BOSE, np.zeros((n, n), complex), shift)
+            assert len(seen) == 1 and not np.tril(seen.pop(), -1).any()
+            assert np.allclose(u, np.eye(n)) and np.allclose(out_shift, -1j * shift)
+            self.check(BOSE, np.zeros((n, n), complex), shift)
+            seen.clear()
+        exponential_map(BOSE, random_pair(BOSE, 2, rng, 0.5), np.ones(2, complex))
+        assert not seen
+
+    @pytest.mark.parametrize("kernel, code, error", [
+        ("pick_pade_structure", (-1, 0), MemoryError),
+        ("pade_UV_calc", -3, RuntimeError),
+        ("pade_UV_calc", -11, MemoryError),
+    ])
+    def test_kernel_failures_raise_as_scipy_does(self, monkeypatch, kernel, code, error):
+        monkeypatch.setattr(bogoliubov, kernel, lambda *args: code)
+        with pytest.raises(error):
+            exponential_map(BOSE, np.eye(2, dtype=complex), np.zeros(2, complex))
+
+
+class TestZeroShiftKernels:
+    """Unshifted maps do no shift arithmetic: their zero shifts are fresh
+    arrays; displaced ones take the full formula bit for bit."""
+
+    @staticmethod
+    def arrays(m):
+        return m.u, m.v, m.shift
+
+    @staticmethod
+    def fresh(out, *inputs):
+        return not any(np.shares_memory(out, x) for x in inputs)
+
+    @pytest.mark.parametrize("stats", [BOSE, FERMI])
+    def test_unshifted_zero_shifts_are_fresh_and_equal_the_formula(self, stats):
+        rng = np.random.default_rng(83)
+        for n in (1, 2, 3):
+            m1, m2 = (self.arrays(random_valid_map(stats, n, rng, 0.5, gauge=True))
+                      for _ in range(2))
+            (u1, v1, s1), (u2, v2, s2) = m1, m2
+            shift = compose_arrays(m1, m2)[2]
+            assert self.fresh(shift, s1, s2)
+            assert np.array_equal(shift, u2 @ s1 + v2 @ np.conj(s1) + s2)
+            inv_u, inv_v, shift = inverse_arrays(stats, m1)
+            assert self.fresh(shift, s1)
+            assert np.array_equal(shift, -(inv_u @ s1 + inv_v @ np.conj(s1)))
+            pair, zero = random_pair(stats, n, rng, 0.5), np.zeros(n, complex)
+            shift = exponential_map(stats, pair, zero)[2]
+            assert self.fresh(shift, pair, zero)
+            # the full formula: the affine column appended, although it is zero
+            aug = np.zeros((2 * n + 1, 2 * n + 1), complex)
+            aug[: 2 * n, : 2 * n] = action_matrix(pair, zero)
+            assert np.array_equal(shift, scipy.linalg.expm(aug)[:n, 2 * n])
+
+    def test_displaced_maps_take_the_full_formula_bitwise(self):
+        rng = np.random.default_rng(89)
+        for n in (1, 2, 3):
+            plain = self.arrays(random_valid_map(BOSE, n, rng, 0.4, gauge=True))
+            moved = [self.arrays(random_valid_map(BOSE, n, rng, 0.4, 0.5, gauge=True))
+                     for _ in range(2)]
+            for m1, m2 in ((plain, moved[0]), (moved[0], plain), tuple(moved)):
+                (u1, v1, s1), (u2, v2, s2) = m1, m2
+                want = (u2 @ u1 + v2 @ np.conj(v1), u2 @ v1 + v2 @ np.conj(u1),
+                        u2 @ s1 + v2 @ np.conj(s1) + s2)
+                assert all(map(same_bytes, compose_arrays(m1, m2), want))
+            u, v, s = moved[0]
+            inv_u, inv_v = u.conj().T, -1.0 * v.T
+            want = inv_u, inv_v, -(inv_u @ s + inv_v @ np.conj(s))
+            assert all(map(same_bytes, inverse_arrays(BOSE, moved[0]), want))
