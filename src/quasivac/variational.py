@@ -128,10 +128,12 @@ class MinimizeOptions:
 
     ``tol_grad`` is the stationarity residual (|linear| + |pairing|_F) at
     which a start counts as converged, ``max_iterations`` the descent steps
-    allowed per start.  ``multistarts`` is the number of starts (default 1
-    for polynomials of degree <= 2, else 4; FERMI_ODD always starts from
-    every unit reflection); the extra starts are random, drawn from ``seed``,
-    and in BOSE_FULL displaced as well.  Starts exist because a symmetric
+    allowed per start.  ``multistarts`` is the number of starts.  The base
+    starts are the identity, or every unit reflection in FERMI_ODD; the extra
+    starts are random, drawn from ``seed``, and in BOSE_FULL displaced as
+    well.  By default (None) there are no extras at degree <= 2, and at higher
+    degree 4 starts in all unless the best base start is unbounded or a
+    strict minimum (see ``minimize``).  Starts exist because a symmetric
     polynomial can be stationary at the identity without a minimum there.
     """
 
@@ -304,25 +306,66 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
     return BogoliubovMap(stats, *arrays, odd), status, iterations, _trace_array(trace)
 
 
-def _starts(h: WickPolynomial, mode: Mode, opts: MinimizeOptions) -> list[BogoliubovMap]:
+def _starts(h: WickPolynomial, mode: Mode, opts: MinimizeOptions, settled):
+    """The base starts, then the random extras: ``settled()`` is asked once
+    the base starts have run, and only if its answer decides their number."""
     n = h.n_modes
     rng = np.random.default_rng(opts.seed)
     if mode is Mode.FERMI_ODD:
         base = [reflection(direction) for direction in np.eye(n, dtype=complex)]
     else:
         base = [identity(n, h.stats)]
+    yield from base
     total = opts.multistarts
     if total is None:
-        total = 1 if h.degree() <= 2 else 4
-    extras = max(0, total - len(base))
+        total = 1 if h.degree() <= 2 or len(base) >= 4 or settled() else 4
     # At zero shift the linear block of an even polynomial vanishes, so
     # BOSE_FULL descents leave the undisplaced states only from a shifted start.
     shift_scale = START_SCALE if mode is Mode.BOSE_FULL else 0.0
-    starts = list(base)
-    for _ in range(extras):
+    for _ in range(total - len(base)):
         g = random_generator(n, h.stats, rng, START_SCALE, shift_scale)
-        starts.append(compose(base[0], from_generator(g)))
-    return starts
+        yield compose(base[0], from_generator(g))
+
+
+def _settled(compiled: CompiledPolynomial, run: tuple, mode: Mode) -> bool:
+    """Whether a run is unbounded, or converged where the chart Hessian's
+    lambda_min exceeds 1e-6 max|lambda|: central differences (step 1e-4) of the
+    engine gradient along unit real directions, each a flattened (pair, shift)."""
+    m, status = run[0], run[1]
+    if status is not RunStatus.CONVERGED:
+        return status is RunStatus.UNBOUNDED_BELOW
+    n, stats, arrays = m.n_modes, m.stats, (m.u, m.v, m.shift)
+    sign = pairing_gradient_sign(stats)
+    rows, cols = np.triu_indices(n, 0 if stats is Statistics.BOSE else 1)
+    unit = np.zeros((len(rows), n * n + n))
+    unit[np.arange(len(rows)), cols * n + rows] = sign * math.sqrt(0.5)
+    unit[np.arange(len(rows)), rows * n + cols] = np.where(rows == cols, 1.0, math.sqrt(0.5))
+    if mode is Mode.BOSE_FULL:
+        unit = np.concatenate([unit, np.eye(n * n + n)[-n:]])
+    directions = np.concatenate([unit, 1j * unit])
+
+    def gradient(d: np.ndarray) -> np.ndarray:
+        moved = compose_arrays(arrays, exponential_map(stats, d[:-n].reshape(n, n), d[-n:]))
+        _, linear, pairing, _ = compiled.vacuum_blocks(*inverse_arrays(stats, moved))
+        # the formula of directional_derivative, along every direction at once
+        return 2.0 * np.imag(directions.conj() @ np.concatenate([sign * pairing.ravel(), linear]))
+
+    hessian = np.array([gradient(1e-4 * d) - gradient(-1e-4 * d) for d in directions]) / 2e-4
+    eig = np.linalg.eigvalsh((hessian + hessian.T) / 2)
+    return eig.size == 0 or eig[0] > 1e-6 * np.max(np.abs(eig))
+
+
+def _best(runs: list):
+    """The first unbounded run, else the earliest lowest converged one, else the least residual."""
+    unbounded = [r for r in runs if r[1] is RunStatus.UNBOUNDED_BELOW]
+    converged = [r for r in runs if r[1] is RunStatus.CONVERGED]
+    if unbounded:
+        return unbounded[0]
+    if converged:
+        lowest = min(r[3][-1, 0] for r in converged)
+        return next(r for r in converged if r[3][-1, 0] <= lowest + _noise(lowest))
+    # no start converged, so none merged
+    return min(runs, key=lambda r: r[3][-1, 1])
 
 
 def minimize(
@@ -342,7 +385,11 @@ def minimize(
     that minimum's beyond the line-search noise, stops as merged: it found
     nothing new and takes no part in choosing the winner.  Converged starts
     whose energies lie within the line-search noise of the lowest tie, and
-    the earliest of them wins.
+    the earliest of them wins.  By default the random extra starts run only
+    at degree > 2, and only if the best base start is neither unbounded nor
+    a strict minimum: it stalled, hit the cap, or converged where the chart
+    Hessian (the second-order stability matrix) has an eigenvalue at or
+    below 1e-6 of its largest.  ``n_starts`` counts the starts that ran.
     """
     opts = opts or MinimizeOptions()
     _check_mode(h, mode)
@@ -350,21 +397,11 @@ def minimize(
     scale = max((abs(c) for (cr, an), c in h.items() if cr or an), default=0.0)
     runs = []
     minima: list[tuple[BogoliubovMap, float]] = []
-    for start in _starts(h, mode, opts):
+    for start in _starts(h, mode, opts, lambda: _settled(compiled, _best(runs), mode)):
         runs.append(_descend(compiled, start, opts, ENERGY_FLOOR_SPAN * scale, minima))
         if runs[-1][1] is RunStatus.CONVERGED:
             minima.append((inverse(runs[-1][0]), runs[-1][3][-1, 0]))
-    unbounded = [r for r in runs if r[1] is RunStatus.UNBOUNDED_BELOW]
-    converged = [r for r in runs if r[1] is RunStatus.CONVERGED]
-    if unbounded:
-        best = unbounded[0]
-    elif converged:
-        lowest = min(r[3][-1, 0] for r in converged)
-        best = next(r for r in converged if r[3][-1, 0] <= lowest + _noise(lowest))
-    else:
-        # no start converged, so none merged
-        best = min(runs, key=lambda r: r[3][-1, 1])
-    u_map, status, iterations, trace = best
+    u_map, status, iterations, trace = _best(runs)
     return result_at(compiled, u_map, status, iterations, trace, len(runs))
 
 
@@ -568,7 +605,9 @@ def certify(
         fd = (e_plus - e_minus) / (2 * fd_step)
         analytic = directional_derivative(blocks, g)
         fd_devs.append(abs(fd - analytic))
-        fd_tols.append(max(1e-6, 1e-4 * abs(analytic)))
+        # the floor also clears the central difference's own rounding
+        rounding = 8 * float(np.finfo(float).eps) * max(abs(e_plus), abs(e_minus)) / fd_step
+        fd_tols.append(max(1e-6, rounding, 1e-4 * abs(analytic)))
     fd_passed = all(d <= t for d, t in zip(fd_devs, fd_tols))
 
     quad_errors = None

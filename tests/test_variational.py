@@ -301,7 +301,8 @@ class TestMinimizeNamedProblems:
         # corpus problem 102: all four starts reach one minimum, their
         # energies differ only in rounding, and the identity start must win
         h = random_bounded_hamiltonian(BOSE, 1, np.random.default_rng(102), quartic=True)
-        many = minimize(h, Mode.BOSE_EVEN, MinimizeOptions(tol_grad=2.5e-9, seed=102))
+        many = minimize(h, Mode.BOSE_EVEN,
+                        MinimizeOptions(tol_grad=2.5e-9, seed=102, multistarts=4))
         one = minimize(h, Mode.BOSE_EVEN,
                        MinimizeOptions(tol_grad=2.5e-9, seed=102, multistarts=1))
         assert (many.n_starts, one.n_starts) == (4, 1)
@@ -337,7 +338,7 @@ class TestMinimizeNamedProblems:
         assert res.iterations < MinimizeOptions().max_iterations
         assert res.energy == pytest.approx(-0.1, abs=1e-12)
         # scaled by 1e-7, H stalls at its first step under the absolute
-        # line-search noise (ROADMAP item 4): that stop is not the cap either
+        # line-search noise (ROADMAP item 14): that stop is not the cap either
         tiny = minimize(squeezed_oscillator().scaled(1e-7), Mode.BOSE_EVEN)
         assert tiny.status is not RunStatus.MAX_ITERATIONS
 
@@ -350,6 +351,7 @@ class TestMinimizeNamedProblems:
         res = minimize(attractive_quartic(), Mode.BOSE_EVEN)
         assert res.status is RunStatus.CONVERGED
         assert res.energy == pytest.approx(-0.675, abs=1e-9)
+        assert res.n_starts > 1
 
     def test_bose_full_displaces_an_even_polynomial(self):
         # the linear block of an even H vanishes at zero shift, so only a
@@ -359,6 +361,7 @@ class TestMinimizeNamedProblems:
         assert res.status is RunStatus.CONVERGED
         assert res.energy < -2.5
         assert res.spectrum.min() > 0
+        assert res.n_starts > 1
 
 
 class TestClosedFormModels:
@@ -470,7 +473,7 @@ class TestMergedStarts:
         h = random_bounded_hamiltonian(
             stats, n, np.random.default_rng(seed), quartic=quartic, linear=linear
         )
-        opts = MinimizeOptions(tol_grad=2.5e-9, seed=seed)
+        opts = MinimizeOptions(tol_grad=2.5e-9, seed=seed, multistarts=4)
         calls = []
         engine = CompiledPolynomial.vacuum_blocks
 
@@ -496,6 +499,71 @@ class TestMergedStarts:
         assert merged_calls < len(calls)
         if seed in (104, 115):
             assert 2 * merged_calls <= len(calls)
+
+
+class TestDefaultStarts:
+    """By default the random extra starts run only when the best base start
+    is neither unbounded nor a strict minimum of the chart Hessian."""
+
+    @pytest.mark.parametrize("name,base", [
+        ("corpus-102", 1), ("corpus-110", 1), ("corpus-115", 1), ("corpus-120", 3),
+    ])
+    def test_strict_minimum_draws_no_extra_starts(self, name, base):
+        p = next(p for p in perfbench_module("inputs").corpus_problems() if p.name == name)
+        res = minimize(p.h, p.mode, p.opts)
+        alone = minimize(p.h, p.mode, dataclasses.replace(p.opts, multistarts=base))
+        assert res.n_starts == base
+        assert (res.status, res.iterations, res.energy) == (
+            alone.status, alone.iterations, alone.energy)
+        assert np.array_equal(res.trace, alone.trace)
+        for field in ("u", "v", "shift"):
+            assert np.array_equal(getattr(res.map, field), getattr(alone.map, field))
+
+    def test_saddle_reached_after_moving_draws_the_extras(self):
+        # mode 1 is a squeezed oscillator, mode 2 the attractive quartic: one
+        # start moves for 34 iterations to a point stationary in both modes,
+        # where mode 2's pair direction lowers the energy
+        h = WickPolynomial.from_terms(2, BOSE, [
+            ([1], [1], 1.0), ([1, 1], [], 0.3), ([], [1, 1], 0.3),
+            ([2], [2], -1.0), ([2, 2], [2, 2], 0.1),
+        ])
+        one = minimize(h, Mode.BOSE_EVEN, MinimizeOptions(multistarts=1))
+        assert (one.status, one.iterations) == (RunStatus.CONVERGED, 34)
+        assert one.energy == pytest.approx(-0.1, abs=1e-12)
+        assert np.allclose(one.spectrum, [-1.0, 0.8], atol=1e-10)
+        res = minimize(h, Mode.BOSE_EVEN)
+        assert res.status is RunStatus.CONVERGED
+        assert res.energy == pytest.approx(-0.775, abs=1e-9)
+        assert res.n_starts > 1
+
+    def test_displacement_saddle_draws_the_extras_in_bose_full(self):
+        # -a*a + 2 a*a*aa: the vacuum is a strict minimum over the even
+        # states, but a displacement lowers the energy
+        h = WickPolynomial.from_terms(1, BOSE, [([1], [1], -1.0), ([1, 1], [1, 1], 2.0)])
+        even = minimize(h, Mode.BOSE_EVEN)
+        assert (even.status, even.energy, even.n_starts) == (RunStatus.CONVERGED, 0.0, 1)
+        full = minimize(h, Mode.BOSE_FULL)
+        assert full.status is RunStatus.CONVERGED
+        assert full.energy < -0.2
+        assert full.n_starts > 1
+
+    @pytest.mark.parametrize("mode", [Mode.BOSE_EVEN, Mode.BOSE_FULL])
+    def test_flat_direction_is_no_strict_minimum(self, mode):
+        # at the squeezed minimum of the U(1)-symmetric attractive quartic,
+        # turning the squeeze phase leaves the energy unchanged: lambda_min
+        # is 0, and only a central difference resolves it below 1e-6 max|lambda|
+        h = attractive_quartic()
+        res = minimize(h, mode)
+        assert res.status is RunStatus.CONVERGED
+        run = (res.map, res.status, res.iterations, res.trace)
+        assert not variational._settled(CompiledPolynomial(h), run, mode)
+
+    def test_unbounded_first_start_draws_no_extras(self):
+        h = WickPolynomial.from_terms(1, BOSE, [
+            ([1], [1], 1.0), ([1, 1], [], 0.5), ([], [1, 1], 0.5), ([1, 1], [1, 1], -0.1),
+        ])
+        res = minimize(h, Mode.BOSE_EVEN)
+        assert (res.status, res.n_starts) == (RunStatus.UNBOUNDED_BELOW, 1)
 
 
 class TestEngineCalls:
@@ -530,7 +598,7 @@ class TestEngineCalls:
 
         monkeypatch.setattr(CompiledPolynomial, "vacuum_blocks", counted_engine)
         monkeypatch.setattr(variational, "exponential_map", counted_generate)
-        res = minimize(h, mode, MinimizeOptions(tol_grad=2.5e-9, seed=seed))
+        res = minimize(h, mode, MinimizeOptions(tol_grad=2.5e-9, seed=seed, multistarts=4))
         # each trial exponentiates its step once; the random extra starts
         # go through from_generator, which this does not count
         trials = len(generated)
@@ -560,7 +628,7 @@ class TestTrialsOnArrays:
         monkeypatch.setattr(Blocks, "__post_init__", counted("blocks", Blocks.__post_init__))
         monkeypatch.setattr(variational, "exponential_map",
                             counted("trials", variational.exponential_map))
-        res = minimize(p.h, p.mode, p.opts)
+        res = minimize(p.h, p.mode, dataclasses.replace(p.opts, multistarts=4))
         assert res.status is RunStatus.CONVERGED
         assert built.pop("trials") > 100 * res.n_starts
         assert all(count <= 3 * res.n_starts for count in built.values()), built
@@ -706,6 +774,26 @@ class TestCertify:
         report = certify(res, h, Mode.BOSE_FULL, seed=42)
         assert report.fd_passed
         assert report.passed
+
+    def test_fd_floor_follows_the_scale_of_h(self):
+        # scaled by 1e7, the central difference rounds to about
+        # eps |E| / fd_step = 7e-7, near the absolute 1e-6 floor
+        h = squeezed_oscillator().scaled(1e7)
+        res = minimize(h, Mode.BOSE_EVEN)
+        assert res.status is RunStatus.CONVERGED
+        report = certify(res, h, Mode.BOSE_EVEN)
+        assert report.fd_passed
+        assert report.passed
+
+    def test_fd_check_catches_a_wrong_pairing_block_at_scale(self, monkeypatch):
+        # with the cross-check off, a pairing block off by 1e-12 of the
+        # scale of H must still fail the FD check, whose floor is 6e-6 here
+        monkeypatch.setattr(variational, "_crosscheck_routes", lambda *args: None)
+        h = squeezed_oscillator().scaled(1e7)
+        res = minimize(h, Mode.BOSE_EVEN)
+        blocks = dataclasses.replace(res.blocks, pairing=res.blocks.pairing + 1e-5)
+        report = certify(dataclasses.replace(res, blocks=blocks), h, Mode.BOSE_EVEN)
+        assert not report.fd_passed
 
     def test_fermi_odd_certification(self):
         h = WickPolynomial.empty(1, FERMI).add_term([1], [1], 1.0)
