@@ -123,7 +123,7 @@ def inverse_arrays(stats: Statistics, m: tuple) -> tuple:
     """(u, v, shift) of ``inverse``, by the adjoint closed form (no matrix inversion)."""
     u, v, shift = m
     inv_u = u.conj().T
-    inv_v = (1.0 if stats is Statistics.FERMI else -1.0) * v.T
+    inv_v = -stats.sign * v.T
     if np.count_nonzero(shift):
         return inv_u, inv_v, -(inv_u @ shift + inv_v @ np.conj(shift))
     return inv_u, inv_v, np.zeros(len(shift), complex)
@@ -316,14 +316,10 @@ def chart_from_map(m: BogoliubovMap) -> ThoulessChart:
                 f"degenerate state: u block is rank deficient by {deficiency}"
             )
     z = -np.linalg.solve(m.u, m.v)
+    shift = np.zeros(n, complex)
     if m.stats is Statistics.BOSE:
-        z = (z + z.T) / 2
-        top = m.u.conj().T @ m.shift - m.v.T @ np.conj(m.shift)
-        shift = 1j * top
-    else:
-        z = (z - z.T) / 2
-        shift = np.zeros(n, complex)
-    return ThoulessChart(m.stats, z, shift)
+        shift = 1j * (m.u.conj().T @ m.shift - m.v.T @ np.conj(m.shift))
+    return ThoulessChart(m.stats, (z + m.stats.sign * z.T) / 2, shift)
 
 
 def random_generator(
@@ -335,8 +331,7 @@ def random_generator(
 ) -> Generator:
     """Random generator with the right symmetry; scales set the entry size."""
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    pair = (raw + raw.T) / 2 if stats is Statistics.BOSE else (raw - raw.T) / 2
-    pair = pair_scale * pair
+    pair = pair_scale * ((raw + stats.sign * raw.T) / 2)
     shift = np.zeros(n, complex)
     if stats is Statistics.BOSE and shift_scale:
         shift = shift_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))

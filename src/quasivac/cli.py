@@ -102,7 +102,7 @@ def _hamiltonian_of(data: Any, path: str, hermitian_complete: bool | None = None
     if not isinstance(data["terms"], list):
         raise _fail(path, "terms must be a list")
 
-    poly = WickPolynomial.empty(n_modes, stats)
+    entries = []
     for pos, term in enumerate(data["terms"]):
         where = f"terms[{pos}]"
         if not isinstance(term, dict):
@@ -127,8 +127,9 @@ def _hamiltonian_of(data: Any, path: str, hermitian_complete: bool | None = None
             or not all(isinstance(x, (int, float)) for x in coeff)
         ):
             raise _fail(path, f"{where}.coeff must be [re, im]")
-        poly = poly.add_term(creation, annihilation, complex(coeff[0], coeff[1]))
+        entries.append((creation, annihilation, complex(coeff[0], coeff[1])))
 
+    poly = WickPolynomial.from_terms(n_modes, stats, entries)
     complete = data.get("hermitian_complete", False) if hermitian_complete is None else hermitian_complete
     if complete:
         poly = _hermitian_completion(poly)
@@ -191,11 +192,11 @@ def map_from_payload(payload: dict) -> BogoliubovMap:
 
 
 def _certificate(result: MinimizationResult, poly: WickPolynomial, mode: Mode,
-                 fd_step: float, seed: int,
-                 dimension_cap: int = fock.DEFAULT_DIMENSION_CAP) -> CertificationReport | str:
-    """``certify``'s report, or why it was skipped: its basis exceeds the cap."""
+                 **settings) -> CertificationReport | str:
+    """``certify``'s report at the given settings, or why it was skipped:
+    its basis exceeds the cap."""
     try:
-        return certify(result, poly, mode, fd_step=fd_step, seed=seed, dimension_cap=dimension_cap)
+        return certify(result, poly, mode, **settings)
     except DimensionCapError as exc:
         return str(exc)
 
@@ -257,8 +258,10 @@ def run(
 ) -> dict:
     """Minimize the specced Hamiltonian and assemble the JSON report.
 
-    A converged minimum is certified (its Fock box grows until it holds the
-    state, up to ``dimension_cap``), and the ``oracle`` block reads the
+    ``seed`` draws the random starts.  A converged minimum is certified at
+    ``certify``'s own seed, as ``certify_report`` does, so re-certifying the
+    report reproduces its ``certification``; its Fock box grows until it
+    holds the state, up to ``dimension_cap``.  The ``oracle`` block reads the
     certificate: the state's expectation, the exact ground energy in its box
     and parity sector, and the gap between them.
     """
@@ -295,7 +298,7 @@ def run(
         }
         report["map"] = serialize_map(result.map)
         if result.status is RunStatus.CONVERGED:
-            cert = _certificate(result, poly, mode, fd_step, seed, dimension_cap)
+            cert = _certificate(result, poly, mode, fd_step=fd_step, dimension_cap=dimension_cap)
             report["certification"] = _certification_payload(cert)
             report["oracle"] = _oracle_payload(cert)
         else:
@@ -311,8 +314,7 @@ def run(
     return report
 
 
-def _recertify(report_path: str, fd_step: float = 3e-4,
-               seed: int = 1234) -> tuple[float, CertificationReport | str]:
+def _recertify(report_path: str, **settings) -> tuple[float, CertificationReport | str]:
     """A stored report's energy and ``_certificate`` at its map.  Raises
     QuasivacError when the report is not converged, fails the spec checks or
     lacks a valid energy, map or mode."""
@@ -326,7 +328,7 @@ def _recertify(report_path: str, fd_step: float = 3e-4,
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(report_path, f"malformed report ({type(exc).__name__}: {exc})") from None
     result = result_at(CompiledPolynomial(poly), stored)
-    return energy, _certificate(result, poly, mode, fd_step, seed)
+    return energy, _certificate(result, poly, mode, **settings)
 
 
 def verify_report(report_path: str, tol: float = 1e-6) -> dict:
@@ -354,7 +356,7 @@ def certify_report(report_path: str, fd_step: float = 3e-4, seed: int = 1234) ->
     """Re-run the certification battery for a stored converged report, with
     the ``oracle`` block of the state it builds."""
     try:
-        _, cert = _recertify(report_path, fd_step, seed)
+        _, cert = _recertify(report_path, fd_step=fd_step, seed=seed)
     except QuasivacError as exc:
         return {"passed": False, "reason": str(exc)}
     return {**_certification_payload(cert), "oracle": _oracle_payload(cert), "fd_step": fd_step}

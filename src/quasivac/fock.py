@@ -1,15 +1,16 @@
 """Brute-force verifier on truncated Fock spaces.
 
 Occupation tuples are enumerated with mode 1 varying fastest, so a state's
-row is its occupations dotted with the per-mode strides.  Every operator
-reaches the space through one set of rules: a monomial acts on every basis
-column at once, right to left, multiplying in sqrt(m) factors (Bose) or
-Jordan-Wigner signs (Fermi), and drops a column when a mode empties or
-passes its cutoff, which gives its (row, column, value) triples.
-``sparse_matrix`` sums them into one sparse matrix, which acts on a stack
-of vectors as one product, and ``quantize`` is its dense form.  Each basis
-also caches one index map per mode (source rows, target rows, factors) by
-the same rules, through which ladders act on vectors.
+row is its occupations dotted with the per-mode strides.  Each basis
+caches one index map per mode, ``raising`` (source rows, target rows,
+factors): a*_i moves a row up one quantum in mode i times sqrt(m_i + 1)
+(Bose) or a Jordan-Wigner sign (Fermi), and a_i is the same map read
+backwards.  Every operator reaches the space through these maps: a
+monomial acts on every basis column at once, right to left, and drops a
+column when a mode empties or passes its cutoff, which gives its (row,
+column, value) triples.  ``sparse_matrix`` sums them into one sparse
+matrix, which acts on a stack of vectors as one product, and ``quantize``
+is its dense form; ladders act on vectors through the same maps.
 States come stacked: a (K, dim) block holds one vector per row.  The
 Gaussian vectors of K charts, displaced or not, are the amplitudes of
 exp(1/2 a*.z.a* + beta.a*)|0>, filled shell by shell of total occupation
@@ -100,8 +101,8 @@ class FockBasis:
         """Per-mode (source rows, target rows, factors) of a*_i, read-only.
 
         a*_i sends row src to row src + strides[i] times sqrt(m_i + 1)
-        (Bose) or the Jordan-Wigner sign of the modes before i (Fermi), the
-        rules of ``quantize``; a_i is the same map read backwards.
+        (Bose) or the Jordan-Wigner sign of the modes before i (Fermi); a_i
+        is the same map read backwards.
         """
         maps = []
         for i, cutoff in enumerate(self.cutoffs):
@@ -171,30 +172,30 @@ class FockVector:
 def _monomial_rules(poly: WickPolynomial, basis: FockBasis):
     """(target rows, source columns, values) of each monomial on the basis.
 
-    Each monomial acts on every basis column at once, right to left,
-    multiplying in sqrt(m) factors (Bose) or Jordan-Wigner signs (Fermi),
-    and drops a column when a mode empties or passes its cutoff.
+    Each monomial acts on every basis column at once, right to left, through
+    the ``raising`` map of each operator (read backwards for a_i), and drops
+    a column that map does not reach.
     """
     if poly.stats is not basis.stats or poly.n_modes != basis.n_modes:
         raise StatisticsMismatchError("polynomial and basis disagree")
     dim = basis.dimension
-    fermi = basis.stats is Statistics.FERMI
+    # (mode, +1 for a*_i or -1 for a_i) -> per row, its image row (-1: none) and factor
+    ladders = {}
+    for i, (src, dst, fac) in enumerate(basis.raising, start=1):
+        for step, rows, images in ((1, src, dst), (-1, dst, src)):
+            image, factor = np.full(dim, -1), np.zeros(dim)
+            image[rows], factor[rows] = images, fac
+            ladders[i, step] = image, factor
     rules = []
     for (cr, an), coeff in poly.items():
-        cols, occ, fac = np.arange(dim), basis.occupations, np.ones(dim)
+        rows, cols, fac = np.arange(dim), np.arange(dim), np.ones(dim)
         # right to left: the annihilators act first
-        ops = [(i, -1) for i in reversed(an)] + [(i, 1) for i in reversed(cr)]
-        for i, step in ops:
-            m = occ[:, i - 1]
-            live = m > 0 if step < 0 else m < basis.cutoffs[i - 1]
-            # fancy indexing copies, so the basis's occupations stay intact
-            cols, occ, fac = cols[live], occ[live], fac[live]
-            if fermi:
-                fac *= 1.0 - 2.0 * (occ[:, : i - 1].sum(axis=1) % 2)
-            else:
-                fac *= np.sqrt(occ[:, i - 1] + (step > 0))
-            occ[:, i - 1] += step
-        rules.append((occ @ basis.strides, cols, coeff * fac))
+        for op in [(i, -1) for i in reversed(an)] + [(i, 1) for i in reversed(cr)]:
+            image, factor = ladders[op]
+            live = image[rows] >= 0
+            rows, cols, fac = rows[live], cols[live], fac[live]
+            rows, fac = image[rows], fac * factor[rows]
+        rules.append((rows, cols, coeff * fac))
     return rules
 
 
@@ -287,13 +288,9 @@ def gaussian_vectors(
     total = np.empty_like(shelled)
     total[:, order] = shelled
 
-    zdz = z.conj().transpose(0, 2, 1) @ z
-    if basis.stats is Statistics.BOSE:
-        _, logdet = np.linalg.slogdet(np.eye(n) - zdz)
-        norm_factor = np.exp(0.25 * logdet)
-    else:
-        _, logdet = np.linalg.slogdet(np.eye(n) + zdz)
-        norm_factor = np.exp(-0.25 * logdet)
+    sign = basis.stats.sign
+    _, logdet = np.linalg.slogdet(np.eye(n) - sign * (z.conj().transpose(0, 2, 1) @ z))
+    norm_factor = np.exp(0.25 * sign * logdet)
     # -|alpha|^2/2 + conj(alpha).z.conj(alpha)/2 = -conj(alpha).beta/2
     total *= (norm_factor * np.exp(-0.5 * np.sum(alpha.conj() * beta, axis=1)))[:, None]
 

@@ -64,31 +64,26 @@ def _acc(out: dict, key: TermKey, val: complex) -> None:
 def _insert(stats: Statistics, tup: tuple, j: int) -> tuple | None:
     """Insert index j, appended on the right, into a sorted tuple.
 
-    Returns (tuple, sign), the fermionic sign counting the greater indices j
-    is swapped past, or None for a repeated fermionic index.
+    Returns (tuple, sign), the exchange sign to the number of greater
+    indices j is swapped past, or None for a repeated fermionic index.
     """
     if stats is Statistics.FERMI and j in tup:
         return None
     pos = 0
     while pos < len(tup) and tup[pos] <= j:
         pos += 1
-    new = tup[:pos] + (j,) + tup[pos:]
-    if stats is Statistics.BOSE:
-        return new, 1
-    return new, (-1) ** (len(tup) - pos)
+    return tup[:pos] + (j,) + tup[pos:], stats.sign ** (len(tup) - pos)
 
 
 def _mul_right_creator(stats: Statistics, terms: dict, j: int) -> dict:
     """Normal order  terms * a*_j."""
-    fermi = stats is Statistics.FERMI
-    out: dict = {}
+    exchange, out = stats.sign, {}
     for (cr, an), c in terms.items():
         sign = 1
         for t in range(len(an) - 1, -1, -1):
             if an[t] == j:
                 _acc(out, (cr, an[:t] + an[t + 1:]), c * sign)
-            if fermi:
-                sign = -sign
+            sign *= exchange
         merged = _insert(stats, cr, j)
         if merged is not None:
             new_cr, msign = merged
@@ -181,7 +176,7 @@ def _matchings(positions: tuple, partial: bool):
 
 
 @functools.cache
-def _matching_table(probes: int, d: int, fermi: bool, partial: bool, right: bool = False):
+def _matching_table(probes: int, d: int, sign: int, partial: bool, right: bool = False):
     """Wick expansion of  <p_0 .. p_{probes-1} O_0 .. O_{d-1} q>  as arrays.
 
     The probes p (positions -probes .. -1) are pure annihilators and the
@@ -189,9 +184,9 @@ def _matching_table(probes: int, d: int, fermi: bool, partial: bool, right: bool
     probe contracts with a factor and none is left unmatched; matchings that
     contract two probes are left out.  Matching e becomes row e of
     ``index``: its factor contractions a * d + b (a < b), its unmatched
-    factors d * d + u and padding d * d + d; entry e of ``signs``,
-    (-1)^crossings for fermions; and row e of ``partners``, the factor each
-    probe contracts with, left to right.
+    factors d * d + u and padding d * d + d; entry e of ``signs``, the
+    exchange ``sign`` to the number of crossings; and row e of
+    ``partners``, the factor each probe contracts with, left to right.
     """
     ends = list(range(-probes, 0)) + ([d] if right else [])
     rows, partners, signs = [], [], []
@@ -202,7 +197,7 @@ def _matching_table(probes: int, d: int, fermi: bool, partial: bool, right: bool
         partners.append([partner[p] for p in ends])
         rows.append([a * d + b for a, b in pairs if a >= 0 and b < d] + [d * d + u for u in alone])
         crossings = sum(a < c < b < e for a, b in pairs for c, e in pairs)
-        signs.append(-1.0 if fermi and crossings % 2 else 1.0)
+        signs.append(float(sign**crossings))
     width = max([1] + [len(r) for r in rows])
     index = np.array([r + [d * d + d] * (width - len(r)) for r in rows], int).reshape(-1, width)
     table = (index, np.array(partners, int).reshape(len(rows), len(ends)), np.array(signs))
@@ -211,7 +206,7 @@ def _matching_table(probes: int, d: int, fermi: bool, partial: bool, right: bool
     return table
 
 
-def _compile(groups, images: int, fermi: bool, partial: bool, tables) -> tuple:
+def _compile(groups, images: int, sign: int, partial: bool, tables) -> tuple:
     """Plan of the sums of ``tables`` ((probes, right probe) pairs) over terms
     whose factors are rows of ``images`` images: per (table, term, matching)
     the positions of its values in [Gram matrix, scalars, 1] (padded with the
@@ -223,7 +218,7 @@ def _compile(groups, images: int, fermi: bool, partial: bool, tables) -> tuple:
     for probes, right in tables:
         for rows, coeffs in groups:
             t, d = rows.shape
-            table, partners, signs = _matching_table(probes, d, fermi, partial, right)
+            table, partners, signs = _matching_table(probes, d, sign, partial, right)
             pairs = (rows[:, :, None] * images + rows[:, None, :]).reshape(t, d * d)
             source = np.concatenate([pairs, images * images + rows, np.full((t, 1), one)], axis=1)
             index.append(source[:, table].reshape(-1, table.shape[1]))
@@ -268,7 +263,7 @@ def product_vacuum_expectation(stats: Statistics, ops: Sequence[LinearOperator])
     cre, ann = np.array([op.creation for op in ops]), np.array([op.annihilation for op in ops])
     values = np.concatenate([(ann @ cre.T).ravel(), [op.scalar for op in ops], [1.0]])
     term = [(np.arange(len(ops))[None, :], np.ones(1, complex))]
-    plan = _compile(term, len(ops), stats is Statistics.FERMI, True, ((0, False),))
+    plan = _compile(term, len(ops), stats.sign, True, ((0, False),))
     return complex(_gather_product_scatter(plan, values)[0])
 
 
@@ -303,8 +298,7 @@ class CompiledPolynomial:
         """Slot sums of a plan of ``PLANS`` at the gather source ``values``."""
         if (name, partial) not in self.plans:
             self.plans[name, partial] = _compile(self.groups, 2 * self.n_modes,
-                                                 self.stats is Statistics.FERMI, partial,
-                                                 PLANS[name])
+                                                 self.stats.sign, partial, PLANS[name])
         return _gather_product_scatter(self.plans[name, partial], values)
 
     def vacuum_blocks(self, u, v, shift, single: bool = False) -> tuple:
@@ -317,8 +311,8 @@ class CompiledPolynomial:
 
             constant  = sum_t c_t <O_t>,
             linear[i] = sum_t c_t <b_i O_t>,
-            pairing   = (P +- P^T) / 4 with P[i, j] = sum_t c_t <b_i b_j O_t>
-                        (- for fermions),
+            pairing   = (P + sign P^T) / 4 with the exchange sign and
+                        P[i, j] = sum_t c_t <b_i b_j O_t>,
             single_particle[i, j] = sum_t c_t <b_i O_t b*_j> - constant delta_ij
                         (None unless ``single``).
 
@@ -344,7 +338,7 @@ class CompiledPolynomial:
         sums = self.plan_sums("blocks", partial, values)
         p = cre.T @ sums[1 + big:].reshape(big, big) @ cre
         # P counts the coefficient of b*_i b*_j once per order of the probes
-        pairing = 0.25 * (p - p.T) if self.stats is Statistics.FERMI else 0.25 * (p + p.T)
+        pairing = 0.25 * (p + self.stats.sign * p.T)
         one_body = (cre.T @ self.plan_sums("single", partial, values).reshape(big, big) @ ann
                     if single else None)
         return complex(sums[0]), sums[1:1 + big] @ cre, pairing, one_body

@@ -184,37 +184,24 @@ def residual_blocks(h: WickPolynomial, m: BogoliubovMap) -> TransformedBlocks:
     return extract_blocks(transformed)
 
 
-def pairing_gradient_sign(stats: Statistics) -> float:
-    """Sign of the first-order pairing term in the energy expansion.
+def descent_direction(stats: Statistics, linear: np.ndarray, pairing: np.ndarray) -> tuple:
+    """Steepest-descent generator data (pair, shift) at the linear and
+    pairing blocks: sign * i * pairing and i * linear, with ``stats.sign``.
 
-    Along a generator direction the truncated-Fock energy changes to first
-    order by  sign * 2 Im(sum conj(pair) * pairing_block)
-            + 2 Im(sum conj(shift) * linear_block),
-    with sign +1 for bosons and -1 for fermions (checked against central
-    finite differences of the brute-force expectation).
+    Along a generator direction d the energy changes to first order by
+    -2 Re <(pair, shift), d>  (checked against central finite differences
+    of the brute-force expectation), which is -2 s (|pairing|_F^2 +
+    |linear|^2) along s times this direction: strictly negative away from
+    stationarity.  The linear block, and with it the shift, is zero outside
+    BOSE_FULL: the other modes take even polynomials and unshifted maps.
     """
-    return 1.0 if stats is Statistics.BOSE else -1.0
+    return stats.sign * 1j * pairing, 1j * linear
 
 
 def directional_derivative(blocks: Blocks, direction: Generator) -> float:
     """Analytic first-order energy change along a unit generator direction."""
-    sign = pairing_gradient_sign(blocks.stats)
-    return float(
-        sign * 2.0 * np.imag(np.sum(np.conj(direction.pair) * blocks.pairing))
-        + 2.0 * np.imag(np.sum(np.conj(direction.shift) * blocks.linear))
-    )
-
-
-def descent_direction(stats: Statistics, linear: np.ndarray, pairing: np.ndarray) -> tuple:
-    """Steepest-descent generator data (pair, shift) at the linear and
-    pairing blocks: (gradient sign) * i * pairing and i * linear.
-
-    Along the scaled direction the first-order energy change is
-    -2 s (|pairing|_F^2 + |linear|^2), strictly negative away from
-    stationarity.  The linear block, and with it the shift, is zero outside
-    BOSE_FULL: the other modes take even polynomials and unshifted maps.
-    """
-    return pairing_gradient_sign(stats) * 1j * pairing, 1j * linear
+    pair, shift = descent_direction(blocks.stats, blocks.linear, blocks.pairing)
+    return -2.0 * float(np.real(np.vdot(pair, direction.pair) + np.vdot(shift, direction.shift)))
 
 
 def _check_mode(h: WickPolynomial, mode: Mode) -> None:
@@ -335,10 +322,10 @@ def _settled(compiled: CompiledPolynomial, run: tuple, mode: Mode) -> bool:
     if status is not RunStatus.CONVERGED:
         return status is RunStatus.UNBOUNDED_BELOW
     n, stats, arrays = m.n_modes, m.stats, (m.u, m.v, m.shift)
-    sign = pairing_gradient_sign(stats)
-    rows, cols = np.triu_indices(n, 0 if stats is Statistics.BOSE else 1)
+    # unit pair directions, symmetric or antisymmetric: a fermionic diagonal is empty
+    rows, cols = np.triu_indices(n, (1 - stats.sign) // 2)
     unit = np.zeros((len(rows), n * n + n))
-    unit[np.arange(len(rows)), cols * n + rows] = sign * math.sqrt(0.5)
+    unit[np.arange(len(rows)), cols * n + rows] = stats.sign * math.sqrt(0.5)
     unit[np.arange(len(rows)), rows * n + cols] = np.where(rows == cols, 1.0, math.sqrt(0.5))
     if mode is Mode.BOSE_FULL:
         unit = np.concatenate([unit, np.eye(n * n + n)[-n:]])
@@ -347,8 +334,9 @@ def _settled(compiled: CompiledPolynomial, run: tuple, mode: Mode) -> bool:
     def gradient(d: np.ndarray) -> np.ndarray:
         moved = compose_arrays(arrays, exponential_map(stats, d[:-n].reshape(n, n), d[-n:]))
         _, linear, pairing, _ = compiled.vacuum_blocks(*inverse_arrays(stats, moved))
-        # the formula of directional_derivative, along every direction at once
-        return 2.0 * np.imag(directions.conj() @ np.concatenate([sign * pairing.ravel(), linear]))
+        pair, shift = descent_direction(stats, linear, pairing)
+        # directional_derivative along every direction at once
+        return -2.0 * np.real(directions @ np.concatenate([pair.ravel(), shift]).conj())
 
     hessian = np.array([gradient(1e-4 * d) - gradient(-1e-4 * d) for d in directions]) / 2e-4
     eig = np.linalg.eigvalsh((hessian + hessian.T) / 2)
@@ -555,8 +543,10 @@ def certify(
     displacements against the particle-conserving block D, whose lowest
     eigenvalue must not be negative beyond 1e-8 of its largest; invariance
     of the reported data under ``GAUGE_SWEEPS`` random gauge
-    (number-conserving) right-compositions.  The directions, displacements
-    and gauges are drawn from ``seed`` in that order.
+    (number-conserving) right-compositions, to 1e-8 or, at a scale where
+    that is below rounding, 8 eps times the largest of |E| and the
+    |eigenvalues| of D.  The directions, displacements and gauges are
+    drawn from ``seed`` in that order.
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
@@ -634,7 +624,10 @@ def certify(
         deltas["linear_norm"].append(abs(sweep.blocks.linear_norm - blocks.linear_norm))
         deltas["pairing_norm"].append(abs(sweep.blocks.pairing_norm - blocks.pairing_norm))
         deltas["spectrum"].append(float(np.max(np.abs(sweep.spectrum - base_spec))))
-    gauge_passed = all(d < 1e-8 for vals in deltas.values() for d in vals)
+    # like the FD floor, the bound clears a few ulps of the result's scale
+    scale = max(abs(result.energy), float(np.max(np.abs(base_spec))))
+    gauge_bound = max(1e-8, 8 * float(np.finfo(float).eps) * scale)
+    gauge_passed = all(d < gauge_bound for vals in deltas.values() for d in vals)
 
     return CertificationReport(
         residual_linear=blocks.linear_norm,

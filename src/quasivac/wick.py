@@ -34,6 +34,12 @@ class Statistics(Enum):
     BOSE = "bose"
     FERMI = "fermi"
 
+    @property
+    def sign(self) -> int:
+        """The exchange sign s of a_i a*_j = s a*_j a_i + delta_ij: +1 for
+        bosons (CCR), -1 for fermions (CAR)."""
+        return 1 if self is Statistics.BOSE else -1
+
 
 class TermParity(Enum):
     EVEN = "even"
@@ -52,19 +58,16 @@ def _check_indices(indices: Sequence[int], n_modes: int | None) -> None:
 def _canonical_indices(stats: Statistics, indices: Sequence[int]) -> tuple[Tuple[int, ...], int]:
     """Sort one index list; returns (tuple, sign).  Sign 0 kills the term."""
     idx = [int(i) for i in indices]
-    if stats is Statistics.BOSE:
-        return tuple(sorted(idx)), 1
-    # Insertion sort with a transposition count keeps the permutation sign exact.
-    sign = 1
+    # Insertion sort, one exchange sign per transposition, keeps the sign exact.
+    exchange, sign = stats.sign, 1
     for i in range(1, len(idx)):
         j = i
         while j > 0 and idx[j - 1] > idx[j]:
             idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
+            sign *= exchange
             j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
+    if stats is Statistics.FERMI and len(set(idx)) < len(idx):
+        return tuple(idx), 0
     return tuple(idx), sign
 
 
@@ -265,8 +268,7 @@ class TransformedBlocks(Blocks):
 
 def extract_blocks(poly: WickPolynomial) -> TransformedBlocks:
     """Split a polynomial into constant, linear, quadratic and remainder blocks."""
-    n = poly.n_modes
-    fermi = poly.stats is Statistics.FERMI
+    n, sign = poly.n_modes, poly.stats.sign
     constant = poly.terms.get(((), ()), 0j)
     linear = np.zeros(n, dtype=complex)
     linear_low = np.zeros(n, dtype=complex)
@@ -292,9 +294,7 @@ def extract_blocks(poly: WickPolynomial) -> TransformedBlocks:
             single[cr[0] - 1, an[0] - 1] = c
 
     # a*_i a*_j splits over both orders; a fermionic diagonal is empty
-    pairing = (upper.T - upper) / 2 if fermi else (upper + upper.T) / 2
-    # the Hermitian conjugate of c a*_i a*_j is (-1 for fermions) conj(c) a_i a_j
-    low_sign = -1.0 if fermi else 1.0
+    pairing = (upper.T + sign * upper) / 2
 
     return TransformedBlocks(
         stats=poly.stats,
@@ -305,5 +305,6 @@ def extract_blocks(poly: WickPolynomial) -> TransformedBlocks:
         single_particle=single,
         remainder=_finalize(n, poly.stats, remainder),
         linear_defect=float(np.max(np.abs(linear_low - np.conj(linear)))),
-        pairing_defect=float(np.max(np.abs(lower - low_sign * np.conj(upper)))),
+        # the Hermitian conjugate of c a*_i a*_j is sign conj(c) a_i a_j
+        pairing_defect=float(np.max(np.abs(lower - sign * np.conj(upper)))),
     )

@@ -43,8 +43,8 @@ UNREFERENCED = {
     "multiply_linear",
     # the read API of the exported WickPolynomial
     "coefficient",
-    # its bulk constructor; perfbench/inputs.py builds the dense problems with it
-    "from_terms",
+    # the README quickstart's builder
+    "add_term",
     # perfbench/spans.py wraps variational.product_vacuum_expectation
     "product_vacuum_expectation",
 }

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasivac import MinimizeOptions, Statistics, fock, minimize
+from quasivac import MinimizeOptions, Statistics, WickPolynomial, fock, minimize, wick
 from quasivac.errors import HermiticityError, SpecFormatError
 from quasivac.cli import (
     _hamiltonian_of,
@@ -124,6 +124,44 @@ class TestParse:
         rebuilt = _hamiltonian_of(serialize_hamiltonian(poly), "payload")
         assert max_abs_diff(poly, rebuilt) == 0
         assert rebuilt.stats is Statistics.FERMI
+
+    def test_spec_builds_as_from_terms(self, tmp_path):
+        # a repeated key, a fermionic pair in both orders and completion:
+        # the spec's terms, their mirrors added where missing, summed once
+        terms = [([1], [1], 1.0), ([1], [1], 0.5), ([2, 1], [], 0.25 - 0.5j),
+                 ([1, 2], [], 0.125), ([3], [2], 0.75 + 0.25j)]
+        mirrors = [(an[::-1], cr[::-1], np.conj(c)) for cr, an, c in terms[2:]]
+        payload = {"statistics": "fermi", "modes": 3, "hermitian_complete": True,
+                   "terms": [{"creation": cr, "annihilation": an,
+                              "coeff": [complex(c).real, complex(c).imag]}
+                             for cr, an, c in terms]}
+        poly = parse_hamiltonian(write_spec(tmp_path, payload))
+        expected = WickPolynomial.from_terms(3, Statistics.FERMI, terms + mirrors)
+        assert dict(poly.terms) == dict(expected.terms)
+        assert list(poly.terms) == list(expected.terms)
+        assert poly.terms[(1, 2), ()] == -0.125 + 0.5j
+
+    def test_spec_is_built_in_one_pass(self, tmp_path, monkeypatch):
+        # the polynomial is finalized a fixed number of times per parse, not
+        # once per term
+        calls = []
+        original = wick._finalize
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(wick, "_finalize", spy)
+        counts = []
+        for size in (4, 40):
+            terms = [{"creation": [1 + k % 2], "annihilation": [1 + k % 2], "coeff": [1.0, 0.0]}
+                     for k in range(size)]
+            calls.clear()
+            poly = parse_hamiltonian(write_spec(
+                tmp_path, {"statistics": "bose", "modes": 2, "terms": terms}))
+            assert dict(poly.terms) == {((1,), (1,)): size / 2, ((2,), (2,)): size / 2}
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestRun:
@@ -319,6 +357,20 @@ class TestRun:
         assert result["passed"]
         assert result["oracle"] == report["oracle"]
         assert result["oracle"]["skipped_reason"] is None
+
+    @pytest.mark.parametrize("name,mode", [
+        ("squeezed_oscillator", Mode.BOSE_EVEN),
+        ("displaced_oscillator", Mode.BOSE_FULL),
+        ("bcs_two_mode", Mode.FERMI_EVEN),
+        ("fermi_single_mode", Mode.FERMI_ODD),
+    ])
+    def test_certify_reproduces_the_report_certification(self, name, mode, tmp_path):
+        # run certifies at certify's default seed, whatever seed drew the starts
+        out = tmp_path / "report.json"
+        report = run(str(SPECS / f"{name}.json"), mode, report_path=str(out))
+        result = certify_report(str(out))
+        for check in ("fd_check", "quadratic_check", "gauge_check"):
+            assert result[check] == report["certification"][check]
 
     @pytest.mark.parametrize("name,mode,charts", [
         ("displaced_oscillator", Mode.BOSE_FULL, 31),

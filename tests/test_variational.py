@@ -785,6 +785,25 @@ class TestCertify:
         assert report.fd_passed
         assert report.passed
 
+    def test_gauge_bound_follows_the_scale_of_h(self):
+        # scaled by 2**27, |D| is about 1.1e8 and a gauge sweep moves its
+        # eigenvalue by a few ulps (4.5e-8), past an absolute 1e-8
+        h = squeezed_oscillator().scaled(2.0**27)
+        res = minimize(h, Mode.BOSE_EVEN)
+        assert res.status is RunStatus.CONVERGED
+        report = certify(res, h, Mode.BOSE_EVEN)
+        assert max(report.gauge_deltas["spectrum"]) > 1e-8
+        assert report.gauge_passed
+        assert report.passed
+
+    def test_gauge_check_catches_a_wrong_spectrum_at_scale(self):
+        # the scaled bound is a few ulps of |D|: an eigenvalue off by 1e-12
+        # of the scale of H still fails it
+        h = squeezed_oscillator().scaled(2.0**27)
+        res = minimize(h, Mode.BOSE_EVEN)
+        wrong = dataclasses.replace(res, spectrum=res.spectrum * (1 + 1e-12))
+        assert not certify(wrong, h, Mode.BOSE_EVEN).gauge_passed
+
     def test_fd_check_catches_a_wrong_pairing_block_at_scale(self, monkeypatch):
         # with the cross-check off, a pairing block off by 1e-12 of the
         # scale of H must still fail the FD check, whose floor is 6e-6 here
