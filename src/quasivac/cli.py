@@ -18,7 +18,8 @@ Hermitian afterwards or the spec is rejected.
 
 ``run`` minimizes a spec and certifies a converged minimum; its report's
 ``oracle`` block is read from that certificate alone (``_oracle_payload``).
-``verify`` and ``certify`` re-run the certification at a stored report's map.
+``verify`` and ``certify`` re-run the certification at a stored report's map,
+at the ``fd_step`` its ``tolerances`` record.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .errors import (
 )
 from .ordering import CompiledPolynomial
 from .variational import (
+    FD_STEP,
     HERMITIAN_TOL,
     CertificationReport,
     MinimizeOptions,
@@ -251,7 +253,7 @@ def run(
     tol: float = 1e-8,
     report_path: str | None = None,
     hermitian_complete: bool | None = None,
-    fd_step: float = 3e-4,
+    fd_step: float = FD_STEP,
     max_iterations: int = 5000,
     multistarts: int | None = None,
     dimension_cap: int = fock.DEFAULT_DIMENSION_CAP,
@@ -260,17 +262,18 @@ def run(
 
     ``seed`` draws the random starts.  A converged minimum is certified at
     ``certify``'s own seed, as ``certify_report`` does, so re-certifying the
-    report reproduces its ``certification``; its Fock box grows until it
-    holds the state, up to ``dimension_cap``.  The ``oracle`` block reads the
-    certificate: the state's expectation, the exact ground energy in its box
-    and parity sector, and the gap between them.
+    report, at the ``fd_step`` its ``tolerances`` record, reproduces its
+    ``certification``; its Fock box grows until it holds the state, up to
+    ``dimension_cap``.  The ``oracle`` block reads the certificate: the
+    state's expectation, the exact ground energy in its box and parity
+    sector, and the gap between them.
     """
     report: dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "mode": mode.value,
         "seed": seed,
-        "tolerances": {"tol_grad": tol},
+        "tolerances": {"tol_grad": tol, "fd_step": fd_step},
         "spec_path": spec_path,
         "status": None,
         "error": None,
@@ -314,10 +317,13 @@ def run(
     return report
 
 
-def _recertify(report_path: str, **settings) -> tuple[float, CertificationReport | str]:
-    """A stored report's energy and ``_certificate`` at its map.  Raises
-    QuasivacError when the report is not converged, fails the spec checks or
-    lacks a valid energy, map or mode."""
+def _recertify(report_path: str, fd_step: float | None = None,
+               seed: int = 1234) -> tuple[float, float, CertificationReport | str]:
+    """A stored report's energy, the FD step and ``_certificate`` at its map:
+    ``fd_step`` if given, else the report's own ``tolerances.fd_step``, else
+    ``FD_STEP`` for a report written without one.  Raises QuasivacError when
+    the report is not converged, fails the spec checks or lacks a valid
+    energy, map, mode or stored step."""
     report = load_spec(report_path)
     if report.get("status") != "converged":
         raise QuasivacError(f"report status is {report.get('status')!r}")
@@ -325,16 +331,20 @@ def _recertify(report_path: str, **settings) -> tuple[float, CertificationReport
     try:
         energy = float(report["energy"])
         stored, mode = map_from_payload(report["map"]), Mode(report["mode"])
-    except (KeyError, TypeError, ValueError) as exc:
+        if fd_step is None:
+            fd_step = report.get("tolerances", {}).get("fd_step", FD_STEP)
+            if not (isinstance(fd_step, (int, float)) and math.isfinite(fd_step) and fd_step > 0):
+                raise ValueError(f"tolerances.fd_step {fd_step!r} is not a positive number")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _fail(report_path, f"malformed report ({type(exc).__name__}: {exc})") from None
-    result = result_at(CompiledPolynomial(poly), stored)
-    return energy, _certificate(result, poly, mode, **settings)
+    result = result_at(CompiledPolynomial.of(poly), stored)
+    return energy, fd_step, _certificate(result, poly, mode, fd_step=fd_step, seed=seed)
 
 
 def verify_report(report_path: str, tol: float = 1e-6) -> dict:
     """Recompute the oracle numbers of a stored report and compare."""
     try:
-        energy, cert = _recertify(report_path)
+        energy, _, cert = _recertify(report_path)
     except QuasivacError as exc:
         return {"passed": False, "reason": str(exc)}
     oracle = _oracle_payload(cert)
@@ -352,11 +362,12 @@ def verify_report(report_path: str, tol: float = 1e-6) -> dict:
     }
 
 
-def certify_report(report_path: str, fd_step: float = 3e-4, seed: int = 1234) -> dict:
+def certify_report(report_path: str, fd_step: float | None = None, seed: int = 1234) -> dict:
     """Re-run the certification battery for a stored converged report, with
-    the ``oracle`` block of the state it builds."""
+    the ``oracle`` block of the state it builds, at ``fd_step`` or by default
+    at the step the report was certified at."""
     try:
-        _, cert = _recertify(report_path, fd_step=fd_step, seed=seed)
+        _, fd_step, cert = _recertify(report_path, fd_step, seed)
     except QuasivacError as exc:
         return {"passed": False, "reason": str(exc)}
     return {**_certification_payload(cert), "oracle": _oracle_payload(cert), "fd_step": fd_step}
@@ -394,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     p_min.add_argument("--seed", type=int, default=42)
     p_min.add_argument("--report", default=None, help="write the JSON report here")
     p_min.add_argument("--hermitian-complete", action="store_true", default=None)
-    p_min.add_argument("--fd-step", type=_positive_float, default=3e-4)
+    p_min.add_argument("--fd-step", type=_positive_float, default=FD_STEP)
     p_min.add_argument("--max-iterations", type=_positive_int, default=5000)
     p_min.add_argument("--multistarts", type=_positive_int, default=None)
     p_min.add_argument("--dimension-cap", type=_positive_int, default=fock.DEFAULT_DIMENSION_CAP)
@@ -405,7 +416,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_cert = sub.add_parser("certify", help="re-run the certification battery")
     p_cert.add_argument("report")
-    p_cert.add_argument("--fd-step", type=_positive_float, default=3e-4)
+    p_cert.add_argument("--fd-step", type=_positive_float, default=None,
+                        help="default: the report's own tolerances.fd_step")
     p_cert.add_argument("--seed", type=int, default=1234)
 
     args = parser.parse_args(argv)

@@ -294,6 +294,17 @@ class CompiledPolynomial:
         ]
         self.plans: dict[tuple[str, bool], tuple] = {}
 
+    @classmethod
+    def of(cls, poly: WickPolynomial) -> "CompiledPolynomial":
+        """The polynomial's own engine: built on first use and kept in its
+        instance ``__dict__``, as ``functools.cached_property`` does on a
+        frozen dataclass, so every plan compiles once and is freed with
+        the polynomial.  Results hold maps and blocks, never the engine."""
+        engine = poly.__dict__.get("_compiled")
+        if engine is None:
+            engine = poly.__dict__["_compiled"] = cls(poly)
+        return engine
+
     def plan_sums(self, name: str, partial: bool, values: np.ndarray) -> np.ndarray:
         """Slot sums of a plan of ``PLANS`` at the gather source ``values``."""
         if (name, partial) not in self.plans:

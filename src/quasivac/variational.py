@@ -121,6 +121,9 @@ NOISE = 64.0 * np.finfo(float).eps
 FD_DIRECTIONS = 10
 GAUGE_SWEEPS = 5
 
+#: Default central-difference step of the finite-difference check.
+FD_STEP = 3e-4
+
 
 @dataclass
 class MinimizeOptions:
@@ -135,12 +138,22 @@ class MinimizeOptions:
     degree 4 starts in all unless the best base start is unbounded or a
     strict minimum (see ``minimize``).  Starts exist because a symmetric
     polynomial can be stationary at the identity without a minimum there.
+    A negative or non-finite ``tol_grad``, a negative ``max_iterations`` or
+    ``multistarts`` below 1 raises ValueError.
     """
 
     tol_grad: float = 1e-8
     max_iterations: int = 5000
     multistarts: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol_grad) and self.tol_grad >= 0):
+            raise ValueError(f"tol_grad must be finite and non-negative, got {self.tol_grad}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be non-negative, got {self.max_iterations}")
+        if self.multistarts is not None and self.multistarts < 1:
+            raise ValueError(f"multistarts must be at least 1, got {self.multistarts}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,7 +394,7 @@ def minimize(
     """
     opts = opts or MinimizeOptions()
     _check_mode(h, mode)
-    compiled = CompiledPolynomial(h)
+    compiled = CompiledPolynomial.of(h)
     scale = max((abs(c) for (cr, an), c in h.items() if cr or an), default=0.0)
     runs = []
     minima: list[tuple[BogoliubovMap, float]] = []
@@ -516,7 +529,7 @@ def certify(
     result: MinimizationResult,
     h: WickPolynomial,
     mode: Mode,
-    fd_step: float = 3e-4,
+    fd_step: float = FD_STEP,
     seed: int = 1234,
     dimension_cap: int = fock.DEFAULT_DIMENSION_CAP,
 ) -> CertificationReport:
@@ -615,7 +628,7 @@ def certify(
         quad_passed = all(e <= 0.05 for e in errs) and not saddle
 
     base_spec = result.spectrum
-    compiled = CompiledPolynomial(h)
+    compiled = CompiledPolynomial.of(h)
     deltas = {"energy": [], "linear_norm": [], "pairing_norm": [], "spectrum": []}
     for _ in range(GAUGE_SWEEPS):
         gauge = random_number_conserving(h.n_modes, h.stats, rng)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DegreeCapError, IndexRangeError
 
-#: Coefficients with magnitude below this threshold are dropped at insertion.
+#: Coefficients below this times the largest non-constant |coefficient| are
+#: dropped at insertion, as are exact zeros.
 PRUNE_THRESHOLD = 1e-14
 
 #: Largest supported total degree; normal-ordering cost grows combinatorially.
@@ -93,9 +94,16 @@ def canonicalize_term(
 
 def _finalize(n_modes: int, stats: Statistics, accum: dict[TermKey, complex]) -> "WickPolynomial":
     terms: dict[TermKey, complex] = {}
-    for key in sorted(accum):
+    keys = sorted(accum)
+    # The cut is relative to the largest non-constant |c| (the constant key
+    # sorts first), so no scaling prunes a term its unscaled polynomial keeps,
+    # and never below the least positive float, so exact zeros always go.
+    rest = keys[1:] if keys and keys[0] == ((), ()) else keys
+    cut = max(PRUNE_THRESHOLD * max(map(abs, map(accum.__getitem__, rest)), default=0.0),
+              np.finfo(float).smallest_subnormal)
+    for key in keys:
         c = accum[key]
-        if abs(c) < PRUNE_THRESHOLD:
+        if abs(c) < cut:
             continue
         if len(key[0]) + len(key[1]) > DEGREE_CAP:
             raise DegreeCapError(

@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import sys
+import weakref
 
 # One BLAS/OpenMP thread, set before numpy is first imported: the suite's
 # matrices are small, and next to another CPU-bound process a thread pool
@@ -14,7 +15,7 @@ import numpy as np  # noqa: E402
 
 from quasivac import Generator, Statistics, WickPolynomial, compose, from_generator  # noqa: E402
 from quasivac.bogoliubov import random_number_conserving  # noqa: E402
-from quasivac.ordering import LinearOperator, multiply_linear  # noqa: E402
+from quasivac.ordering import CompiledPolynomial, LinearOperator, multiply_linear  # noqa: E402
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -29,6 +30,20 @@ def perfbench_module(name):
         sys.modules[key] = module
         spec.loader.exec_module(module)
     return sys.modules[key]
+
+
+def engine_builds(monkeypatch):
+    """A list that collects a weak reference to every ``CompiledPolynomial``
+    built from now on."""
+    built = []
+    init = CompiledPolynomial.__init__
+
+    def spy(self, poly):
+        init(self, poly)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(CompiledPolynomial, "__init__", spy)
+    return built
 
 
 def random_free_hermitian(stats, n, rng, degree=4, scale=0.5, include_odd=False):

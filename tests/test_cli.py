@@ -1,5 +1,6 @@
 """Spec parsing, report generation and the command-line entry points."""
 
+import gc
 import json
 import math
 import subprocess
@@ -23,7 +24,7 @@ from quasivac.cli import (
 from quasivac.ordering import CompiledPolynomial
 from quasivac.variational import Mode, result_at
 
-from conftest import perfbench_module, random_bounded_hamiltonian
+from conftest import engine_builds, perfbench_module, random_bounded_hamiltonian
 from references import max_abs_diff
 
 REPO = Path(__file__).resolve().parent.parent
@@ -371,6 +372,51 @@ class TestRun:
         result = certify_report(str(out))
         for check in ("fd_check", "quadratic_check", "gauge_check"):
             assert result[check] == report["certification"][check]
+
+    def test_certify_defaults_to_the_report_fd_step(self, tmp_path, capsys):
+        # the report records its fd_step, and certify re-runs at it unless
+        # given another; a report without the field re-runs at 3e-4
+        out = tmp_path / "report.json"
+        report = run(str(SPECS / "squeezed_oscillator.json"), Mode.BOSE_EVEN, fd_step=1e-3,
+                     report_path=str(out))
+        assert report["tolerances"] == {"tol_grad": 1e-8, "fd_step": 1e-3}
+        assert main(["certify", str(out)]) == 0
+        again = json.loads(capsys.readouterr().out)
+        assert again["fd_step"] == 1e-3
+        for check in ("fd_check", "quadratic_check", "gauge_check"):
+            assert again[check] == report["certification"][check]
+        explicit = certify_report(str(out), fd_step=3e-4)
+        assert explicit["fd_step"] == 3e-4
+        assert explicit["fd_check"] != report["certification"]["fd_check"]
+        stored = json.loads(out.read_text())
+        del stored["tolerances"]["fd_step"]
+        out.write_text(json.dumps(stored))
+        assert certify_report(str(out)) == explicit
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3, "1e-3", None])
+    def test_report_with_bad_fd_step_is_rejected(self, value, tmp_path):
+        def edit(report):
+            report["tolerances"]["fd_step"] = value
+
+        result = certify_report(self._malformed_report(tmp_path, edit))
+        assert result["passed"] is False
+        assert "fd_step" in result["reason"]
+
+    def test_one_engine_per_run_verify_and_certify(self, tmp_path, monkeypatch):
+        # minimize, result_at and certify share the polynomial's engine,
+        # and no report outlives it
+        built = engine_builds(monkeypatch)
+        out = tmp_path / "report.json"
+        report = run(str(SPECS / "displaced_oscillator.json"), Mode.BOSE_FULL,
+                     report_path=str(out))
+        counts = [len(built)]
+        for again in (verify_report, certify_report):
+            assert again(str(out))["passed"]
+            counts.append(len(built))
+        gc.collect()
+        assert counts == [1, 2, 3]
+        assert all(engine() is None for engine in built)
+        assert report["certification"]["passed"]
 
     @pytest.mark.parametrize("name,mode,charts", [
         ("displaced_oscillator", Mode.BOSE_FULL, 31),

@@ -1,7 +1,9 @@
 """Minimization over Gaussian states and the stationarity certification."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from quasivac.variational import (
 from quasivac.wick import DEGREE_CAP, Blocks
 
 from conftest import (
+    engine_builds,
     perfbench_module,
     random_bounded_hamiltonian,
     random_free_hermitian,
@@ -450,6 +453,78 @@ class TestMinimizeValidation:
 
         with pytest.raises(StatisticsMismatchError):
             minimize(bcs_hamiltonian(), Mode.BOSE_EVEN)
+
+    @pytest.mark.parametrize("field,value", [
+        ("multistarts", 0), ("multistarts", -2), ("max_iterations", -5),
+        ("tol_grad", -1.0), ("tol_grad", math.nan), ("tol_grad", math.inf),
+    ])
+    def test_rejects_invalid_options(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MinimizeOptions(**{field: value})
+
+    def test_accepts_the_boundary_options(self):
+        opts = MinimizeOptions(tol_grad=0.0, max_iterations=0, multistarts=1)
+        res = minimize(squeezed_oscillator(), Mode.BOSE_EVEN, opts)
+        assert (res.status, res.iterations, res.n_starts) == (RunStatus.MAX_ITERATIONS, 0, 1)
+
+
+def _result_bytes(res):
+    """Every number of a result, as bytes."""
+    fields = [res.energy, res.residual, res.spectrum, res.trace, res.blocks.constant]
+    fields += [getattr(res.map, f) for f in ("u", "v", "shift")]
+    fields += [getattr(res.blocks, f) for f in ("linear", "pairing", "single_particle")]
+    return (res.status, res.iterations, res.n_starts, res.map.odd,
+            [np.asarray(f).tobytes() for f in fields])
+
+
+class TestSharedEngine:
+    """A polynomial compiles into one engine, built on first use and freed
+    with the polynomial."""
+
+    def test_minimize_result_at_and_certify_build_one_engine(self, monkeypatch):
+        built = engine_builds(monkeypatch)
+        h = squeezed_oscillator()
+        res = minimize(h, Mode.BOSE_EVEN, MinimizeOptions(tol_grad=1e-9))
+        result_at(CompiledPolynomial.of(h), res.map)
+        assert certify(res, h, Mode.BOSE_EVEN).passed
+        assert len(built) == 1
+        minimize(h, Mode.BOSE_EVEN, MinimizeOptions(tol_grad=1e-9))
+        assert len(built) == 1
+        assert CompiledPolynomial.of(h) is built[0]()
+
+    @pytest.mark.parametrize("stats,n,mode,seed", [
+        (BOSE, 2, Mode.BOSE_EVEN, 11),
+        (BOSE, 2, Mode.BOSE_FULL, 12),
+        (FERMI, 3, Mode.FERMI_EVEN, 13),
+        (FERMI, 3, Mode.FERMI_ODD, 14),
+    ])
+    def test_shared_and_fresh_engines_agree_bit_for_bit(self, stats, n, mode, seed):
+        # the second minimize finds every plan the first compiled; in
+        # bose-full the random extra starts are displaced, which compiles
+        # the partial-matching plans too
+        h = random_bounded_hamiltonian(stats, n, np.random.default_rng(seed), quartic=True)
+        opts = MinimizeOptions(tol_grad=2.5e-9, seed=seed, multistarts=4)
+        first = minimize(h, mode, opts)
+        again = minimize(h, mode, opts)
+        fresh = minimize(dataclasses.replace(h), mode, opts)
+        assert _result_bytes(first) == _result_bytes(again) == _result_bytes(fresh)
+        shared = CompiledPolynomial.of(h)
+        assert (("blocks", True) in shared.plans) is (mode is Mode.BOSE_FULL)
+        m = random_valid_map(stats, n, np.random.default_rng(seed), 0.2,
+                             0.3 if mode is Mode.BOSE_FULL else 0.0)
+        assert _result_bytes(result_at(shared, m)) == _result_bytes(
+            result_at(CompiledPolynomial(h), m))
+
+    def test_engine_dies_with_its_polynomial(self):
+        # neither the result nor its certificate holds the engine
+        h = squeezed_oscillator()
+        res = minimize(h, Mode.BOSE_EVEN, MinimizeOptions(tol_grad=1e-9))
+        cert = certify(res, h, Mode.BOSE_EVEN)
+        engine = weakref.ref(CompiledPolynomial.of(h))
+        del h
+        gc.collect()
+        assert engine() is None
+        assert res.status is RunStatus.CONVERGED and cert.passed
 
 
 class TestMergedStarts:

@@ -79,8 +79,19 @@ class TestAddTerm:
         assert poly.terms[((1, 1), ())] == 0.5
 
     def test_prune_threshold(self):
+        # pruning is relative to the largest non-constant |coefficient|
+        poly = WickPolynomial.empty(1, BOSE).add_term([1], [1], 1.0).add_term([1, 1], [], 1e-15)
+        assert list(poly.terms) == [((1,), (1,))]
         poly = WickPolynomial.empty(1, BOSE).add_term([1], [1], PRUNE_THRESHOLD / 10)
-        assert len(poly) == 0
+        assert poly.terms == {((1,), (1,)): PRUNE_THRESHOLD / 10}
+
+    def test_scaling_keeps_every_term(self):
+        poly = WickPolynomial.from_terms(
+            1, BOSE, [([1], [1], 1.0), ([1, 1], [], 0.3), ([], [1, 1], 0.3), ([], [], 0.1)]
+        )
+        small = poly.scaled(1e-15)
+        assert small.terms == {key: 1e-15 * c for key, c in poly.items()}
+        assert len(small.scaled(0.0)) == 0
 
     def test_degree_cap(self):
         with pytest.raises(DegreeCapError):
