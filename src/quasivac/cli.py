@@ -12,14 +12,18 @@ A Hamiltonian spec is a JSON object
       "hermitian_complete": false
     }
 
-with 1-based mode indices.  ``hermitian_complete`` (or the CLI flag) adds the
-adjoint of every term whose mirror is missing; the parsed polynomial must be
-Hermitian afterwards or the spec is rejected.
+with 1-based mode indices.  ``hermitian_complete`` adds the adjoint of every
+term whose mirror is missing; the parsed polynomial must be Hermitian
+afterwards, and every coefficient finite, or the spec is rejected.
 
 ``run`` minimizes a spec and certifies a converged minimum; its report's
 ``oracle`` block is read from that certificate alone (``_oracle_payload``).
-``verify`` and ``certify`` re-run the certification at a stored report's map,
-at the ``fd_step`` its ``tolerances`` record.
+The certification's FD step and seed are constants (``variational.FD_STEP``
+and ``CERTIFY_SEED``); the report's ``tolerances`` hold ``tol_grad`` and the
+oracle's ``dimension_cap`` (schema ``quasivac-report/4``), at which ``verify``
+and ``certify`` re-run the certification from the stored map.  A ``/3``
+report re-runs at the constants and the default cap, so one written at a
+non-default ``--fd-step`` is not reproduced.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .errors import (
 )
 from .ordering import CompiledPolynomial
 from .variational import (
-    FD_STEP,
     HERMITIAN_TOL,
     CertificationReport,
     MinimizeOptions,
@@ -56,7 +59,7 @@ from .variational import (
 )
 from .wick import Statistics, WickPolynomial, _finalize
 
-REPORT_SCHEMA = "quasivac-report/3"
+REPORT_SCHEMA = "quasivac-report/4"
 
 
 def _fail(path: str, message: str) -> SpecFormatError:
@@ -76,18 +79,18 @@ def load_spec(path: str) -> dict:
     return data
 
 
-def parse_hamiltonian(path: str, hermitian_complete: bool | None = None) -> WickPolynomial:
+def parse_hamiltonian(path: str) -> WickPolynomial:
     """Parse a spec file into a canonical polynomial (``_hamiltonian_of``)."""
-    return _hamiltonian_of(load_spec(path), path, hermitian_complete)
+    return _hamiltonian_of(load_spec(path), path)
 
 
-def _hamiltonian_of(data: Any, path: str, hermitian_complete: bool | None = None) -> WickPolynomial:
+def _hamiltonian_of(data: Any, path: str) -> WickPolynomial:
     """Check a spec object and build its canonical polynomial.
 
-    ``path`` names the object in messages.  ``hermitian_complete=None``
-    defers to the object's own flag; True forces completion.  Raises
-    SpecFormatError with term/field diagnostics, and HermiticityError when
-    the (possibly completed) polynomial is not Hermitian.
+    ``path`` names the object in messages.  The object's own
+    ``hermitian_complete`` asks for completion.  Raises SpecFormatError with
+    term/field diagnostics, and HermiticityError when the (possibly
+    completed) polynomial is not Hermitian.
     """
     if not isinstance(data, dict):
         raise _fail(path, "must be an object")
@@ -129,10 +132,16 @@ def _hamiltonian_of(data: Any, path: str, hermitian_complete: bool | None = None
             or not all(isinstance(x, (int, float)) for x in coeff)
         ):
             raise _fail(path, f"{where}.coeff must be [re, im]")
+        try:
+            finite = all(map(math.isfinite, coeff))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise _fail(path, f"{where}.coeff is not finite")
         entries.append((creation, annihilation, complex(coeff[0], coeff[1])))
 
     poly = WickPolynomial.from_terms(n_modes, stats, entries)
-    complete = data.get("hermitian_complete", False) if hermitian_complete is None else hermitian_complete
+    complete = data.get("hermitian_complete", False)
     if complete:
         poly = _hermitian_completion(poly)
     if not poly.is_hermitian(HERMITIAN_TOL):
@@ -194,11 +203,10 @@ def map_from_payload(payload: dict) -> BogoliubovMap:
 
 
 def _certificate(result: MinimizationResult, poly: WickPolynomial, mode: Mode,
-                 **settings) -> CertificationReport | str:
-    """``certify``'s report at the given settings, or why it was skipped:
-    its basis exceeds the cap."""
+                 dimension_cap: int) -> CertificationReport | str:
+    """``certify``'s report, or why it was skipped: its basis exceeds the cap."""
     try:
-        return certify(result, poly, mode, **settings)
+        return certify(result, poly, mode, dimension_cap=dimension_cap)
     except DimensionCapError as exc:
         return str(exc)
 
@@ -250,21 +258,19 @@ def run(
     spec_path: str,
     mode: Mode,
     seed: int = 42,
-    tol: float = 1e-8,
+    tol: float = MinimizeOptions.tol_grad,
     report_path: str | None = None,
-    hermitian_complete: bool | None = None,
-    fd_step: float = FD_STEP,
-    max_iterations: int = 5000,
+    max_iterations: int = MinimizeOptions.max_iterations,
     multistarts: int | None = None,
     dimension_cap: int = fock.DEFAULT_DIMENSION_CAP,
 ) -> dict:
     """Minimize the specced Hamiltonian and assemble the JSON report.
 
     ``seed`` draws the random starts.  A converged minimum is certified at
-    ``certify``'s own seed, as ``certify_report`` does, so re-certifying the
-    report, at the ``fd_step`` its ``tolerances`` record, reproduces its
-    ``certification``; its Fock box grows until it holds the state, up to
-    ``dimension_cap``.  The ``oracle`` block reads the certificate: the
+    the constant FD step and seed, in a Fock box that grows until it holds
+    the state, up to ``dimension_cap``; ``tolerances`` records the cap, so
+    re-certifying the report (``certify_report``) reproduces its
+    ``certification``.  The ``oracle`` block reads the certificate: the
     state's expectation, the exact ground energy in its box and parity
     sector, and the gap between them.
     """
@@ -273,13 +279,13 @@ def run(
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "mode": mode.value,
         "seed": seed,
-        "tolerances": {"tol_grad": tol, "fd_step": fd_step},
+        "tolerances": {"tol_grad": tol, "dimension_cap": dimension_cap},
         "spec_path": spec_path,
         "status": None,
         "error": None,
     }
     try:
-        poly = parse_hamiltonian(spec_path, hermitian_complete)
+        poly = parse_hamiltonian(spec_path)
         report["hamiltonian"] = serialize_hamiltonian(poly)
         opts = MinimizeOptions(
             tol_grad=tol, seed=seed, max_iterations=max_iterations, multistarts=multistarts
@@ -301,7 +307,7 @@ def run(
         }
         report["map"] = serialize_map(result.map)
         if result.status is RunStatus.CONVERGED:
-            cert = _certificate(result, poly, mode, fd_step=fd_step, dimension_cap=dimension_cap)
+            cert = _certificate(result, poly, mode, dimension_cap)
             report["certification"] = _certification_payload(cert)
             report["oracle"] = _oracle_payload(cert)
         else:
@@ -317,13 +323,12 @@ def run(
     return report
 
 
-def _recertify(report_path: str, fd_step: float | None = None,
-               seed: int = 1234) -> tuple[float, float, CertificationReport | str]:
-    """A stored report's energy, the FD step and ``_certificate`` at its map:
-    ``fd_step`` if given, else the report's own ``tolerances.fd_step``, else
-    ``FD_STEP`` for a report written without one.  Raises QuasivacError when
-    the report is not converged, fails the spec checks or lacks a valid
-    energy, map, mode or stored step."""
+def _recertify(report_path: str) -> tuple[float, CertificationReport | str]:
+    """A stored report's energy and ``_certificate`` at its map and its
+    ``tolerances.dimension_cap``, with the constant FD step and seed; a
+    ``quasivac-report/3`` report, which records no cap, re-runs at the
+    default cap.  Raises QuasivacError when the report is not converged,
+    fails the spec checks or lacks a valid energy, map, mode or cap."""
     report = load_spec(report_path)
     if report.get("status") != "converged":
         raise QuasivacError(f"report status is {report.get('status')!r}")
@@ -331,20 +336,19 @@ def _recertify(report_path: str, fd_step: float | None = None,
     try:
         energy = float(report["energy"])
         stored, mode = map_from_payload(report["map"]), Mode(report["mode"])
-        if fd_step is None:
-            fd_step = report.get("tolerances", {}).get("fd_step", FD_STEP)
-            if not (isinstance(fd_step, (int, float)) and math.isfinite(fd_step) and fd_step > 0):
-                raise ValueError(f"tolerances.fd_step {fd_step!r} is not a positive number")
+        cap = report.get("tolerances", {}).get("dimension_cap", fock.DEFAULT_DIMENSION_CAP)
+        if type(cap) is not int or cap < 1:
+            raise ValueError(f"tolerances.dimension_cap {cap!r} is not a positive integer")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _fail(report_path, f"malformed report ({type(exc).__name__}: {exc})") from None
     result = result_at(CompiledPolynomial.of(poly), stored)
-    return energy, fd_step, _certificate(result, poly, mode, fd_step=fd_step, seed=seed)
+    return energy, _certificate(result, poly, mode, cap)
 
 
 def verify_report(report_path: str, tol: float = 1e-6) -> dict:
     """Recompute the oracle numbers of a stored report and compare."""
     try:
-        energy, _, cert = _recertify(report_path)
+        energy, cert = _recertify(report_path)
     except QuasivacError as exc:
         return {"passed": False, "reason": str(exc)}
     oracle = _oracle_payload(cert)
@@ -362,15 +366,15 @@ def verify_report(report_path: str, tol: float = 1e-6) -> dict:
     }
 
 
-def certify_report(report_path: str, fd_step: float | None = None, seed: int = 1234) -> dict:
-    """Re-run the certification battery for a stored converged report, with
-    the ``oracle`` block of the state it builds, at ``fd_step`` or by default
-    at the step the report was certified at."""
+def certify_report(report_path: str) -> dict:
+    """Re-run the certification battery for a stored converged report, at
+    the dimension cap it was certified at, with the ``oracle`` block of the
+    state it builds."""
     try:
-        _, fd_step, cert = _recertify(report_path, fd_step, seed)
+        _, cert = _recertify(report_path)
     except QuasivacError as exc:
         return {"passed": False, "reason": str(exc)}
-    return {**_certification_payload(cert), "oracle": _oracle_payload(cert), "fd_step": fd_step}
+    return {**_certification_payload(cert), "oracle": _oracle_payload(cert)}
 
 
 def _positive_float(text: str) -> float:
@@ -401,12 +405,11 @@ def main(argv: list[str] | None = None) -> int:
         required=True,
         choices=[m.value for m in Mode],
     )
-    p_min.add_argument("--tol", type=_positive_float, default=1e-8)
+    p_min.add_argument("--tol", type=_positive_float, default=MinimizeOptions.tol_grad)
     p_min.add_argument("--seed", type=int, default=42)
     p_min.add_argument("--report", default=None, help="write the JSON report here")
-    p_min.add_argument("--hermitian-complete", action="store_true", default=None)
-    p_min.add_argument("--fd-step", type=_positive_float, default=FD_STEP)
-    p_min.add_argument("--max-iterations", type=_positive_int, default=5000)
+    p_min.add_argument("--max-iterations", type=_positive_int,
+                       default=MinimizeOptions.max_iterations)
     p_min.add_argument("--multistarts", type=_positive_int, default=None)
     p_min.add_argument("--dimension-cap", type=_positive_int, default=fock.DEFAULT_DIMENSION_CAP)
 
@@ -416,9 +419,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_cert = sub.add_parser("certify", help="re-run the certification battery")
     p_cert.add_argument("report")
-    p_cert.add_argument("--fd-step", type=_positive_float, default=None,
-                        help="default: the report's own tolerances.fd_step")
-    p_cert.add_argument("--seed", type=int, default=1234)
 
     args = parser.parse_args(argv)
     if args.command == "minimize":
@@ -428,8 +428,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             tol=args.tol,
             report_path=args.report,
-            hermitian_complete=args.hermitian_complete,
-            fd_step=args.fd_step,
             max_iterations=args.max_iterations,
             multistarts=args.multistarts,
             dimension_cap=args.dimension_cap,
@@ -443,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         out = verify_report(args.report, tol=args.tol)
     else:
-        out = certify_report(args.report, fd_step=args.fd_step, seed=args.seed)
+        out = certify_report(args.report)
     json.dump(out, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0 if out.get("passed") else 1

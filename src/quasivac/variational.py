@@ -121,8 +121,11 @@ NOISE = 64.0 * np.finfo(float).eps
 FD_DIRECTIONS = 10
 GAUGE_SWEEPS = 5
 
-#: Default central-difference step of the finite-difference check.
+#: Central-difference step of the finite-difference check, and the seed its
+#: directions, displacements and gauges are drawn from: fixed, so a stored
+#: report's certification re-runs to the same numbers.
 FD_STEP = 3e-4
+CERTIFY_SEED = 1234
 
 
 @dataclass
@@ -529,8 +532,6 @@ def certify(
     result: MinimizationResult,
     h: WickPolynomial,
     mode: Mode,
-    fd_step: float = FD_STEP,
-    seed: int = 1234,
     dimension_cap: int = fock.DEFAULT_DIMENSION_CAP,
 ) -> CertificationReport:
     """Check the stationarity structure of a converged run against brute force.
@@ -549,9 +550,9 @@ def certify(
     RuntimeError): E = <psi|H psi>, linear_i = <b*_i psi|H psi>,
     pairing_ij = 1/2 <b*_j b*_i psi|H psi> and
     D_ij = <b*_i psi|H b*_j psi> - E delta_ij.  Then four checks: residual
-    norms of the linear and anomalous blocks; finite-difference derivatives
-    of the truncated-Fock energy along ``FD_DIRECTIONS`` random generator
-    directions against the analytic first-order values; for the full
+    norms of the linear and anomalous blocks; central differences, at step
+    ``FD_STEP``, of the truncated-Fock energy along ``FD_DIRECTIONS`` random
+    generator directions against the analytic first-order values; for the full
     bosonic mode, the quadratic growth of the energy along five random
     displacements against the particle-conserving block D, whose lowest
     eigenvalue must not be negative beyond 1e-8 of its largest; invariance
@@ -559,15 +560,13 @@ def certify(
     (number-conserving) right-compositions, to 1e-8 or, at a scale where
     that is below rounding, 8 eps times the largest of |E| and the
     |eigenvalues| of D.  The directions, displacements and gauges are
-    drawn from ``seed`` in that order.
+    drawn from ``CERTIFY_SEED`` in that order.
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
-    if not fd_step > 0:
-        raise ValueError("fd_step must be positive")
     psi = oracle_state(result.map, h, dimension_cap)
     basis = psi.basis
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CERTIFY_SEED)
     u_map = result.map
     blocks = result.blocks
     n = h.n_modes
@@ -584,7 +583,7 @@ def certify(
     steps = directions + [Generator(h.stats, np.zeros((n, n), complex), y) for y in displacements]
     # each step forward and back, in one block under psi
     probes = [compose(u_map, from_generator(g.scaled(s)))
-              for g in steps for s in (fd_step, -fd_step)]
+              for g in steps for s in (FD_STEP, -FD_STEP)]
     states = np.vstack([psi.amplitudes[None], fock.states_of_maps(probes, basis)[0]])
     excited = _quasiparticle_ladders(u_map, basis, states[0], adjoint=True)
     matrix = fock.sparse_matrix(h, basis)
@@ -605,11 +604,11 @@ def certify(
     fd_devs: list[float] = []
     fd_tols: list[float] = []
     for g, (e_plus, e_minus) in zip(directions, e_pairs):
-        fd = (e_plus - e_minus) / (2 * fd_step)
+        fd = (e_plus - e_minus) / (2 * FD_STEP)
         analytic = directional_derivative(blocks, g)
         fd_devs.append(abs(fd - analytic))
         # the floor also clears the central difference's own rounding
-        rounding = 8 * float(np.finfo(float).eps) * max(abs(e_plus), abs(e_minus)) / fd_step
+        rounding = 8 * float(np.finfo(float).eps) * max(abs(e_plus), abs(e_minus)) / FD_STEP
         fd_tols.append(max(1e-6, rounding, 1e-4 * abs(analytic)))
     fd_passed = all(d <= t for d, t in zip(fd_devs, fd_tols))
 
@@ -619,7 +618,7 @@ def certify(
         errs = []
         for y, (e_plus, e_minus) in zip(displacements, e_pairs[FD_DIRECTIONS:]):
             # second central difference estimates E'' = 2c for E = B + c s^2
-            fitted = (e_plus - 2 * e_zero + e_minus) / (2 * fd_step**2)
+            fitted = (e_plus - 2 * e_zero + e_minus) / (2 * FD_STEP**2)
             analytic = float(np.real(np.conj(y) @ blocks.single_particle @ y))
             errs.append(abs(fitted - analytic) / max(abs(analytic), 1e-300))
         # y* D y < 0 for some y: a displacement lowers the energy, a saddle

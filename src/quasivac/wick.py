@@ -12,6 +12,7 @@ coefficient at insertion time, and a repeated fermionic index kills the term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -103,8 +104,12 @@ def _finalize(n_modes: int, stats: Statistics, accum: dict[TermKey, complex]) ->
               np.finfo(float).smallest_subnormal)
     for key in keys:
         c = accum[key]
-        if abs(c) < cut:
+        size = abs(c)
+        if size < cut:
             continue
+        # a NaN or infinite coefficient is never cut, so each one reaches here
+        if not size < math.inf:
+            raise ValueError(f"coefficient {c} of term {key} is not finite")
         if len(key[0]) + len(key[1]) > DEGREE_CAP:
             raise DegreeCapError(
                 f"term of degree {len(key[0]) + len(key[1])} exceeds the cap {DEGREE_CAP}"
@@ -202,12 +207,14 @@ class WickPolynomial:
         return _finalize(self.n_modes, self.stats, accum)
 
     def is_hermitian(self, tol: float) -> bool:
-        """True iff the polynomial equals its adjoint coefficientwise within tol."""
+        """True iff the polynomial equals its adjoint coefficientwise within
+        tol; False on a non-finite difference."""
         if tol <= 0:
             raise ValueError("tol must be positive")
-        adj = self.adjoint()
-        for key in set(self.terms) | set(adj.terms):
-            if abs(self.terms.get(key, 0j) - adj.terms.get(key, 0j)) > tol:
+        for (cr, an), c in self.terms.items():
+            # the adjoint maps keys one to one: its coefficient at this term's mirror
+            key, mirror = canonicalize_term(self.stats, an[::-1], cr[::-1], np.conj(c))
+            if not abs(self.terms.get(key, 0j) - mirror) <= tol:
                 return False
         return True
 

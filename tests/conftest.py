@@ -46,6 +46,38 @@ def engine_builds(monkeypatch):
     return built
 
 
+def squeezed_oscillator(lam=0.3, omega=1.0):
+    """omega a*a + lam (a*a* + aa): least, 0.5 (sqrt(omega^2 - 4 lam^2) - omega),
+    at a squeezed vacuum."""
+    return (
+        WickPolynomial.empty(1, Statistics.BOSE)
+        .add_term([1], [1], omega)
+        .add_term([1, 1], [], lam)
+        .add_term([], [1, 1], lam)
+    )
+
+
+def bcs_hamiltonian(eps=1.0, delta=0.5):
+    """eps (n_1 + n_2) + delta (a*_1 a*_2 + a_2 a_1): a two-mode BCS pair."""
+    return (
+        WickPolynomial.empty(2, Statistics.FERMI)
+        .add_term([1], [1], eps)
+        .add_term([2], [2], eps)
+        .add_term([1, 2], [], delta)
+        .add_term([], [1, 2], -delta)
+    )
+
+
+def displaced_oscillator(mu=0.5):
+    """a*a + mu (a* + a): least, -mu^2, at the coherent state of amplitude -mu."""
+    return (
+        WickPolynomial.empty(1, Statistics.BOSE)
+        .add_term([1], [1], 1.0)
+        .add_term([1], [], mu)
+        .add_term([], [1], mu)
+    )
+
+
 def random_free_hermitian(stats, n, rng, degree=4, scale=0.5, include_odd=False):
     """Random Hermitian polynomial, no boundedness guarantees."""
     poly = WickPolynomial.empty(n, stats)

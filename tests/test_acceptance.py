@@ -30,7 +30,14 @@ from quasivac.fock import series_tail
 from quasivac.ordering import substitute_linear
 from quasivac.variational import directional_derivative, substitution_rows
 
-from conftest import random_bounded_hamiltonian, random_free_hermitian, random_valid_map
+from conftest import (
+    bcs_hamiltonian,
+    displaced_oscillator,
+    random_bounded_hamiltonian,
+    random_free_hermitian,
+    random_valid_map,
+    squeezed_oscillator,
+)
 from references import (
     chart_from_generator,
     exp_generator,
@@ -45,34 +52,6 @@ FERMI = Statistics.FERMI
 
 def report(number, text):
     print(f"\nACCEPTANCE {number}: PASS - {text}")
-
-
-def squeezed_oscillator(lam=0.3, omega=1.0):
-    return (
-        WickPolynomial.empty(1, BOSE)
-        .add_term([1], [1], omega)
-        .add_term([1, 1], [], lam)
-        .add_term([], [1, 1], lam)
-    )
-
-
-def bcs_hamiltonian(eps=1.0, delta=0.5):
-    return (
-        WickPolynomial.empty(2, FERMI)
-        .add_term([1], [1], eps)
-        .add_term([2], [2], eps)
-        .add_term([1, 2], [], delta)
-        .add_term([], [1, 2], -delta)
-    )
-
-
-def displaced_oscillator(mu=0.5):
-    return (
-        WickPolynomial.empty(1, BOSE)
-        .add_term([1], [1], 1.0)
-        .add_term([1], [], mu)
-        .add_term([], [1], mu)
-    )
 
 
 CORPUS_LAYOUT = [

@@ -4,6 +4,7 @@ names the benchmark's tracer wraps."""
 import ast
 import contextlib
 import dataclasses
+import inspect
 import io
 import os
 import re
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import quasivac
+from quasivac import cli
 
 from conftest import perfbench_module
 
@@ -80,6 +82,48 @@ def test_src_defines_only_what_src_uses():
 def test_minimize_options_fields():
     fields = set(quasivac.MinimizeOptions.__dataclass_fields__)
     assert fields == {"tol_grad", "max_iterations", "multistarts", "seed"}
+
+
+def test_certification_settings():
+    # the FD step and the certification seed are constants and a spec asks
+    # for completion itself: the oracle's dimension cap is the one setting
+    # of a certification
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(quasivac.certify) == ["result", "h", "mode", "dimension_cap"]
+    assert params(cli.run) == ["spec_path", "mode", "seed", "tol", "report_path",
+                               "max_iterations", "multistarts", "dimension_cap"]
+    assert params(cli.parse_hamiltonian) == ["path"]
+    assert params(cli.certify_report) == ["report_path"]
+    options = {}
+    for command in ("minimize", "verify", "certify"):
+        out = io.StringIO()
+        with pytest.raises(SystemExit), contextlib.redirect_stdout(out):
+            cli.main([command, "--help"])
+        options[command] = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out.getvalue()))
+    assert options == {
+        "minimize": {"--help", "--mode", "--tol", "--seed", "--report", "--max-iterations",
+                     "--multistarts", "--dimension-cap"},
+        "verify": {"--help", "--tol"},
+        "certify": {"--help"},
+    }
+
+
+def test_command_line_defaults_are_minimize_options(monkeypatch):
+    # run and the minimize subcommand read tol and max_iterations from
+    # MinimizeOptions, so each default has one copy
+    defaults = quasivac.MinimizeOptions()
+    signature = inspect.signature(cli.run).parameters
+    assert signature["tol"].default == defaults.tol_grad
+    assert signature["max_iterations"].default == defaults.max_iterations
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(kwargs) or {"status": "x"})
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["minimize", "spec.json", "--mode", "bose-even"]) == 0
+    assert calls[0]["tol"] == defaults.tol_grad
+    assert calls[0]["max_iterations"] == defaults.max_iterations
+    assert calls[0]["seed"] == 42
 
 
 def test_result_types_are_slotted():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasivac import MinimizeOptions, Statistics, WickPolynomial, fock, minimize, wick
+from quasivac import MinimizeOptions, Statistics, WickPolynomial, cli, fock, minimize, wick
 from quasivac.errors import HermiticityError, SpecFormatError
 from quasivac.cli import (
     _hamiltonian_of,
@@ -78,17 +78,32 @@ class TestParse:
             parse_hamiltonian(path)
 
     def test_non_hermitian_without_flag_rejected(self, tmp_path):
-        path = write_spec(
-            tmp_path,
-            {
-                "statistics": "bose",
-                "modes": 1,
-                "terms": [{"creation": [1, 1], "annihilation": [], "coeff": [0.3, 0.0]}],
-            },
-        )
+        payload = {
+            "statistics": "bose",
+            "modes": 1,
+            "terms": [{"creation": [1, 1], "annihilation": [], "coeff": [0.3, 0.0]}],
+        }
         with pytest.raises(HermiticityError):
+            parse_hamiltonian(write_spec(tmp_path, payload))
+        payload["hermitian_complete"] = True
+        assert parse_hamiltonian(write_spec(tmp_path, payload)) is not None
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_coefficient_rejected(self, value, tmp_path):
+        # json reads NaN, Infinity and integers past the float range; a NaN
+        # a*a ran to unbounded_below with energy NaN, a 400-digit one raised
+        # OverflowError
+        path = write_spec(tmp_path, {
+            "statistics": "bose", "modes": 1, "hermitian_complete": True,
+            "terms": [{"creation": [1], "annihilation": [1], "coeff": [1.0, 0.0]},
+                      {"creation": [1, 1], "annihilation": [], "coeff": [value, 0.0]}],
+        })
+        with pytest.raises(SpecFormatError, match=r"terms\[1\]\.coeff .*finite"):
             parse_hamiltonian(path)
-        assert parse_hamiltonian(path, hermitian_complete=True) is not None
+        report = run(path, Mode.BOSE_EVEN)
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "SpecFormatError"
+        assert "terms[1]" in report["error"]["message"]
 
     def test_index_out_of_range(self, tmp_path):
         path = write_spec(
@@ -359,48 +374,58 @@ class TestRun:
         assert result["oracle"] == report["oracle"]
         assert result["oracle"]["skipped_reason"] is None
 
-    @pytest.mark.parametrize("name,mode", [
-        ("squeezed_oscillator", Mode.BOSE_EVEN),
-        ("displaced_oscillator", Mode.BOSE_FULL),
-        ("bcs_two_mode", Mode.FERMI_EVEN),
-        ("fermi_single_mode", Mode.FERMI_ODD),
+    @pytest.mark.parametrize("name,mode,cap", [
+        *((name, mode, fock.DEFAULT_DIMENSION_CAP)
+          for name, mode in perfbench_module("inputs").EXAMPLE_MODES.items()),
+        ("squeezed_oscillator", Mode.BOSE_EVEN, 8),
     ])
-    def test_certify_reproduces_the_report_certification(self, name, mode, tmp_path):
-        # run certifies at certify's default seed, whatever seed drew the starts
+    def test_certify_reproduces_the_report_certification(self, name, mode, cap, tmp_path):
+        # run certifies at the constant FD step and seed, whatever seed drew
+        # the starts, and certify re-runs at the cap the report records: at
+        # cap 8 the battery is skipped in both
         out = tmp_path / "report.json"
-        report = run(str(SPECS / f"{name}.json"), mode, report_path=str(out))
+        report = run(str(SPECS / f"{name}.json"), mode, report_path=str(out), dimension_cap=cap)
+        assert report["tolerances"] == {"tol_grad": 1e-8, "dimension_cap": cap}
         result = certify_report(str(out))
-        for check in ("fd_check", "quadratic_check", "gauge_check"):
+        if report["certification"] is None:
+            assert report["status"] == "unbounded_below"
+            assert result == {"passed": False, "reason": "report status is 'unbounded_below'"}
+            return
+        for check in ("fd_check", "quadratic_check", "gauge_check", "skipped_reason"):
             assert result[check] == report["certification"][check]
+        assert result["passed"] is report["certification"]["passed"]
 
-    def test_certify_defaults_to_the_report_fd_step(self, tmp_path, capsys):
-        # the report records its fd_step, and certify re-runs at it unless
-        # given another; a report without the field re-runs at 3e-4
-        out = tmp_path / "report.json"
-        report = run(str(SPECS / "squeezed_oscillator.json"), Mode.BOSE_EVEN, fd_step=1e-3,
-                     report_path=str(out))
-        assert report["tolerances"] == {"tol_grad": 1e-8, "fd_step": 1e-3}
-        assert main(["certify", str(out)]) == 0
-        again = json.loads(capsys.readouterr().out)
-        assert again["fd_step"] == 1e-3
-        for check in ("fd_check", "quadratic_check", "gauge_check"):
-            assert again[check] == report["certification"][check]
-        explicit = certify_report(str(out), fd_step=3e-4)
-        assert explicit["fd_step"] == 3e-4
-        assert explicit["fd_check"] != report["certification"]["fd_check"]
-        stored = json.loads(out.read_text())
-        del stored["tolerances"]["fd_step"]
-        out.write_text(json.dumps(stored))
-        assert certify_report(str(out)) == explicit
+    def test_verify_and_certify_run_at_the_report_cap(self, tmp_path, monkeypatch):
+        # the stored cap reaches certify, above the default too; a report
+        # without one (schema /3) re-runs at the default cap
+        caps = []
+        original = cli.certify
 
-    @pytest.mark.parametrize("value", [0.0, -1e-3, "1e-3", None])
-    def test_report_with_bad_fd_step_is_rejected(self, value, tmp_path):
+        def spy(*args, dimension_cap):
+            caps.append(dimension_cap)
+            return original(*args, dimension_cap=dimension_cap)
+
+        monkeypatch.setattr(cli, "certify", spy)
+        path = self._malformed_report(
+            tmp_path, lambda report: report["tolerances"].update(dimension_cap=8192))
+        first = certify_report(path)
+        assert verify_report(path)["passed"]
+        stored = json.loads(Path(path).read_text())
+        del stored["tolerances"]["dimension_cap"]
+        Path(path).write_text(json.dumps(stored))
+        assert certify_report(path) == first
+        assert caps == [fock.DEFAULT_DIMENSION_CAP, 8192, 8192, fock.DEFAULT_DIMENSION_CAP]
+
+    @pytest.mark.parametrize("value", [0, -8, 8.5, "8", None, True])
+    def test_report_with_bad_dimension_cap_is_rejected(self, value, tmp_path):
         def edit(report):
-            report["tolerances"]["fd_step"] = value
+            report["tolerances"]["dimension_cap"] = value
 
-        result = certify_report(self._malformed_report(tmp_path, edit))
-        assert result["passed"] is False
-        assert "fd_step" in result["reason"]
+        path = self._malformed_report(tmp_path, edit)
+        for result in (verify_report(path), certify_report(path)):
+            assert result["passed"] is False
+            assert "malformed report" in result["reason"]
+            assert "dimension_cap" in result["reason"]
 
     def test_one_engine_per_run_verify_and_certify(self, tmp_path, monkeypatch):
         # minimize, result_at and certify share the polynomial's engine,
@@ -551,7 +576,7 @@ class TestCommandLine:
         payload = json.loads(verify.stdout)
         assert payload["passed"]
 
-        cert = self.cli("certify", str(out), "--fd-step", "1e-3")
+        cert = self.cli("certify", str(out))
         assert cert.returncode == 0, cert.stderr
         payload = json.loads(cert.stdout)
         assert payload["passed"]
@@ -570,7 +595,6 @@ class TestCommandLine:
         assert report["status"] == "converged"
 
     @pytest.mark.parametrize("args", [
-        ("minimize", "--fd-step", "0"),
         ("minimize", "--multistarts", "-3"),
         ("minimize", "--multistarts", "0"),
         ("minimize", "--dimension-cap", "0"),
@@ -578,7 +602,6 @@ class TestCommandLine:
         ("minimize", "--tol", "-1", "--max-iterations", "3"),
         ("minimize", "--tol", "inf", "--max-iterations", "3"),
         ("verify", "--tol", "nan"),
-        ("certify", "--fd-step=-1e-3"),
     ])
     def test_bad_numbers_are_usage_errors(self, args, capsys):
         # rejected while the arguments are parsed: the report path is not read
@@ -590,7 +613,6 @@ class TestCommandLine:
         assert exc.value.code == 2
         assert "must " in capsys.readouterr().err
 
-
     def test_cutoff_is_not_an_option(self, capsys):
         # the oracle's box is worked out from the state, so there is no knob
         with pytest.raises(SystemExit) as exc:
@@ -598,3 +620,20 @@ class TestCommandLine:
                   "--cutoff", "12"])
         assert exc.value.code == 2
         assert "--cutoff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("minimize", "--fd-step", "1e-3"),
+        ("minimize", "--hermitian-complete"),
+        ("certify", "--fd-step", "1e-3"),
+        ("certify", "--seed", "1234"),
+    ])
+    def test_certification_settings_are_not_options(self, args, capsys):
+        # the FD step and the certification seed are constants, and a spec
+        # asks for completion itself
+        command, flag, *value = args
+        target = ([str(SPECS / "squeezed_oscillator.json"), "--mode", "bose-even"]
+                  if command == "minimize" else ["missing.json"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, flag, *value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

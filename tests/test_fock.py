@@ -28,7 +28,7 @@ from quasivac.fock import (
 )
 from quasivac.variational import oracle_state
 
-from conftest import random_free_hermitian, random_valid_map
+from conftest import bcs_hamiltonian, random_free_hermitian, random_valid_map, squeezed_oscillator
 from references import exp_generator, expectation, gaussian_vector, ladders, vacuum_vector
 
 BOSE = Statistics.BOSE
@@ -45,25 +45,6 @@ def number_operator(n, stats):
     for i in range(1, n + 1):
         poly = poly.add_term([i], [i], 1.0)
     return poly
-
-
-def squeezed_oscillator(lam=0.3, omega=1.0):
-    return (
-        WickPolynomial.empty(1, BOSE)
-        .add_term([1], [1], omega)
-        .add_term([1, 1], [], lam)
-        .add_term([], [1, 1], lam)
-    )
-
-
-def bcs_hamiltonian(eps=1.0, delta=0.5):
-    return (
-        WickPolynomial.empty(2, FERMI)
-        .add_term([1], [1], eps)
-        .add_term([2], [2], eps)
-        .add_term([1, 2], [], delta)
-        .add_term([], [1, 2], -delta)
-    )
 
 
 class TestBasis:

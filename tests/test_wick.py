@@ -1,5 +1,6 @@
 """Canonical polynomial representation and block extraction."""
 
+import math
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ class TestAddTerm:
         assert small.terms == {key: 1e-15 * c for key, c in poly.items()}
         assert len(small.scaled(0.0)) == 0
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    def test_non_finite_coefficient_is_rejected(self, bad):
+        # an infinite pair made the relative cut infinite, which dropped the
+        # finite a*a and kept two inf+nanj terms
+        with pytest.raises(ValueError, match="not finite"):
+            WickPolynomial.from_terms(
+                1, BOSE, [([1], [1], 1.0), ([1, 1], [], bad), ([], [1, 1], bad)]
+            )
+        with pytest.raises(ValueError, match="not finite"):
+            WickPolynomial.empty(1, BOSE).add_term([1], [1], 1.0).add_term([], [], bad)
+
     def test_degree_cap(self):
         with pytest.raises(DegreeCapError):
             WickPolynomial.empty(1, BOSE).add_term([1] * 5, [1] * 4, 1.0)
@@ -151,6 +163,11 @@ class TestHermitian:
         )
         assert good.is_hermitian(1e-12)
         assert not bad.is_hermitian(1e-12)
+
+    def test_non_finite_coefficient_is_not_hermitian(self):
+        # built past the constructors, which reject it: abs(nan) > tol is False
+        poly = WickPolynomial(1, BOSE, {((1,), (1,)): complex(math.nan, 0.0)})
+        assert not poly.is_hermitian(1e-12)
 
     def test_adjoint_involution(self):
         rng = np.random.default_rng(7)
