@@ -42,6 +42,7 @@ from .bogoliubov import BogoliubovMap
 from .errors import (
     DimensionCapError,
     HermiticityError,
+    InvalidMapError,
     QuasivacError,
     SpecFormatError,
 )
@@ -60,6 +61,11 @@ from .variational import (
 from .wick import Statistics, WickPolynomial, _finalize
 
 REPORT_SCHEMA = "quasivac-report/4"
+
+#: Bound on a stored map's group defects, relative to max(1, ||u||_F^2); the
+#: maps ``minimize`` reports on the corpus, dense and report problems read at
+#: most 3.4e-15.
+MAP_RTOL = 1e-8
 
 
 def _fail(path: str, message: str) -> SpecFormatError:
@@ -193,13 +199,36 @@ def serialize_map(m: BogoliubovMap) -> dict:
 
 
 def map_from_payload(payload: dict) -> BogoliubovMap:
-    return BogoliubovMap(
+    """A stored map, checked as input from outside: its entries are finite,
+    and its group defects ||u u^dag - s v v^dag - 1||_F and
+    ||u v^T - s v u^T||_F (s the exchange sign) are at most ``MAP_RTOL``
+    max(1, ||u||_F^2); a defect that is NaN or overflows fails too.
+    Raises InvalidMapError otherwise."""
+    m = BogoliubovMap(
         Statistics(payload["statistics"]),
         _matrix_from_payload(payload["u"]),
         _matrix_from_payload(payload["v"]),
         np.array([complex(re, im) for re, im in payload["shift"]], dtype=complex),
         odd=payload["odd"],
     )
+    if not all(np.isfinite(a).all() for a in (m.u, m.v, m.shift)):
+        raise InvalidMapError("map entries must be finite")
+    sign = m.stats.sign
+    # an overflow fails the check below, so numpy need not warn of it; the
+    # defect is divided by the scale, not the bound multiplied, so that an
+    # overflowed scale makes the ratio NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(1.0, np.linalg.norm(m.u) ** 2)
+        defects = {
+            "u u^dag - s v v^dag - 1": np.linalg.norm(
+                m.u @ m.u.conj().T - sign * m.v @ m.v.conj().T - np.eye(m.n_modes)) / scale,
+            "u v^T - s v u^T": np.linalg.norm(m.u @ m.v.T - sign * m.v @ m.u.T) / scale,
+        }
+    for name, relative in defects.items():
+        if not relative <= MAP_RTOL:
+            raise InvalidMapError(f"map is not a Bogoliubov map: ||{name}||_F is "
+                                  f"{relative:.3g} of max(1, ||u||_F^2)")
+    return m
 
 
 def _certificate(result: MinimizationResult, poly: WickPolynomial, mode: Mode,

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bogoliubov import inverse_arrays
 from .errors import StatisticsMismatchError
 from .wick import PRUNE_THRESHOLD, Statistics, TermKey, WickPolynomial, _finalize
 
@@ -176,11 +177,10 @@ def _matchings(positions: tuple, partial: bool):
 
 
 @functools.cache
-def _matching_table(probes: int, d: int, sign: int, partial: bool, right: bool = False):
-    """Wick expansion of  <p_0 .. p_{probes-1} O_0 .. O_{d-1} q>  as arrays.
+def _matching_table(probes: int, d: int, sign: int, partial: bool):
+    """Wick expansion of  <p_0 .. p_{probes-1} O_0 .. O_{d-1}>  as arrays.
 
-    The probes p (positions -probes .. -1) are pure annihilators and the
-    optional right probe q (position d, if ``right``) a pure creator, so each
+    The probes p (positions -probes .. -1) are pure annihilators, so each
     probe contracts with a factor and none is left unmatched; matchings that
     contract two probes are left out.  Matching e becomes row e of
     ``index``: its factor contractions a * d + b (a < b), its unmatched
@@ -188,37 +188,37 @@ def _matching_table(probes: int, d: int, sign: int, partial: bool, right: bool =
     exchange ``sign`` to the number of crossings; and row e of
     ``partners``, the factor each probe contracts with, left to right.
     """
-    ends = list(range(-probes, 0)) + ([d] if right else [])
+    ends = range(-probes, 0)
     rows, partners, signs = [], [], []
-    for pairs, alone in _matchings(tuple(range(-probes, d + right)), partial):
+    for pairs, alone in _matchings(tuple(range(-probes, d)), partial):
         partner = dict(pairs) | {b: a for a, b in pairs}
-        if any(not 0 <= partner.get(p, -1) < d for p in ends):
+        if any(partner.get(p, -1) < 0 for p in ends):
             continue
         partners.append([partner[p] for p in ends])
-        rows.append([a * d + b for a, b in pairs if a >= 0 and b < d] + [d * d + u for u in alone])
+        rows.append([a * d + b for a, b in pairs if a >= 0] + [d * d + u for u in alone])
         crossings = sum(a < c < b < e for a, b in pairs for c, e in pairs)
         signs.append(float(sign**crossings))
     width = max([1] + [len(r) for r in rows])
     index = np.array([r + [d * d + d] * (width - len(r)) for r in rows], int).reshape(-1, width)
-    table = (index, np.array(partners, int).reshape(len(rows), len(ends)), np.array(signs))
+    table = (index, np.array(partners, int).reshape(len(rows), probes), np.array(signs))
     for arr in table:
         arr.setflags(write=False)
     return table
 
 
 def _compile(groups, images: int, sign: int, partial: bool, tables) -> tuple:
-    """Plan of the sums of ``tables`` ((probes, right probe) pairs) over terms
-    whose factors are rows of ``images`` images: per (table, term, matching)
-    the positions of its values in [Gram matrix, scalars, 1] (padded with the
-    1; stored transposed), its weight c_t * sign, and its slot (its probes'
-    partners, after the earlier tables' slots) as real and imaginary halves."""
+    """Plan of the sums of ``tables`` (probe counts) over terms whose factors
+    are rows of ``images`` images: per (table, term, matching) the positions
+    of its values in [Gram matrix, scalars, 1] (padded with the 1; stored
+    transposed), its weight c_t * sign, and its slot (its probes' partners,
+    after the earlier tables' slots) as real and imaginary halves."""
     one = images * images + images
     index, weights, slots = [np.zeros((0, 1), int)], [np.zeros(0)], [np.zeros(0, int)]
     offset = 0
-    for probes, right in tables:
+    for probes in tables:
         for rows, coeffs in groups:
             t, d = rows.shape
-            table, partners, signs = _matching_table(probes, d, sign, partial, right)
+            table, partners, signs = _matching_table(probes, d, sign, partial)
             pairs = (rows[:, :, None] * images + rows[:, None, :]).reshape(t, d * d)
             source = np.concatenate([pairs, images * images + rows, np.full((t, 1), one)], axis=1)
             index.append(source[:, table].reshape(-1, table.shape[1]))
@@ -227,7 +227,7 @@ def _compile(groups, images: int, sign: int, partial: bool, tables) -> tuple:
             for column in partners.T:
                 slot = slot * images + rows[:, column]
             slots.append(offset + slot.ravel())
-        offset += images ** (probes + right)
+        offset += images**probes
     width = max(part.shape[1] for part in index)
     index = np.concatenate([np.pad(part, ((0, 0), (0, width - part.shape[1])), constant_values=one)
                             for part in index])
@@ -263,13 +263,13 @@ def product_vacuum_expectation(stats: Statistics, ops: Sequence[LinearOperator])
     cre, ann = np.array([op.creation for op in ops]), np.array([op.annihilation for op in ops])
     values = np.concatenate([(ann @ cre.T).ravel(), [op.scalar for op in ops], [1.0]])
     term = [(np.arange(len(ops))[None, :], np.ones(1, complex))]
-    plan = _compile(term, len(ops), stats.sign, True, ((0, False),))
+    plan = _compile(term, len(ops), stats.sign, True, (0,))
     return complex(_gather_product_scatter(plan, values)[0])
 
 
-#: The (probes, right probe) tables of each plan, in slot order: the
-#: constant (1 slot), the linear block (2n) and P ((2n)^2); D ((2n)^2).
-PLANS = {"blocks": ((0, False), (1, False), (2, False)), "single": ((1, True),)}
+#: The probe counts of the plan's tables, in slot order: the constant
+#: (1 slot), the linear block (2n) and the pairing sums M ((2n)^2).
+PLANS = (0, 1, 2)
 
 
 class CompiledPolynomial:
@@ -277,8 +277,8 @@ class CompiledPolynomial:
 
     Each term lists its factors as rows of the stacked image table in
     ``vacuum_blocks`` (a*_i at i - 1, a_i at n_modes + i - 1), grouped by
-    degree.  The plans of ``PLANS``, over perfect matchings or, for shifted
-    maps, partial ones, are compiled on first use and kept.
+    degree.  One plan of ``PLANS`` per shift class, over perfect matchings
+    or, for shifted maps, partial ones, is compiled on first use and kept.
     """
 
     def __init__(self, poly: WickPolynomial):
@@ -292,7 +292,7 @@ class CompiledPolynomial:
             (np.array(rows, int).reshape(len(rows), d), np.array(coeffs, complex))
             for d, (rows, coeffs) in sorted(by_degree.items())
         ]
-        self.plans: dict[tuple[str, bool], tuple] = {}
+        self.plans: dict[bool, tuple] = {}
 
     @classmethod
     def of(cls, poly: WickPolynomial) -> "CompiledPolynomial":
@@ -305,16 +305,10 @@ class CompiledPolynomial:
             engine = poly.__dict__["_compiled"] = cls(poly)
         return engine
 
-    def plan_sums(self, name: str, partial: bool, values: np.ndarray) -> np.ndarray:
-        """Slot sums of a plan of ``PLANS`` at the gather source ``values``."""
-        if (name, partial) not in self.plans:
-            self.plans[name, partial] = _compile(self.groups, 2 * self.n_modes,
-                                                 self.stats.sign, partial, PLANS[name])
-        return _gather_product_scatter(self.plans[name, partial], values)
-
     def vacuum_blocks(self, u, v, shift, single: bool = False) -> tuple:
-        """Blocks (constant, linear, pairing, single_particle) after
-        a_i -> sum_j u_ij b_j + v_ij b*_j + shift_i, the arrays of a map's inverse.
+        """Blocks (constant, linear, pairing, single_particle) at a map's own
+        (u, v, shift) arrays: after a_i -> sum_j u'_ij b_j + v'_ij b*_j +
+        shift'_i, with (u', v', shift') its inverse's (``inverse_arrays``).
 
         The blocks are those of ``wick.extract_blocks`` on the
         rewritten polynomial: with <.> the b vacuum and O_t the rewritten
@@ -328,15 +322,17 @@ class CompiledPolynomial:
                         (None unless ``single``).
 
         The 2n images of a*_i and a_i are stacked once, and their Gram
-        matrix G = ann cre^T holds every contraction.  The "blocks" plan
-        gathers from [G, scalars, 1], multiplies along its rows and scatters
-        the weighted products into the constant, a 2n vector m and a (2n)^2
-        matrix M, one slot per probe partner, and the "single" plan into
-        M'; then linear = m cre, P = cre^T M cre and D = cre^T M' ann.  The
-        delta_ij term is the contraction of b_i with b*_j, which the table
-        of D leaves out.  Without a shift no image has a scalar, and the
-        perfect-matching plans serve.
+        matrix G = ann cre^T holds every contraction.  The plan gathers from
+        [G, scalars, 1], multiplies along its rows and scatters the weighted
+        products into the constant, a 2n vector m and a (2n)^2 matrix M, one
+        slot per probe partner; then linear = m cre, P = cre^T M cre and
+        D = sign cre^T M ann: moving the second probe to the right end, as
+        b*_j, changes only whether the two probe lines cross, so each
+        matching's weight picks up one exchange sign.  M leaves out delta_ij,
+        the contraction of b_i with b*_j.  Without a shift no image has a
+        scalar, and the perfect-matching plan serves.
         """
+        u, v, shift = inverse_arrays(self.stats, (u, v, shift))
         n, big = self.n_modes, 2 * self.n_modes
         cre = np.concatenate([np.conj(u), v])
         ann = np.concatenate([np.conj(v), u])
@@ -346,10 +342,12 @@ class CompiledPolynomial:
         values[big * big + n : -1] = shift
         values[-1] = 1
         partial = np.count_nonzero(shift) > 0
-        sums = self.plan_sums("blocks", partial, values)
-        p = cre.T @ sums[1 + big:].reshape(big, big) @ cre
+        if partial not in self.plans:
+            self.plans[partial] = _compile(self.groups, big, self.stats.sign, partial, PLANS)
+        sums = _gather_product_scatter(self.plans[partial], values)
+        left = cre.T @ sums[1 + big:].reshape(big, big)
+        p = left @ cre
         # P counts the coefficient of b*_i b*_j once per order of the probes
         pairing = 0.25 * (p + self.stats.sign * p.T)
-        one_body = (cre.T @ self.plan_sums("single", partial, values).reshape(big, big) @ ann
-                    if single else None)
+        one_body = self.stats.sign * left @ ann if single else None
         return complex(sums[0]), sums[1:1 + big] @ cre, pairing, one_body

@@ -46,7 +46,6 @@ from .bogoliubov import (
     from_generator,
     identity,
     inverse,
-    inverse_arrays,
     random_generator,
     random_number_conserving,
     reflection,
@@ -254,7 +253,7 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
     """One start's descent; a status of None means it merged into one of
     the converged ``minima``, (inverse map, energy) pairs of earlier starts."""
     stats, odd, arrays = start.stats, start.odd, (start.u, start.v, start.shift)
-    constant, linear, pairing, _ = compiled.vacuum_blocks(*inverse_arrays(stats, arrays))
+    constant, linear, pairing, _ = compiled.vacuum_blocks(*arrays)
     norms = _norm(linear), _norm(pairing)
     floor = float(constant.real) - floor_depth
     trace: list[tuple[float, float]] = []
@@ -291,7 +290,7 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
         for _ in range(MAX_BACKTRACKS):
             candidate = compose_arrays(arrays, exponential_map(stats, step * pair, step * shift))
             # an accepted trial's blocks are the next iterate's
-            trial = compiled.vacuum_blocks(*inverse_arrays(stats, candidate))
+            trial = compiled.vacuum_blocks(*candidate)
             t_energy = float(trial[0].real)
             t_norms = _norm(trial[1]), _norm(trial[2])
             if terminal:
@@ -349,7 +348,7 @@ def _settled(compiled: CompiledPolynomial, run: tuple, mode: Mode) -> bool:
 
     def gradient(d: np.ndarray) -> np.ndarray:
         moved = compose_arrays(arrays, exponential_map(stats, d[:-n].reshape(n, n), d[-n:]))
-        _, linear, pairing, _ = compiled.vacuum_blocks(*inverse_arrays(stats, moved))
+        _, linear, pairing, _ = compiled.vacuum_blocks(*moved)
         pair, shift = descent_direction(stats, linear, pairing)
         # directional_derivative along every direction at once
         return -2.0 * np.real(directions @ np.concatenate([pair.ravel(), shift]).conj())
@@ -419,8 +418,7 @@ def result_at(
 ) -> MinimizationResult:
     """The result at a map: the engine's blocks with D, the spectrum of the
     Hermitian part of D, and by default a one-point trace."""
-    inv = inverse_arrays(m.stats, (m.u, m.v, m.shift))
-    blocks = Blocks(m.stats, *compiled.vacuum_blocks(*inv, single=True))
+    blocks = Blocks(m.stats, *compiled.vacuum_blocks(m.u, m.v, m.shift, single=True))
     energy = float(blocks.constant.real)
     spectrum = np.linalg.eigvalsh(
         (blocks.single_particle + blocks.single_particle.conj().T) / 2

@@ -518,6 +518,25 @@ class TestRun:
             assert out["passed"] is False
             assert reason in out["reason"]
 
+    @pytest.mark.parametrize("entry", ["nan", "1e300", "doubled"])
+    def test_report_with_invalid_map_is_rejected(self, entry, tmp_path, capsys):
+        # a stored map with a non-finite entry, one whose group relations
+        # overflow, or a finite non-Bogoliubov map fails the check as a
+        # malformed report instead of a traceback
+        def edit(report):
+            u = report["map"]["u"]
+            if entry == "doubled":
+                u[:] = [[[2 * x for x in pair] for pair in row] for row in u]
+            else:
+                u[0][0][0] = float(entry)
+
+        path = self._malformed_report(tmp_path, edit)
+        for command in ("verify", "certify"):
+            assert main([command, path]) == 1
+            out = json.loads(capsys.readouterr().out)
+            assert out["passed"] is False
+            assert "malformed report (InvalidMapError" in out["reason"]
+
     def test_verify_rejects_non_converged_report(self, tmp_path):
         out = tmp_path / "report.json"
         run(

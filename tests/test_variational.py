@@ -484,11 +484,23 @@ class TestSharedEngine:
         fresh = minimize(dataclasses.replace(h), mode, opts)
         assert _result_bytes(first) == _result_bytes(again) == _result_bytes(fresh)
         shared = CompiledPolynomial.of(h)
-        assert (("blocks", True) in shared.plans) is (mode is Mode.BOSE_FULL)
+        assert (True in shared.plans) is (mode is Mode.BOSE_FULL)
         m = random_valid_map(stats, n, np.random.default_rng(seed), 0.2,
                              0.3 if mode is Mode.BOSE_FULL else 0.0)
         assert _result_bytes(result_at(shared, m)) == _result_bytes(
             result_at(CompiledPolynomial(h), m))
+
+    def test_one_plan_per_shift_class(self):
+        # the pairing block and D read the same slot sums, so a fresh
+        # engine compiles one plan for an undisplaced map and one more,
+        # over partial matchings, for a displaced one
+        rng = np.random.default_rng(12)
+        h = random_bounded_hamiltonian(BOSE, 2, rng, quartic=True, linear=True)
+        engine = CompiledPolynomial(h)
+        result_at(engine, random_valid_map(BOSE, 2, rng, 0.2))
+        assert list(engine.plans) == [False]
+        result_at(engine, random_valid_map(BOSE, 2, rng, 0.2, 0.3))
+        assert list(engine.plans) == [False, True]
 
     def test_engine_dies_with_its_polynomial(self):
         # neither the result nor its certificate holds the engine
