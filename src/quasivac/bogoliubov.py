@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .errors import (
@@ -135,32 +134,25 @@ def inverse(m: BogoliubovMap) -> BogoliubovMap:
 
 
 def relative_overlap(inv1: BogoliubovMap, m: tuple, odd: bool) -> float:
-    """vacuum_overlap(compose(inv1, m)) for the map m of (u, v, shift) arrays
-    and parity odd; undisplaced, it forms the relative map's u block alone."""
-    u, v, shift = m
-    if inv1.stats is Statistics.BOSE and (np.count_nonzero(shift) or np.count_nonzero(inv1.shift)):
-        return vacuum_overlap(compose(inv1, BogoliubovMap(inv1.stats, u, v, shift)))
-    det = 0.0 if odd ^ inv1.odd else float(abs(np.linalg.det(u @ inv1.u + v @ np.conj(inv1.v))))
-    return det if inv1.stats is Statistics.FERMI else 1.0 / det
-
-
-def vacuum_overlap(w: BogoliubovMap) -> float:
-    """Squared overlap |<0|Phi_w>|^2; |<Phi_1|Phi_2>|^2 of two maps is that of
-    their relative map w = compose(inverse(m1), m2).
+    """Squared overlap |<Phi_1|Phi_m>|^2 of the states of a map m1, given as
+    its inverse inv1, and of the map m of (u, v, shift) arrays and parity
+    odd: the vacuum overlap of their relative map w = compose(inv1, m).
 
     Onishi's formula (Onishi & Yoshida, Nucl. Phys. 80, 367 (1966)): |det w.u|
     for fermions (0 for an odd w) and 1/|det w.u| for bosons, times
     exp(-|beta|^2 + Re(beta^dag z conj(beta))) for a state of w displaced by
-    beta = <a>, with z = -w.u^-1 w.v its chart matrix.
+    beta = <a>, with z = -w.u^-1 w.v its chart matrix.  Undisplaced, only
+    w.u is formed.
     """
-    if w.stats is Statistics.FERMI:
-        return 0.0 if w.odd else float(abs(np.linalg.det(w.u)))
-    weight = 1.0 / float(abs(np.linalg.det(w.u)))
-    if np.any(w.shift != 0):
-        beta = np.conj(inverse(w).shift)
-        z = -np.linalg.solve(w.u, w.v)
-        weight *= math.exp(float(np.real(beta @ z @ beta)) - float(np.vdot(beta, beta).real))
-    return weight
+    u, v, shift = m
+    if inv1.stats is Statistics.BOSE and (np.count_nonzero(shift) or np.count_nonzero(inv1.shift)):
+        w = compose_arrays((inv1.u, inv1.v, inv1.shift), m)
+        beta = np.conj(inverse_arrays(Statistics.BOSE, w)[2])
+        z = -np.linalg.solve(w[0], w[1])
+        factor = math.exp(float(np.real(beta @ z @ beta)) - float(np.vdot(beta, beta).real))
+        return 1.0 / float(abs(np.linalg.det(w[0]))) * factor
+    det = 0.0 if odd ^ inv1.odd else float(abs(np.linalg.det(u @ inv1.u + v @ np.conj(inv1.v))))
+    return det if inv1.stats is Statistics.FERMI else 1.0 / det
 
 
 def number_conserving(p: np.ndarray, stats: Statistics) -> BogoliubovMap:
@@ -228,9 +220,11 @@ class Generator:
 
 
 def _pade_exponential(work: np.ndarray) -> np.ndarray:
-    """exp(work[0]) by ``scipy.linalg.expm``'s branch for a matrix neither
-    diagonal nor triangular, without its checks: the Padé kernels (Al-Mohy &
-    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) on its (5, k, k) scratch."""
+    """exp(work[0]) by ``scipy.linalg.expm``'s generic branch, without its
+    checks: the Padé kernels (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+    31, 970 (2009)) on its (5, k, k) scratch.  On a triangular matrix, which
+    expm sends to a branch of its own, the values are expm's too; only zeros
+    below the diagonal may read -0.0 where expm writes +0.0."""
     m, s = pick_pade_structure(work)
     info = pade_UV_calc(work, m) if m >= 0 else m
     if info:
@@ -244,9 +238,9 @@ def _pade_exponential(work: np.ndarray) -> np.ndarray:
 
 def exponential_map(stats: Statistics, pair: np.ndarray, shift: np.ndarray) -> tuple:
     """(u, v, shift) of conjugation by the unitary of generator arrays (pair,
-    shift): one matrix exponential of the generator's action on the column
-    (a, a*), with an affine column appended for the bosonic linear part.  A
-    zero pair block (a diagonal or triangular matrix) goes to scipy's expm."""
+    shift): one matrix exponential (``_pade_exponential``) of the generator's
+    action on the column (a, a*), with an affine column appended for the
+    bosonic linear part."""
     n = pair.shape[0]
     shifted = stats is Statistics.BOSE and np.count_nonzero(shift) > 0
     work = np.zeros((5, 2 * n + shifted, 2 * n + shifted), dtype=complex)
@@ -256,7 +250,7 @@ def exponential_map(stats: Statistics, pair: np.ndarray, shift: np.ndarray) -> t
     if shifted:
         a[:n, 2 * n] = -1j * shift
         a[n : 2 * n, 2 * n] = 1j * np.conj(shift)
-    e = _pade_exponential(work) if np.count_nonzero(pair) else scipy.linalg.expm(a)
+    e = _pade_exponential(work)
     out_shift = e[:n, 2 * n] if shifted else np.zeros(n, complex)
     return e[:n, :n], e[:n, n : 2 * n], out_shift
 

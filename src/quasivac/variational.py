@@ -384,7 +384,7 @@ def minimize(
     the same engine as the descent.  Nothing here normal orders: ``certify``
     checks the blocks against the Fock state.  The starts run in order,
     and one whose state overlaps an earlier converged minimum to within
-    ``MERGE_DELTA`` of 1 (``bogoliubov.vacuum_overlap``), at an energy no lower than
+    ``MERGE_DELTA`` of 1 (``bogoliubov.relative_overlap``), at an energy no lower than
     that minimum's beyond the line-search noise, stops as merged: it found
     nothing new and takes no part in choosing the winner.  Converged starts
     whose energies lie within the line-search noise of the lowest tie, and
@@ -513,6 +513,9 @@ def oracle_state(
     """
     chosen = fock.DEFAULT_CUTOFF
     if h.stats is Statistics.BOSE:
+        # the 0.1 margin makes room for more than psi: certify's cross-check
+        # reads b*_i psi and H b*_j psi, which reach higher occupations, in
+        # this box too; the least box holding psi's weight alone fails it
         reach = min(float(np.linalg.norm(chart_from_map(m).z, 2)) + 0.1, 0.999)
         while fock.series_tail(reach, chosen) >= 0.1 * fock.DEFAULT_TAIL_TOL:
             chosen += 2

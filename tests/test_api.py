@@ -97,7 +97,7 @@ def test_certification_settings():
     assert params(cli.parse_hamiltonian) == ["path"]
     assert params(cli.certify_report) == ["report_path"]
     options = {}
-    for command in ("minimize", "verify", "certify"):
+    for command in ("minimize", "certify"):
         out = io.StringIO()
         with pytest.raises(SystemExit), contextlib.redirect_stdout(out):
             cli.main([command, "--help"])
@@ -105,9 +105,9 @@ def test_certification_settings():
     assert options == {
         "minimize": {"--help", "--mode", "--tol", "--seed", "--report", "--max-iterations",
                      "--multistarts", "--dimension-cap"},
-        "verify": {"--help", "--tol"},
         "certify": {"--help"},
     }
+    assert not hasattr(cli, "verify_report")
 
 
 def test_command_line_defaults_are_minimize_options(monkeypatch):

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasivac import MinimizeOptions, Statistics, WickPolynomial, cli, fock, minimize, wick
-from quasivac.errors import HermiticityError, SpecFormatError
+from quasivac.errors import HermiticityError, QuasivacError, SpecFormatError
 from quasivac.cli import (
     _hamiltonian_of,
     certify_report,
@@ -19,10 +21,9 @@ from quasivac.cli import (
     parse_hamiltonian,
     run,
     serialize_hamiltonian,
-    verify_report,
 )
 from quasivac.ordering import CompiledPolynomial
-from quasivac.variational import Mode, result_at
+from quasivac.variational import HERMITIAN_TOL, Mode, result_at
 
 from conftest import engine_builds, perfbench_module, random_bounded_hamiltonian
 from references import max_abs_diff
@@ -90,20 +91,75 @@ class TestParse:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
     def test_non_finite_coefficient_rejected(self, value, tmp_path):
-        # json reads NaN, Infinity and integers past the float range; a NaN
-        # a*a ran to unbounded_below with energy NaN, a 400-digit one raised
-        # OverflowError
-        path = write_spec(tmp_path, {
+        # a spec object can hold NaN and infinities, and json reads integers
+        # past the float range; a NaN a*a ran to unbounded_below with energy
+        # NaN, a 400-digit one raised OverflowError
+        payload = {
             "statistics": "bose", "modes": 1, "hermitian_complete": True,
             "terms": [{"creation": [1], "annihilation": [1], "coeff": [1.0, 0.0]},
                       {"creation": [1, 1], "annihilation": [], "coeff": [value, 0.0]}],
-        })
+        }
         with pytest.raises(SpecFormatError, match=r"terms\[1\]\.coeff .*finite"):
+            _hamiltonian_of(payload, "payload")
+        if isinstance(value, int):  # the float tokens fail the parse already
+            report = run(write_spec(tmp_path, payload), Mode.BOSE_EVEN)
+            assert report["status"] == "error"
+            assert report["error"]["type"] == "SpecFormatError"
+            assert "terms[1]" in report["error"]["message"]
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["coeff", "unread"])
+    def test_non_finite_token_fails_the_parse(self, token, field, tmp_path):
+        # json reads NaN and +-Infinity; one anywhere in a spec, even in a
+        # field nothing reads, fails as the file is parsed, naming the token
+        path = tmp_path / "spec.json"
+        values = (token, "1.0") if field == "unread" else ("0", token)
+        path.write_text('{"statistics": "bose", "modes": 1, "unread": %s, "terms": '
+                        '[{"creation": [1], "annihilation": [1], "coeff": [%s, 0.0]}]}'
+                        % values)
+        with pytest.raises(SpecFormatError, match=f"non-finite number {token}$"):
+            parse_hamiltonian(str(path))
+        report = run(str(path), Mode.BOSE_EVEN)
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "SpecFormatError"
+        assert token in report["error"]["message"]
+
+    @pytest.mark.parametrize("value", [math.nan, 1, 0, "yes", None, [True]])
+    def test_hermitian_complete_must_be_a_boolean(self, value):
+        # any truthy value turned completion on: a squeezed oscillator whose
+        # a*a term had no mirror converged to -0.1 under a NaN
+        payload = {
+            "statistics": "bose", "modes": 1, "hermitian_complete": value,
+            "terms": [{"creation": [1], "annihilation": [1], "coeff": [1.0, 0.0]},
+                      {"creation": [1, 1], "annihilation": [], "coeff": [0.3, 0.0]}],
+        }
+        with pytest.raises(SpecFormatError, match="hermitian_complete must be true or false"):
+            _hamiltonian_of(payload, "payload")
+
+    @pytest.mark.parametrize("terms,complete,reason", [
+        # two finite a*a terms of 1e308 sum to inf, which the polynomial
+        # builder rejects with a ValueError naming the term
+        ([("a*a", [1e308, 0.0])] * 2, True, r"term \(\(1, 1\), \(\)\)"),
+        # finite parts whose modulus, or whose difference from the mirror
+        # term's, passes the float range: abs() raises OverflowError
+        ([("a*a", [1.5e308, 1.5e308])], True, "absolute value too large"),
+        ([("a*a", [-0.7e308, 0.7e308]), ("aa", [0.7e308, 0.7e308])], False,
+         "absolute value too large"),
+    ])
+    def test_overflowing_terms_are_a_spec_error(self, terms, complete, reason, tmp_path):
+        # a SpecFormatError, not a traceback
+        keys = {"a*a": ([1, 1], []), "aa": ([], [1, 1])}
+        terms = [{"creation": keys[k][0], "annihilation": keys[k][1], "coeff": c}
+                 for k, c in terms]
+        path = write_spec(tmp_path, {
+            "statistics": "bose", "modes": 1, "hermitian_complete": complete,
+            "terms": [{"creation": [1], "annihilation": [1], "coeff": [1.0, 0.0]}, *terms],
+        })
+        with pytest.raises(SpecFormatError, match=f"overflow the float range.*{reason}"):
             parse_hamiltonian(path)
         report = run(path, Mode.BOSE_EVEN)
         assert report["status"] == "error"
         assert report["error"]["type"] == "SpecFormatError"
-        assert "terms[1]" in report["error"]["message"]
 
     def test_index_out_of_range(self, tmp_path):
         path = write_spec(
@@ -180,6 +236,69 @@ class TestParse:
         assert counts[0] == counts[1]
 
 
+#: Coefficient parts: small numbers, every float (subnormals, +-inf and NaN
+#: among them), the extremes and integers past the float range.
+NUMBERS = st.one_of(
+    st.floats(-4, 4), st.integers(-3, 3), st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300, 1e308, -1e308,
+                     1.5e308, -1.5e308, 5e-324, -2.5e-320, 10**400, -10**400]),
+)
+JUNK = st.one_of(st.integers(-1, 4), st.floats(0, 4), st.text(max_size=2), st.none(),
+                 st.booleans(), st.lists(st.integers(-1, 4), max_size=2))
+INDICES = st.lists(st.integers(1, 3), max_size=3)
+TERM = st.fixed_dictionaries(
+    {"creation": INDICES, "annihilation": INDICES,
+     "coeff": st.lists(NUMBERS, min_size=2, max_size=2)})
+# a list of terms, or the list twice over, so that equal keys are summed
+TERMS = st.lists(TERM, max_size=4).flatmap(lambda ts: st.sampled_from([ts, ts + ts]))
+WELL_FORMED = st.fixed_dictionaries(
+    {"statistics": st.sampled_from(["bose", "fermi"]), "modes": st.just(3), "terms": TERMS,
+     "hermitian_complete": st.booleans()})
+# a well-formed spec with one field, one term or one term's field replaced
+# by junk, or dropped
+MALFORMED = st.one_of(
+    st.tuples(WELL_FORMED, st.sampled_from(
+        ["statistics", "modes", "terms", "hermitian_complete"]), JUNK | NUMBERS),
+    st.tuples(WELL_FORMED, st.sampled_from(["creation", "annihilation", "coeff", None]),
+              JUNK | st.lists(JUNK, max_size=3)),
+    st.tuples(WELL_FORMED, st.sampled_from(
+        ["statistics", "modes", "terms", "hermitian_complete", "creation"]), st.just(KeyError)),
+).map(lambda args: _spoil(*args))
+
+
+def _spoil(spec, field, value):
+    """The spec with a field of its own or of its first term set to value,
+    or dropped when value is KeyError; field None replaces the first term."""
+    target = spec
+    if spec["terms"] and field in (None, "creation", "annihilation", "coeff"):
+        if field is None:
+            spec["terms"][0] = value
+            return spec
+        target = spec["terms"][0] = dict(spec["terms"][0])
+    if value is KeyError:
+        target.pop(field, None)
+    elif field is not None:
+        target[field] = value
+    return spec
+
+
+SPEC = st.one_of(WELL_FORMED, MALFORMED, JUNK)
+
+
+@given(SPEC)
+@settings(max_examples=250, deadline=None)
+def test_spec_boundary_admits_only_finite_hermitian_polynomials(spec):
+    # every spec object is either rejected with a reason, or built into a
+    # Hermitian polynomial with finite coefficients
+    try:
+        poly = _hamiltonian_of(spec, "spec")
+    except QuasivacError as exc:
+        assert str(exc).strip() not in ("", "spec:")
+        return
+    assert poly.is_hermitian(HERMITIAN_TOL)
+    assert all(math.isfinite(c.real) and math.isfinite(c.imag) for c in poly.terms.values())
+
+
 class TestRun:
     def test_squeezed_report_content(self, tmp_path):
         report = run(
@@ -254,6 +373,28 @@ class TestRun:
                 negative.append((spec.name, oracle["gap"]))
         assert negative == []
         assert len(checked) == 14  # all 16 but unstable_oscillator and corpus-105
+
+    def test_report_specs_certify_as_reported(self, tmp_path):
+        # certify re-runs a converged report's battery, a skipped one
+        # included, returns the oracle block run wrote, read from the same
+        # certificate at the same map, and passes its stored energy; the
+        # report of a run that did not converge fails with the status as reason
+        inputs = perfbench_module("inputs")
+        skipped = []
+        for spec in inputs.report_specs(str(REPO), str(tmp_path)):
+            out = tmp_path / f"{spec.name}.out.json"
+            report = run(spec.path, spec.mode, tol=inputs.REPORT_TOL, report_path=str(out))
+            result = certify_report(str(out))
+            if report["status"] != "converged":
+                assert result == {"passed": False,
+                                  "reason": f"report status is {report['status']!r}"}
+                continue
+            stored = dict(report["certification"], oracle=report["oracle"])
+            assert {k: result[k] for k in stored} == stored, spec.name
+            at_cap = stored["skipped_reason"] is not None
+            skipped += [spec.name] * at_cap
+            assert result["energy_check"]["passed"] is (None if at_cap else True)
+        assert skipped == ["corpus-105"]
 
     @pytest.mark.parametrize("name", ["fermi_single_mode", "corpus-117", "corpus-119"])
     def test_fermi_odd_gap_is_taken_in_the_odd_sector(self, name, tmp_path):
@@ -345,34 +486,28 @@ class TestRun:
         assert report["status"] == "error"
         assert report["error"]["type"] == "HermiticityError"
 
-    def test_verify_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("moved", [0.0, 1e-3])
+    def test_certify_checks_the_stored_energy(self, moved, tmp_path, capsys):
+        # the stored energy must lie within ENERGY_TOL of <psi|H psi>: a
+        # report whose energy was moved by 1e-3 fails, though its battery
+        # passes
         out = tmp_path / "report.json"
-        report = run(
-            str(SPECS / "squeezed_oscillator.json"),
-            Mode.BOSE_EVEN,
-            seed=7,
-            tol=1e-9,
-            report_path=str(out),
-        )
-        result = verify_report(str(out))
-        assert result["passed"]
-        assert result["difference"] < 1e-6
-        assert result["oracle_expectation"] == report["oracle"]["expectation"]
-
-    @pytest.mark.parametrize("name,mode", [
-        ("squeezed_oscillator", Mode.BOSE_EVEN),
-        ("displaced_oscillator", Mode.BOSE_FULL),
-        ("fermi_single_mode", Mode.FERMI_ODD),
-    ])
-    def test_certify_reports_its_oracle(self, name, mode, tmp_path):
-        # certify solves the ground energy in the state's box; it returns the
-        # oracle block run wrote, read from the same certificate at the same map
-        out = tmp_path / "report.json"
-        report = run(str(SPECS / f"{name}.json"), mode, tol=1e-9, report_path=str(out))
-        result = certify_report(str(out))
-        assert result["passed"]
+        report = run(str(SPECS / "squeezed_oscillator.json"), Mode.BOSE_EVEN, seed=7,
+                     tol=1e-9, report_path=str(out))
+        stored = json.loads(out.read_text())
+        stored["energy"] += moved
+        out.write_text(json.dumps(stored))
+        assert main(["certify", str(out)]) == (1 if moved else 0)
+        result = json.loads(capsys.readouterr().out)
+        check = result["energy_check"]
+        assert check["stored"] == report["energy"] + moved
+        assert check["difference"] == abs(check["stored"] - report["oracle"]["expectation"])
+        assert check["passed"] is (check["difference"] < cli.ENERGY_TOL) is (not moved)
+        assert result["passed"] is check["passed"]
         assert result["oracle"] == report["oracle"]
-        assert result["oracle"]["skipped_reason"] is None
+        for key in ("fd_check", "quadratic_check", "gauge_check", "skipped_reason"):
+            assert result[key] == report["certification"][key]
+        assert report["certification"]["passed"]
 
     @pytest.mark.parametrize("name,mode,cap", [
         *((name, mode, fock.DEFAULT_DIMENSION_CAP)
@@ -394,8 +529,11 @@ class TestRun:
         for check in ("fd_check", "quadratic_check", "gauge_check", "skipped_reason"):
             assert result[check] == report["certification"][check]
         assert result["passed"] is report["certification"]["passed"]
+        assert result["oracle"] == report["oracle"]
+        skipped = report["certification"]["skipped_reason"] is not None
+        assert result["energy_check"]["passed"] is (None if skipped else True)
 
-    def test_verify_and_certify_run_at_the_report_cap(self, tmp_path, monkeypatch):
+    def test_certify_runs_at_the_report_cap(self, tmp_path, monkeypatch):
         # the stored cap reaches certify, above the default too; a report
         # without one (schema /3) re-runs at the default cap
         caps = []
@@ -409,25 +547,24 @@ class TestRun:
         path = self._malformed_report(
             tmp_path, lambda report: report["tolerances"].update(dimension_cap=8192))
         first = certify_report(path)
-        assert verify_report(path)["passed"]
+        assert first["passed"] and first["energy_check"]["passed"]
         stored = json.loads(Path(path).read_text())
         del stored["tolerances"]["dimension_cap"]
         Path(path).write_text(json.dumps(stored))
         assert certify_report(path) == first
-        assert caps == [fock.DEFAULT_DIMENSION_CAP, 8192, 8192, fock.DEFAULT_DIMENSION_CAP]
+        assert caps == [fock.DEFAULT_DIMENSION_CAP, 8192, fock.DEFAULT_DIMENSION_CAP]
 
     @pytest.mark.parametrize("value", [0, -8, 8.5, "8", None, True])
     def test_report_with_bad_dimension_cap_is_rejected(self, value, tmp_path):
         def edit(report):
             report["tolerances"]["dimension_cap"] = value
 
-        path = self._malformed_report(tmp_path, edit)
-        for result in (verify_report(path), certify_report(path)):
-            assert result["passed"] is False
-            assert "malformed report" in result["reason"]
-            assert "dimension_cap" in result["reason"]
+        result = certify_report(self._malformed_report(tmp_path, edit))
+        assert result["passed"] is False
+        assert "malformed report" in result["reason"]
+        assert "dimension_cap" in result["reason"]
 
-    def test_one_engine_per_run_verify_and_certify(self, tmp_path, monkeypatch):
+    def test_one_engine_per_run_and_certify(self, tmp_path, monkeypatch):
         # minimize, result_at and certify share the polynomial's engine,
         # and no report outlives it
         built = engine_builds(monkeypatch)
@@ -435,11 +572,10 @@ class TestRun:
         report = run(str(SPECS / "displaced_oscillator.json"), Mode.BOSE_FULL,
                      report_path=str(out))
         counts = [len(built)]
-        for again in (verify_report, certify_report):
-            assert again(str(out))["passed"]
-            counts.append(len(built))
+        assert certify_report(str(out))["passed"]
+        counts.append(len(built))
         gc.collect()
-        assert counts == [1, 2, 3]
+        assert counts == [1, 2]
         assert all(engine() is None for engine in built)
         assert report["certification"]["passed"]
 
@@ -480,11 +616,10 @@ class TestRun:
             term["creation"] = [0] * len(term["creation"])
 
         path = self._malformed_report(tmp_path, edit)
-        for command in ("verify", "certify"):
-            assert main([command, path]) == 1
-            out = json.loads(capsys.readouterr().out)
-            assert out["passed"] is False
-            assert "index 0 outside 1..1" in out["reason"]
+        assert main(["certify", path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False
+        assert "index 0 outside 1..1" in out["reason"]
 
     def test_report_with_non_hermitian_hamiltonian_is_rejected(self, tmp_path):
         # dropping a*a* leaves its adjoint aa without a mirror
@@ -492,10 +627,9 @@ class TestRun:
             terms = report["hamiltonian"]["terms"]
             terms[:] = [t for t in terms if t["annihilation"] or len(t["creation"]) != 2]
 
-        path = self._malformed_report(tmp_path, edit)
-        for result in (verify_report(path), certify_report(path)):
-            assert result["passed"] is False
-            assert "not Hermitian" in result["reason"]
+        result = certify_report(self._malformed_report(tmp_path, edit))
+        assert result["passed"] is False
+        assert "not Hermitian" in result["reason"]
 
     @pytest.mark.parametrize("field,value,reason", [
         ("map", None, "'map'"),
@@ -512,13 +646,12 @@ class TestRun:
                 report[field] = value
 
         path = self._malformed_report(tmp_path, edit)
-        for command in ("verify", "certify"):
-            assert main([command, path]) == 1
-            out = json.loads(capsys.readouterr().out)
-            assert out["passed"] is False
-            assert reason in out["reason"]
+        assert main(["certify", path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False
+        assert reason in out["reason"]
 
-    @pytest.mark.parametrize("entry", ["nan", "1e300", "doubled"])
+    @pytest.mark.parametrize("entry", ["1e999", "1e300", "doubled"])
     def test_report_with_invalid_map_is_rejected(self, entry, tmp_path, capsys):
         # a stored map with a non-finite entry, one whose group relations
         # overflow, or a finite non-Bogoliubov map fails the check as a
@@ -531,35 +664,50 @@ class TestRun:
                 u[0][0][0] = float(entry)
 
         path = self._malformed_report(tmp_path, edit)
-        for command in ("verify", "certify"):
-            assert main([command, path]) == 1
-            out = json.loads(capsys.readouterr().out)
-            assert out["passed"] is False
-            assert "malformed report (InvalidMapError" in out["reason"]
+        # json writes inf as the token Infinity, which fails the parse, and
+        # reads the literal 1e999 as inf
+        Path(path).write_text(Path(path).read_text().replace("Infinity", "1e999"))
+        assert main(["certify", path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False
+        assert "malformed report (InvalidMapError" in out["reason"]
 
-    def test_verify_rejects_non_converged_report(self, tmp_path):
-        out = tmp_path / "report.json"
-        run(
-            str(SPECS / "unstable_oscillator.json"),
-            Mode.BOSE_EVEN,
-            seed=1,
-            report_path=str(out),
-        )
-        result = verify_report(str(out))
-        assert not result["passed"]
-        assert "unbounded_below" in result["reason"]
-
-    def test_verify_reports_skipped_oracle(self, tmp_path):
-        # three Bose modes whose state needs cutoff 18: 6859 > 4096 states
+    def test_certify_reports_skipped_oracle(self, tmp_path, capsys):
+        # three Bose modes whose state needs cutoff 18: 6859 > 4096 states;
+        # the skipped battery has no verdict, which exits 1 too
         h = random_bounded_hamiltonian(Statistics.BOSE, 3, np.random.default_rng(105))
         spec = write_spec(tmp_path, serialize_hamiltonian(h))
         out = tmp_path / "report.json"
         report = run(spec, Mode.BOSE_EVEN, tol=1e-9, report_path=str(out))
         assert report["status"] == "converged"
         assert report["certification"]["skipped_reason"] is not None
-        result = verify_report(str(out))
-        assert not result["passed"]
-        assert "exceeds the cap" in result["reason"]
+        assert main(["certify", str(out)]) == 1
+        result = json.loads(capsys.readouterr().out)
+        assert result["passed"] is None
+        assert "exceeds the cap" in result["skipped_reason"]
+        assert result["skipped_reason"] == result["oracle"]["skipped_reason"]
+        assert result["energy_check"] == {"stored": report["energy"], "difference": None,
+                                          "passed": None}
+
+    @pytest.mark.parametrize("edit", ["nan_energy", "inf_map", "overflowing_terms"])
+    def test_report_with_non_finite_numbers_is_rejected(self, edit, tmp_path):
+        # json writes NaN and Infinity tokens, which fail the parse; terms
+        # whose sum overflows fail as in a spec, not with a ValueError
+        def change(report):
+            if edit == "nan_energy":
+                report["energy"] = math.nan
+            elif edit == "inf_map":
+                report["map"]["v"][0][0][1] = -math.inf
+            else:
+                big = {"creation": [1, 1], "annihilation": [], "coeff": [1e308, 0.0]}
+                report["hamiltonian"]["terms"] += [big, big]
+
+        result = certify_report(self._malformed_report(tmp_path, change))
+        assert result["passed"] is False
+        reason = {"nan_energy": "non-finite number NaN",
+                  "inf_map": "non-finite number -Infinity",
+                  "overflowing_terms": "the terms overflow the float range"}[edit]
+        assert reason in result["reason"]
 
 
 class TestCommandLine:
@@ -571,7 +719,7 @@ class TestCommandLine:
             cwd=str(REPO),
         )
 
-    def test_minimize_verify_certify(self, tmp_path):
+    def test_minimize_certify(self, tmp_path):
         out = tmp_path / "report.json"
         res = self.cli(
             "minimize",
@@ -590,15 +738,14 @@ class TestCommandLine:
         assert report["status"] == "converged"
         assert report["energy"] == pytest.approx(-0.1, abs=1e-6)
 
-        verify = self.cli("verify", str(out))
-        assert verify.returncode == 0, verify.stderr
-        payload = json.loads(verify.stdout)
-        assert payload["passed"]
-
         cert = self.cli("certify", str(out))
         assert cert.returncode == 0, cert.stderr
         payload = json.loads(cert.stdout)
-        assert payload["passed"]
+        assert payload["passed"] and payload["energy_check"]["passed"]
+
+        gone = self.cli("verify", str(out))
+        assert gone.returncode == 2
+        assert "invalid choice: 'verify'" in gone.stderr
 
     def test_minimize_stdout_when_no_report_path(self):
         res = self.cli(
@@ -620,15 +767,12 @@ class TestCommandLine:
         ("minimize", "--max-iterations", "-1"),
         ("minimize", "--tol", "-1", "--max-iterations", "3"),
         ("minimize", "--tol", "inf", "--max-iterations", "3"),
-        ("verify", "--tol", "nan"),
     ])
     def test_bad_numbers_are_usage_errors(self, args, capsys):
-        # rejected while the arguments are parsed: the report path is not read
+        # rejected while the arguments are parsed: the spec is not read
         command, *options = args
-        target = ([str(SPECS / "squeezed_oscillator.json"), "--mode", "bose-even"]
-                  if command == "minimize" else ["missing.json"])
         with pytest.raises(SystemExit) as exc:
-            main([command, *target, *options])
+            main([command, "missing.json", "--mode", "bose-even", *options])
         assert exc.value.code == 2
         assert "must " in capsys.readouterr().err
 
@@ -645,10 +789,11 @@ class TestCommandLine:
         ("minimize", "--hermitian-complete"),
         ("certify", "--fd-step", "1e-3"),
         ("certify", "--seed", "1234"),
+        ("certify", "--tol", "1e-6"),
     ])
     def test_certification_settings_are_not_options(self, args, capsys):
-        # the FD step and the certification seed are constants, and a spec
-        # asks for completion itself
+        # the FD step, the certification seed and the stored energy's bound
+        # are constants, and a spec asks for completion itself
         command, flag, *value = args
         target = ([str(SPECS / "squeezed_oscillator.json"), "--mode", "bose-even"]
                   if command == "minimize" else ["missing.json"])
