@@ -119,7 +119,8 @@ def _hamiltonian_of(data: Any, path: str) -> WickPolynomial:
         raise _fail(path, f"statistics must be 'bose' or 'fermi', got {stats_name!r}")
     stats = Statistics(stats_name)
     n_modes = data["modes"]
-    if not isinstance(n_modes, int) or n_modes < 1:
+    # exact types: a JSON boolean is an int subclass
+    if type(n_modes) is not int or n_modes < 1:
         raise _fail(path, "modes must be a positive integer")
     if not isinstance(data["terms"], list):
         raise _fail(path, "terms must be a list")
@@ -136,7 +137,7 @@ def _hamiltonian_of(data: Any, path: str) -> WickPolynomial:
         annihilation = term["annihilation"]
         coeff = term["coeff"]
         for name, lst in (("creation", creation), ("annihilation", annihilation)):
-            if not isinstance(lst, list) or not all(isinstance(i, int) for i in lst):
+            if not isinstance(lst, list) or not all(type(i) is int for i in lst):
                 raise _fail(path, f"{where}.{name} must be a list of integers")
             for i in lst:
                 if i < 1 or i > n_modes:
@@ -146,7 +147,7 @@ def _hamiltonian_of(data: Any, path: str) -> WickPolynomial:
         if (
             not isinstance(coeff, list)
             or len(coeff) != 2
-            or not all(isinstance(x, (int, float)) for x in coeff)
+            or not all(type(x) in (int, float) for x in coeff)
         ):
             raise _fail(path, f"{where}.coeff must be [re, im]")
         try:
@@ -167,7 +168,7 @@ def _hamiltonian_of(data: Any, path: str) -> WickPolynomial:
         hermitian = poly.is_hermitian(HERMITIAN_TOL)
     except QuasivacError:
         raise
-    except (ValueError, OverflowError) as exc:  # a sum, modulus or defect past the range
+    except ValueError as exc:  # a sum, modulus or mirror difference past the range
         raise _fail(path, f"the terms overflow the float range: {exc}") from None
     if not hermitian:
         hint = "" if complete else " (hermitian_complete not requested)"

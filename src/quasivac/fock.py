@@ -35,7 +35,6 @@ from .bogoliubov import (
     reflection,
 )
 from .errors import (
-    DegeneracyError,
     DimensionCapError,
     StatisticsMismatchError,
     TailToleranceError,
@@ -308,11 +307,11 @@ def states_of_maps(
     """Vectors of the Gaussian states the maps reach from the vacuum, as rows
     of a (K, dim) block, and their ``norm_defect`` values.
 
-    Bosonic maps go through their charts directly.  Fermionic maps that have
-    no vacuum overlap (odd parity, or occupied Slater directions) are
-    factored through unit-vector reflections until the remaining even part
-    is nondegenerate; the reflections are then applied through the basis's
-    ladder maps.  All charts go through one ``gaussian_vectors`` call.
+    Bosonic maps go through their charts directly.  Fermionic maps are
+    factored through unit-vector reflections into an even map with a
+    bounded chart (``_chart_through_reflections``); the reflections are then
+    applied through the basis's ladder maps.  All charts go through one
+    ``gaussian_vectors`` call.
     """
     peeled = [_chart_through_reflections(m) for m in maps]
     amps, defects = gaussian_vectors([chart for chart, _ in peeled], basis, tail_tol)
@@ -326,15 +325,23 @@ def states_of_maps(
 
 
 def _chart_through_reflections(m: BogoliubovMap) -> tuple[ThoulessChart, list[np.ndarray]]:
-    """Chart of the map after the unit-vector reflections peeled off it, in order."""
-    work, applied = m, []
-    for _ in range(m.n_modes + 1):
-        try:
-            return chart_from_map(work), applied
-        except DegeneracyError:
-            work, direction = _peel_reflection(work)
-            applied.append(direction)
-    raise DegeneracyError("could not factor the map through reflections")
+    """Chart of the map after the unit-vector reflections peeled off it, in order.
+
+    A fermionic map is reflected through each right-singular direction of its
+    u block below 1/sqrt(2), smallest first, and one more when that count's
+    parity is not the map's (a pair split by rounding).  A reflection swaps
+    cos and sin on its level (Bloch & Messiah, Nucl. Phys. 39, 95 (1962)), so
+    the chart left has |z|_2 <= 1, also at and near a Slater determinant.
+    """
+    if m.stats is not Statistics.FERMI:
+        return chart_from_map(m), []
+    _, svals, vh = np.linalg.svd(m.u)
+    count = int(np.sum(svals < 2 ** -0.5))
+    applied = list(vh[::-1][: count + (count % 2 != m.odd)].conj())
+    work = m
+    for direction in applied:
+        work = compose(reflection(direction), work)
+    return chart_from_map(work), applied
 
 
 def state_of_map(
@@ -344,15 +351,3 @@ def state_of_map(
     vacuum: ``states_of_maps`` of one map."""
     amps, defects = states_of_maps([m], basis, tail_tol)
     return FockVector(basis, amps[0], norm_defect=float(defects[0]))
-
-
-def _peel_reflection(work: BogoliubovMap) -> tuple[BogoliubovMap, np.ndarray]:
-    """The map after the reflection through the least singular direction x
-    of its u block, and x.
-
-    An occupied direction has u x = 0.  The reflected u keeps u's range and
-    sends x to v conj(x), a unit vector orthogonal to that range (the map is
-    unitary), so each such reflection raises the rank of u by one.
-    """
-    direction = np.linalg.svd(work.u)[2][-1].conj()
-    return compose(reflection(direction), work), direction

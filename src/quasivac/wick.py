@@ -93,18 +93,29 @@ def canonicalize_term(
     return (cr, an), complex(coeff) * (s1 * s2)
 
 
+def _modulus(c: complex, key: TermKey, what: str = "coefficient") -> float:
+    """|c|, or the ValueError of a non-finite c when finite parts give a
+    modulus past the float range."""
+    try:
+        return abs(c)
+    except OverflowError:
+        raise ValueError(f"{what} {c} of term {key} is not finite") from None
+
+
 def _finalize(n_modes: int, stats: Statistics, accum: dict[TermKey, complex]) -> "WickPolynomial":
     terms: dict[TermKey, complex] = {}
     keys = sorted(accum)
+    try:
+        sizes = list(map(abs, map(accum.__getitem__, keys)))
+    except OverflowError:  # raise _modulus's ValueError at the first such term
+        sizes = [_modulus(accum[key], key) for key in keys]
     # The cut is relative to the largest non-constant |c| (the constant key
     # sorts first), so no scaling prunes a term its unscaled polynomial keeps,
     # and never below the least positive float, so exact zeros always go.
-    rest = keys[1:] if keys and keys[0] == ((), ()) else keys
-    cut = max(PRUNE_THRESHOLD * max(map(abs, map(accum.__getitem__, rest)), default=0.0),
-              np.finfo(float).smallest_subnormal)
-    for key in keys:
+    rest = sizes[1:] if keys and keys[0] == ((), ()) else sizes
+    cut = max(PRUNE_THRESHOLD * max(rest, default=0.0), np.finfo(float).smallest_subnormal)
+    for key, size in zip(keys, sizes):
         c = accum[key]
-        size = abs(c)
         if size < cut:
             continue
         # a NaN or infinite coefficient is never cut, so each one reaches here
@@ -208,13 +219,15 @@ class WickPolynomial:
 
     def is_hermitian(self, tol: float) -> bool:
         """True iff the polynomial equals its adjoint coefficientwise within
-        tol; False on a non-finite difference."""
+        tol; False on a non-finite difference, and a ValueError on finite
+        parts whose modulus passes the float range."""
         if tol <= 0:
             raise ValueError("tol must be positive")
         for (cr, an), c in self.terms.items():
             # the adjoint maps keys one to one: its coefficient at this term's mirror
             key, mirror = canonicalize_term(self.stats, an[::-1], cr[::-1], np.conj(c))
-            if not abs(self.terms.get(key, 0j) - mirror) <= tol:
+            diff = self.terms.get(key, 0j) - mirror
+            if not _modulus(diff, key, "mirror difference") <= tol:
                 return False
         return True
 

@@ -38,6 +38,23 @@ def write_spec(tmp_path, payload, name="spec.json"):
     return str(path)
 
 
+def hubbard_payload(sites, interaction, mu):
+    """Spec of the Hubbard dimer (two sites) or ring at hopping 1: site i
+    holds modes 2i - 1 (up) and 2i (down), and U n_up n_down is written
+    a*_up a*_down a_down a_up."""
+    bonds = [(i, (i + 1) % sites) for i in range(sites if sites > 2 else 1)]
+    terms = []
+    for i, j in bonds:
+        for spin in (1, 2):
+            terms += [([2 * i + spin], [2 * j + spin], -1.0), ([2 * j + spin], [2 * i + spin], -1.0)]
+    if mu:
+        terms += [([mode], [mode], -mu) for mode in range(1, 2 * sites + 1)]
+    terms += [([2 * i + 1, 2 * i + 2], [2 * i + 2, 2 * i + 1], interaction) for i in range(sites)]
+    return {"statistics": "fermi", "modes": 2 * sites,
+            "terms": [{"creation": cr, "annihilation": an, "coeff": [c, 0.0]}
+                      for cr, an, c in terms]}
+
+
 class TestParse:
     def test_single_term(self, tmp_path):
         path = write_spec(
@@ -141,10 +158,10 @@ class TestParse:
         # builder rejects with a ValueError naming the term
         ([("a*a", [1e308, 0.0])] * 2, True, r"term \(\(1, 1\), \(\)\)"),
         # finite parts whose modulus, or whose difference from the mirror
-        # term's, passes the float range: abs() raises OverflowError
-        ([("a*a", [1.5e308, 1.5e308])], True, "absolute value too large"),
+        # term's, passes the float range count as not finite
+        ([("a*a", [1.5e308, 1.5e308])], True, "is not finite"),
         ([("a*a", [-0.7e308, 0.7e308]), ("aa", [0.7e308, 0.7e308])], False,
-         "absolute value too large"),
+         "mirror difference .* is not finite"),
     ])
     def test_overflowing_terms_are_a_spec_error(self, terms, complete, reason, tmp_path):
         # a SpecFormatError, not a traceback
@@ -160,6 +177,23 @@ class TestParse:
         report = run(path, Mode.BOSE_EVEN)
         assert report["status"] == "error"
         assert report["error"]["type"] == "SpecFormatError"
+
+    @pytest.mark.parametrize("field", ["modes", "creation", "annihilation", "coeff"])
+    def test_booleans_are_not_numbers(self, field):
+        # isinstance(True, int) holds: "modes": true parsed to n_modes True,
+        # which the report's hamiltonian block wrote back as "modes": true
+        payload = {"statistics": "bose", "modes": 1,
+                   "terms": [{"creation": [1], "annihilation": [1], "coeff": [1.0, 0.0]}]}
+        reason = {"modes": "modes must be a positive integer",
+                  "creation": "creation must be a list of integers",
+                  "annihilation": "annihilation must be a list of integers",
+                  "coeff": "coeff must be \\[re, im\\]"}[field]
+        if field == "modes":
+            payload["modes"] = True
+        else:
+            payload["terms"][0][field] = [True, 0.0] if field == "coeff" else [True]
+        with pytest.raises(SpecFormatError, match=reason):
+            _hamiltonian_of(payload, "payload")
 
     def test_index_out_of_range(self, tmp_path):
         path = write_spec(
@@ -288,15 +322,21 @@ SPEC = st.one_of(WELL_FORMED, MALFORMED, JUNK)
 @given(SPEC)
 @settings(max_examples=250, deadline=None)
 def test_spec_boundary_admits_only_finite_hermitian_polynomials(spec):
-    # every spec object is either rejected with a reason, or built into a
-    # Hermitian polynomial with finite coefficients
+    # every spec object is either rejected with a reason, or built from
+    # integer modes and indices into a Hermitian polynomial with finite
+    # coefficients, which the report's hamiltonian block carries unchanged
     try:
         poly = _hamiltonian_of(spec, "spec")
     except QuasivacError as exc:
         assert str(exc).strip() not in ("", "spec:")
         return
+    assert type(spec["modes"]) is int and type(poly.n_modes) is int
+    assert all(type(i) is int for term in spec["terms"]
+               for i in term["creation"] + term["annihilation"])
     assert poly.is_hermitian(HERMITIAN_TOL)
     assert all(math.isfinite(c.real) and math.isfinite(c.imag) for c in poly.terms.values())
+    block = json.loads(json.dumps(serialize_hamiltonian(poly)))
+    assert dict(_hamiltonian_of(block, "block").terms) == dict(poly.terms)
 
 
 class TestRun:
@@ -433,6 +473,29 @@ class TestRun:
         assert report["status"] == "converged"
         walk(report)
         assert found <= set(plain), found - set(plain)
+
+    @pytest.mark.parametrize("sites,interaction,mu,energy,gap", [
+        (2, 4.0, 1.0, -2.5, 0.328),
+        (3, 2.0, 0.0, -10 / 3, 0.131),
+        (4, 2.0, 1.0, -6.661, 0.167),
+    ])
+    def test_hubbard_slater_minimum_certifies(self, sites, interaction, mu, energy, gap,
+                                              tmp_path):
+        # the Hartree-Fock minimum of a Hubbard ring is a Slater determinant,
+        # where u has a zero singular value per occupied direction; certify's
+        # probes lie FD_STEP from it, and charted with |z| of order 1/FD_STEP
+        # their states were lost to cancellation: a TailToleranceError made
+        # the converged minimum an error
+        payload = hubbard_payload(sites, interaction, mu)
+        path = write_spec(tmp_path, payload)
+        if sites == 2:
+            example = parse_hamiltonian(str(SPECS / "hubbard_dimer.json"))
+            assert dict(example.terms) == dict(parse_hamiltonian(path).terms)
+        report = run(path, Mode.FERMI_EVEN)
+        assert report["status"] == "converged", report["error"]
+        assert report["certification"]["passed"] is True
+        assert report["energy"] == pytest.approx(energy, abs=1e-3)
+        assert report["oracle"]["gap"] == pytest.approx(gap, abs=1e-3)
 
     def test_bcs_report(self):
         report = run(str(SPECS / "bcs_two_mode.json"), Mode.FERMI_EVEN, seed=3, tol=1e-9)

@@ -18,7 +18,12 @@ from quasivac import (
     residual_blocks,
     state_of_map,
 )
-from quasivac.bogoliubov import ThoulessChart, random_number_conserving, reflection
+from quasivac.bogoliubov import (
+    ThoulessChart,
+    random_generator,
+    random_number_conserving,
+    reflection,
+)
 from quasivac.errors import DimensionCapError, TailToleranceError
 from quasivac.fock import (
     _chart_through_reflections,
@@ -26,7 +31,7 @@ from quasivac.fock import (
     sparse_matrix,
     states_of_maps,
 )
-from quasivac.variational import oracle_state
+from quasivac.variational import FD_STEP, oracle_state
 
 from conftest import bcs_hamiltonian, random_free_hermitian, random_valid_map, squeezed_oscillator
 from references import exp_generator, expectation, gaussian_vector, ladders, vacuum_vector
@@ -417,12 +422,30 @@ class TestStackedStates:
         assert np.linalg.matrix_rank(m.u, tol=1e-8) == n - 2
         _, applied = _chart_through_reflections(m)
         assert len(applied) == 2
-        vec = states_of_maps([m], basis)[0][0]
+        # the pair at angle pi/4 under four gauges, whose two singular values
+        # 1/sqrt(2) rounding puts on either side of the peeling bound in some
+        # of them, and a Slater map moved by FD_STEP as certify moves its
+        # probes, with two singular values near FD_STEP
+        edge = from_generator(Generator(FERMI, pair * (math.pi / 4 / abs(pair[2, 3])),
+                                        np.zeros(n, complex)))
+        edges = [compose(edge, random_number_conserving(n, FERMI, rng)) for _ in range(4)]
+        for e in edges:
+            assert np.allclose(np.linalg.svd(e.u, compute_uv=False), [1, 1, 2 ** -0.5, 2 ** -0.5])
+        slater = compose(reflection(np.eye(n, dtype=complex)[0]),
+                         compose(reflection(np.eye(n, dtype=complex)[1]),
+                                 random_number_conserving(n, FERMI, rng)))
+        step = random_generator(n, FERMI, rng, 1.0)
+        moved = compose(slater, from_generator(step.scaled(FD_STEP / step.norm)))
+        assert np.linalg.svd(moved.u, compute_uv=False)[-1] < 10 * FD_STEP
         pairs = ladders(basis)
-        for i in range(n):
-            bop = sum(m.u[i, j] * pairs[j][0] + m.v[i, j] * pairs[j][1] for j in range(n))
-            assert np.linalg.norm(bop @ vec) < 1e-10
-        assert not vec[basis.occupations.sum(axis=1) % 2 == 1].any()
+        for each in (m, *edges, moved):
+            assert len(_chart_through_reflections(each)[1]) % 2 == 0
+            vec = states_of_maps([each], basis)[0][0]
+            for i in range(n):
+                bop = sum(each.u[i, j] * pairs[j][0] + each.v[i, j] * pairs[j][1]
+                          for j in range(n))
+                assert np.linalg.norm(bop @ vec) < 1e-10
+            assert not vec[basis.occupations.sum(axis=1) % 2 == 1].any()
 
     def test_a_row_cut_off_by_the_box_raises(self):
         # the middle map is a coherent state of amplitude 3, whose 10-quantum

@@ -94,10 +94,12 @@ class TestAddTerm:
         assert small.terms == {key: 1e-15 * c for key, c in poly.items()}
         assert len(small.scaled(0.0)) == 0
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf),
+                                     complex(1.5e308, 1.5e308)])
     def test_non_finite_coefficient_is_rejected(self, bad):
         # an infinite pair made the relative cut infinite, which dropped the
-        # finite a*a and kept two inf+nanj terms
+        # finite a*a and kept two inf+nanj terms; finite parts whose modulus
+        # passes the float range raised a bare OverflowError from abs()
         with pytest.raises(ValueError, match="not finite"):
             WickPolynomial.from_terms(
                 1, BOSE, [([1], [1], 1.0), ([1, 1], [], bad), ([], [1, 1], bad)]
@@ -168,6 +170,14 @@ class TestHermitian:
         # built past the constructors, which reject it: abs(nan) > tol is False
         poly = WickPolynomial(1, BOSE, {((1,), (1,)): complex(math.nan, 0.0)})
         assert not poly.is_hermitian(1e-12)
+
+    def test_overflowing_difference_is_not_finite(self):
+        # a*a and aa each finite, but a*a minus the mirror of aa has a
+        # modulus past the float range
+        poly = WickPolynomial.from_terms(1, BOSE, [([1, 1], [], complex(-0.7e308, 0.7e308)),
+                                                   ([], [1, 1], complex(0.7e308, 0.7e308))])
+        with pytest.raises(ValueError, match="mirror difference .* is not finite"):
+            poly.is_hermitian(1e-12)
 
     def test_adjoint_involution(self):
         rng = np.random.default_rng(7)
