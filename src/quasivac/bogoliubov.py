@@ -14,9 +14,11 @@ and valid fermionic maps preserve the anticommutators,
 
     u u^dag + v v^dag = 1,   u v^T = -v u^T .
 
-Charts: an even (nondegenerate, in the fermionic case) Gaussian state is
-written as  normalization * displacement(shift) * exp(1/2 z_ij a*_i a*_j) vac
-with z symmetric of norm < 1 (Bose) or antisymmetric (Fermi).
+Charts: the state a map with invertible u reaches from the vacuum is
+normalization * displacement(shift) * exp(1/2 z_ij a*_i a*_j) vac, with z
+symmetric of norm < 1 (Bose) or antisymmetric (Fermi); ``chart_arrays``
+reads (z, shift) off the map's arrays.  A fermionic u may be singular, so
+``fock`` peels reflections off a fermionic map first.
 
 Generators: the pair (pair, shift) labels the unitary
 
@@ -26,7 +28,7 @@ Generators: the pair (pair, shift) labels the unitary
 The half-sum in X makes the chart matrix of the generated state exactly
 z = i tanh(s)/s pair  (Bose) or  i tan(s)/s pair  (Fermi) with s the
 singular-value argument sqrt(pair pair^dag); the tests compare that closed
-form with ``chart_from_map(from_generator(g))``.
+form with ``chart_arrays`` of ``from_generator(g)``.
 """
 
 from __future__ import annotations
@@ -37,18 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
-from .errors import (
-    ChartDomainError,
-    DegeneracyError,
-    InvalidGeneratorError,
-    InvalidMapError,
-    StatisticsMismatchError,
-)
+from .errors import InvalidGeneratorError, InvalidMapError, StatisticsMismatchError
 from .wick import Statistics
-
-#: Relative singular-value threshold below which a fermionic state counts as
-#: having no vacuum overlap (the chart blows up there).
-DEGENERACY_RTOL = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -141,14 +133,14 @@ def relative_overlap(inv1: BogoliubovMap, m: tuple, odd: bool) -> float:
     Onishi's formula (Onishi & Yoshida, Nucl. Phys. 80, 367 (1966)): |det w.u|
     for fermions (0 for an odd w) and 1/|det w.u| for bosons, times
     exp(-|beta|^2 + Re(beta^dag z conj(beta))) for a state of w displaced by
-    beta = <a>, with z = -w.u^-1 w.v its chart matrix.  Undisplaced, only
-    w.u is formed.
+    beta = <a>, with z its chart matrix (``chart_arrays``).  Undisplaced,
+    only w.u is formed.
     """
     u, v, shift = m
     if inv1.stats is Statistics.BOSE and (np.count_nonzero(shift) or np.count_nonzero(inv1.shift)):
         w = compose_arrays((inv1.u, inv1.v, inv1.shift), m)
         beta = np.conj(inverse_arrays(Statistics.BOSE, w)[2])
-        z = -np.linalg.solve(w[0], w[1])
+        z = chart_arrays(Statistics.BOSE, *w)[0]
         factor = math.exp(float(np.real(beta @ z @ beta)) - float(np.vdot(beta, beta).real))
         return 1.0 / float(abs(np.linalg.det(w[0]))) * factor
     det = 0.0 if odd ^ inv1.odd else float(abs(np.linalg.det(u @ inv1.u + v @ np.conj(inv1.v))))
@@ -164,6 +156,11 @@ def number_conserving(p: np.ndarray, stats: Statistics) -> BogoliubovMap:
     return BogoliubovMap(stats, p, np.zeros((n, n), complex), np.zeros(n, complex))
 
 
+def reflection_arrays(y: np.ndarray) -> tuple:
+    """(u, v, shift) of ``reflection`` along the unit vector y, unchecked."""
+    return np.outer(y, np.conj(y)) - np.eye(len(y)), np.outer(y, y), np.zeros(len(y), complex)
+
+
 def reflection(direction: np.ndarray) -> BogoliubovMap:
     """Odd fermionic map implemented by the unitary  y_i a*_i + conj(y_i) a_i.
 
@@ -173,10 +170,7 @@ def reflection(direction: np.ndarray) -> BogoliubovMap:
     y = np.asarray(direction, dtype=complex)
     if abs(np.linalg.norm(y) - 1.0) > 1e-12:
         raise InvalidMapError("reflection direction must have unit norm")
-    n = y.shape[0]
-    u = np.outer(y, np.conj(y)) - np.eye(n)
-    v = np.outer(y, y)
-    return BogoliubovMap(Statistics.FERMI, u, v, np.zeros(n, complex), odd=True)
+    return BogoliubovMap(Statistics.FERMI, *reflection_arrays(y), odd=True)
 
 
 @dataclass(frozen=True)
@@ -260,60 +254,17 @@ def from_generator(g: Generator) -> BogoliubovMap:
     return _adopt(g.stats, *exponential_map(g.stats, g.pair, g.shift))
 
 
-@dataclass(frozen=True)
-class ThoulessChart:
-    """Pair-amplitude chart data (z, shift) of a Gaussian state."""
-
-    stats: Statistics
-    z: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        z = _readonly(self.z)
-        shift = _readonly(self.shift)
-        n = z.shape[0]
-        if z.shape != (n, n) or shift.shape != (n,):
-            raise ChartDomainError("z must be square and shift a matching vector")
-        scale = max(1.0, float(np.max(np.abs(z))) if z.size else 0.0)
-        if self.stats is Statistics.BOSE:
-            if np.max(np.abs(z - z.T)) > 1e-10 * scale:
-                raise ChartDomainError("bosonic chart matrix must be symmetric")
-            if n and np.linalg.norm(z, 2) >= 1.0:
-                raise ChartDomainError("bosonic chart requires spectral norm below 1")
-        else:
-            if np.max(np.abs(z + z.T)) > 1e-10 * scale:
-                raise ChartDomainError("fermionic chart matrix must be antisymmetric")
-            if np.any(shift != 0):
-                raise ChartDomainError("fermionic charts carry no displacement")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "shift", shift)
-
-    @property
-    def n_modes(self) -> int:
-        return self.z.shape[0]
-
-
-def chart_from_map(m: BogoliubovMap) -> ThoulessChart:
-    """Chart of the state obtained by applying the map to the vacuum.
-
-    Fermionic maps must be even and nondegenerate (u invertible within the
-    rank tolerance); bosonic u blocks are always invertible.
-    """
-    n = m.n_modes
-    if m.stats is Statistics.FERMI:
-        if m.odd:
-            raise DegeneracyError("odd maps have zero vacuum overlap, no chart exists")
-        svals = np.linalg.svd(m.u, compute_uv=False)
-        if n and svals[-1] < DEGENERACY_RTOL * max(svals[0], 1e-300):
-            deficiency = int(np.sum(svals < DEGENERACY_RTOL * svals[0]))
-            raise DegeneracyError(
-                f"degenerate state: u block is rank deficient by {deficiency}"
-            )
-    z = -np.linalg.solve(m.u, m.v)
-    shift = np.zeros(n, complex)
-    if m.stats is Statistics.BOSE:
-        shift = 1j * (m.u.conj().T @ m.shift - m.v.T @ np.conj(m.shift))
-    return ThoulessChart(m.stats, (z + m.stats.sign * z.T) / 2, shift)
+def chart_arrays(stats: Statistics, u: np.ndarray, v: np.ndarray, shift: np.ndarray) -> tuple:
+    """(z, shift) of the pair-amplitude chart of the state a map's (u, v,
+    shift) arrays reach from the vacuum: z = -u^-1 v, symmetrized (Bose) or
+    antisymmetrized (Fermi), and the chart shift i (u^dag shift - v^T
+    conj(shift)).  u must be invertible: an odd or degenerate fermionic map
+    is peeled first (``fock.states_of_maps``)."""
+    z = -np.linalg.solve(u, v)
+    z = (z + stats.sign * z.T) / 2
+    if np.count_nonzero(shift):
+        return z, 1j * (u.conj().T @ shift - v.T @ np.conj(shift))
+    return z, np.zeros(len(shift), complex)
 
 
 def random_generator(

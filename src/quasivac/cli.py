@@ -23,10 +23,10 @@ a spec or report file fails its parse.
 The certification's FD step and seed are constants (``variational.FD_STEP``
 and ``CERTIFY_SEED``); the report's ``tolerances`` hold ``tol_grad`` and the
 oracle's ``dimension_cap`` (schema ``quasivac-report/4``), at which
-``certify`` re-runs the certification from the stored map and checks the
-stored energy against the oracle's.  A ``/3`` report re-runs at the
-constants and the default cap, so one written at a non-default
-``--fd-step`` is not reproduced.
+``certify`` re-runs the certification from the stored map, stationary to
+``tol_grad``, and checks the stored energy against the oracle's.  A ``/3``
+report re-runs at the defaults, so one written at a non-default
+``--fd-step`` is not reproduced.  Reports are strict JSON.
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ def run(
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return report
 
@@ -376,8 +376,9 @@ def _recertify(report_path: str) -> tuple[float, CertificationReport | str]:
     """A stored report's energy and ``_certificate`` at its map and its
     ``tolerances.dimension_cap``, with the constant FD step and seed; a
     ``quasivac-report/3`` report, which records no cap, re-runs at the
-    default cap.  Raises QuasivacError when the report is not converged,
-    fails the spec checks or lacks a valid energy, map, mode or cap."""
+    default cap and ``tol_grad``.  Raises QuasivacError when the report is
+    not converged, fails the spec checks, lacks a valid energy, map, mode,
+    cap or ``tol_grad``, or its map's residual is not below ``tol_grad``."""
     report = load_spec(report_path)
     if report.get("status") != "converged":
         raise QuasivacError(f"report status is {report.get('status')!r}")
@@ -385,12 +386,19 @@ def _recertify(report_path: str) -> tuple[float, CertificationReport | str]:
     try:
         energy = float(report["energy"])
         stored, mode = map_from_payload(report["map"]), Mode(report["mode"])
-        cap = report.get("tolerances", {}).get("dimension_cap", fock.DEFAULT_DIMENSION_CAP)
+        tolerances = report.get("tolerances", {})
+        cap = tolerances.get("dimension_cap", fock.DEFAULT_DIMENSION_CAP)
         if type(cap) is not int or cap < 1:
             raise ValueError(f"tolerances.dimension_cap {cap!r} is not a positive integer")
+        tol = tolerances.get("tol_grad", MinimizeOptions.tol_grad)
+        if type(tol) not in (int, float) or not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerances.tol_grad {tol!r} is not a finite non-negative number")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _fail(report_path, f"malformed report ({type(exc).__name__}: {exc})") from None
     result = result_at(CompiledPolynomial.of(poly), stored)
+    if not result.residual < tol:
+        raise QuasivacError(f"the stored map is not stationary: its residual "
+                            f"{result.residual:.3g} is not below tol_grad {tol:.3g}")
     return energy, _certificate(result, poly, mode, cap)
 
 

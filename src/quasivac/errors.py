@@ -33,14 +33,6 @@ class InvalidGeneratorError(QuasivacError, ValueError):
     """Generator data violates its symmetry or statistics constraints."""
 
 
-class DegeneracyError(QuasivacError, ValueError):
-    """A fermionic Gaussian state has numerically zero vacuum overlap."""
-
-
-class ChartDomainError(QuasivacError, ValueError):
-    """Requested point lies outside the domain of the pair-amplitude chart."""
-
-
 class DimensionCapError(QuasivacError, ValueError):
     """A Fock-space construction exceeds the configured dimension cap."""
 

@@ -11,8 +11,9 @@ column when a mode empties or passes its cutoff, which gives its (row,
 column, value) triples.  ``sparse_matrix`` sums them into one sparse
 matrix, which acts on a stack of vectors as one product, and ``quantize``
 is its dense form; ladders act on vectors through the same maps.
-States come stacked: a (K, dim) block holds one vector per row.  The
-Gaussian vectors of K charts, displaced or not, are the amplitudes of
+States come stacked: a (K, dim) block holds one vector per row, and K
+charts (``bogoliubov.chart_arrays``) a (K, n, n) z and a (K, n) shift.
+The Gaussian vectors of K charts, displaced or not, are the amplitudes of
 exp(1/2 a*.z.a* + beta.a*)|0>, filled shell by shell of total occupation
 from a_i psi = (beta_i + sum_j z_ij a*_j) psi; each amplitude in the box
 needs only lower ones, so the block is the exact projection of the states
@@ -27,18 +28,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .bogoliubov import (
-    BogoliubovMap,
-    ThoulessChart,
-    chart_from_map,
-    compose,
-    reflection,
-)
-from .errors import (
-    DimensionCapError,
-    StatisticsMismatchError,
-    TailToleranceError,
-)
+from .bogoliubov import BogoliubovMap, chart_arrays, compose_arrays, reflection_arrays
+from .bogoliubov import compose  # noqa: F401  (perfbench/spans.py wraps it in this namespace)
+from .errors import DimensionCapError, StatisticsMismatchError, TailToleranceError
 from .wick import Statistics, WickPolynomial
 
 #: Default per-mode occupation cutoff for bosonic truncations.
@@ -239,10 +231,11 @@ def series_tail(radius: float, cutoff: int) -> float:
 
 
 def gaussian_vectors(
-    charts: list[ThoulessChart], basis: FockBasis, tail_tol: float = DEFAULT_TAIL_TOL
+    z: np.ndarray, shift: np.ndarray, basis: FockBasis, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized vectors of the charted Gaussian states, as rows of a
-    (K, dim) block, and their ``norm_defect`` values.
+    """Normalized vectors of the charted Gaussian states of a (K, n, n) stack
+    of pair amplitudes z and a (K, n) stack of chart shifts (``chart_arrays``),
+    as rows of a (K, dim) block, and their ``norm_defect`` values.
 
     State k is c_k exp(1/2 a*.z_k.a* + beta_k.a*)|0>, with alpha = i shift,
     beta = alpha - z conj(alpha) and c the determinant normalization times
@@ -254,25 +247,18 @@ def gaussian_vectors(
     norm of that projection, 1 - sqrt(p) when the box holds probability p of
     the state, kept as a diagnostic before the final normalization.
     TailToleranceError is raised when, for any of the states, ``series_tail``
-    of the pair amplitude or the weight 1 - p the box cuts off (which counts
-    the displacement) reaches ``tail_tol``.
+    of the pair amplitude (infinite at |z|_2 >= 1) or the weight 1 - p the
+    box cuts off (which counts the displacement) reaches ``tail_tol``.
     """
-    for chart in charts:
-        if chart.stats is not basis.stats or chart.n_modes != basis.n_modes:
-            raise StatisticsMismatchError("chart and basis disagree")
     if basis.stats is Statistics.BOSE:
-        for chart in charts:
-            est = series_tail(float(np.linalg.norm(chart.z, 2)), min(basis.cutoffs))
-            if est >= tail_tol:
-                raise TailToleranceError(
-                    f"estimated series tail {est:.3e} exceeds {tail_tol:.1e} at cutoffs "
-                    f"{basis.cutoffs}; raise the cutoff"
-                )
-    n, dim, count = basis.n_modes, basis.dimension, len(charts)
-    if not count:
-        return np.zeros((0, dim), dtype=complex), np.zeros(0)
-    z = np.array([chart.z for chart in charts])
-    alpha = 1j * np.array([chart.shift for chart in charts])
+        # the tail grows with the radius: the largest of the K spectral norms decides
+        est = series_tail(float(np.max(np.linalg.norm(z, 2, axis=(1, 2)), initial=0.0)),
+                          min(basis.cutoffs))
+        if est >= tail_tol:
+            raise TailToleranceError(f"estimated series tail {est:.3e} exceeds {tail_tol:.1e} "
+                                     f"at cutoffs {basis.cutoffs}; raise the cutoff")
+    n, dim, count = basis.n_modes, basis.dimension, len(z)
+    alpha = 1j * shift
     beta = alpha - (z @ alpha.conj()[:, :, None])[:, :, 0]
     # a_i exp(Q)|0> = (beta_i + sum_j z_ij a*_j) exp(Q)|0>: the row m = r + e_i
     # is (beta_i psi[r] + sum_j z_ij (a*_j psi)[r]) / f, all from lower shells
@@ -313,8 +299,13 @@ def states_of_maps(
     applied through the basis's ladder maps.  All charts go through one
     ``gaussian_vectors`` call.
     """
+    if any(m.stats is not basis.stats or m.n_modes != basis.n_modes for m in maps):
+        raise StatisticsMismatchError("map and basis disagree")
     peeled = [_chart_through_reflections(m) for m in maps]
-    amps, defects = gaussian_vectors([chart for chart, _ in peeled], basis, tail_tol)
+    n = basis.n_modes
+    z = np.array([chart[0] for chart, _ in peeled]).reshape(-1, n, n)
+    shift = np.array([chart[1] for chart, _ in peeled]).reshape(-1, n)
+    amps, defects = gaussian_vectors(z, shift, basis, tail_tol)
     for row, (_, applied) in zip(amps, peeled):
         # the last reflection peeled off is the first applied to the vector
         for direction in reversed(applied):
@@ -324,8 +315,9 @@ def states_of_maps(
     return amps, defects
 
 
-def _chart_through_reflections(m: BogoliubovMap) -> tuple[ThoulessChart, list[np.ndarray]]:
-    """Chart of the map after the unit-vector reflections peeled off it, in order.
+def _chart_through_reflections(m: BogoliubovMap) -> tuple[tuple, list[np.ndarray]]:
+    """(z, shift) chart of the map after the unit-vector reflections peeled
+    off it, and those reflections in order.
 
     A fermionic map is reflected through each right-singular direction of its
     u block below 1/sqrt(2), smallest first, and one more when that count's
@@ -333,15 +325,15 @@ def _chart_through_reflections(m: BogoliubovMap) -> tuple[ThoulessChart, list[np
     cos and sin on its level (Bloch & Messiah, Nucl. Phys. 39, 95 (1962)), so
     the chart left has |z|_2 <= 1, also at and near a Slater determinant.
     """
+    arrays = m.u, m.v, m.shift
     if m.stats is not Statistics.FERMI:
-        return chart_from_map(m), []
+        return chart_arrays(m.stats, *arrays), []
     _, svals, vh = np.linalg.svd(m.u)
     count = int(np.sum(svals < 2 ** -0.5))
     applied = list(vh[::-1][: count + (count % 2 != m.odd)].conj())
-    work = m
     for direction in applied:
-        work = compose(reflection(direction), work)
-    return chart_from_map(work), applied
+        arrays = compose_arrays(reflection_arrays(direction), arrays)
+    return chart_arrays(m.stats, *arrays), applied
 
 
 def state_of_map(

@@ -39,7 +39,7 @@ from . import fock
 from .bogoliubov import (
     BogoliubovMap,
     Generator,
-    chart_from_map,
+    chart_arrays,
     compose,
     compose_arrays,
     exponential_map,
@@ -51,7 +51,8 @@ from .bogoliubov import (
     reflection,
     relative_overlap,
 )
-from .errors import HermiticityError, ParityError, StatisticsMismatchError, TailToleranceError
+from .errors import (HermiticityError, ParityError, QuasivacError, StatisticsMismatchError,
+                     TailToleranceError)
 from .ordering import (
     CompiledPolynomial,
     LinearOperator,
@@ -251,7 +252,9 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
              opts: MinimizeOptions, floor_depth: float,
              minima: list[tuple[BogoliubovMap, float]]):
     """One start's descent; a status of None means it merged into one of
-    the converged ``minima``, (inverse map, energy) pairs of earlier starts."""
+    the converged ``minima``, (inverse map, energy) pairs of earlier starts.
+    Non-finite energy or block norms raise QuasivacError at the start and
+    reject a trial."""
     stats, odd, arrays = start.stats, start.odd, (start.u, start.v, start.shift)
     constant, linear, pairing, _ = compiled.vacuum_blocks(*arrays)
     norms = _norm(linear), _norm(pairing)
@@ -263,7 +266,9 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
         lin_norm, pair_norm = norms
         residual = lin_norm + pair_norm
         trace.append((energy, residual))
-        if not math.isfinite(energy) or energy < floor or _norm(arrays[1]) > MIXING_CAP:
+        if not all(map(math.isfinite, (energy, *norms))):  # only a start can get here
+            raise QuasivacError("the blocks at a start overflow the float range")
+        if energy < floor or _norm(arrays[1]) > MIXING_CAP:
             status = RunStatus.UNBOUNDED_BELOW
             break
         if residual < opts.tol_grad:
@@ -297,7 +302,7 @@ def _descend(compiled: CompiledPolynomial, start: BogoliubovMap,
                 better = t_energy <= energy + noise and sum(t_norms) <= residual * (1.0 - 1e-3)
             else:
                 better = t_energy <= energy - ARMIJO * step * slope
-            if math.isfinite(t_energy) and better:
+            if better and all(map(math.isfinite, (t_energy, *t_norms))):
                 break
             step *= STEP_SHRINK
         else:
@@ -354,7 +359,10 @@ def _settled(compiled: CompiledPolynomial, run: tuple, mode: Mode) -> bool:
         return -2.0 * np.real(directions @ np.concatenate([pair.ravel(), shift]).conj())
 
     hessian = np.array([gradient(1e-4 * d) - gradient(-1e-4 * d) for d in directions]) / 2e-4
-    eig = np.linalg.eigvalsh((hessian + hessian.T) / 2)
+    try:
+        eig = np.linalg.eigvalsh((hessian + hessian.T) / 2)
+    except np.linalg.LinAlgError:  # as in result_at: no verdict, so the extras run
+        return False
     return eig.size == 0 or eig[0] > 1e-6 * np.max(np.abs(eig))
 
 
@@ -417,12 +425,16 @@ def result_at(
     n_starts: int = 1,
 ) -> MinimizationResult:
     """The result at a map: the engine's blocks with D, the spectrum of the
-    Hermitian part of D, and by default a one-point trace."""
+    Hermitian part of D, and by default a one-point trace.  An energy,
+    residual or spectrum that is not finite raises QuasivacError."""
     blocks = Blocks(m.stats, *compiled.vacuum_blocks(m.u, m.v, m.shift, single=True))
-    energy = float(blocks.constant.real)
-    spectrum = np.linalg.eigvalsh(
-        (blocks.single_particle + blocks.single_particle.conj().T) / 2
-    )
+    energy, d = float(blocks.constant.real), blocks.single_particle
+    try:
+        spectrum = np.linalg.eigvalsh((d + d.conj().T) / 2)
+    except np.linalg.LinAlgError:  # LAPACK fails on entries near the float range's edge
+        spectrum = np.full(m.n_modes, math.nan)
+    if not np.isfinite([energy, blocks.residual, *spectrum]).all():
+        raise QuasivacError("the blocks at the result overflow the float range")
     return MinimizationResult(
         map=m,
         blocks=blocks,
@@ -516,7 +528,8 @@ def oracle_state(
         # the 0.1 margin makes room for more than psi: certify's cross-check
         # reads b*_i psi and H b*_j psi, which reach higher occupations, in
         # this box too; the least box holding psi's weight alone fails it
-        reach = min(float(np.linalg.norm(chart_from_map(m).z, 2)) + 0.1, 0.999)
+        radius = float(np.linalg.norm(chart_arrays(m.stats, m.u, m.v, m.shift)[0], 2))
+        reach = min(radius + 0.1, 0.999)
         while fock.series_tail(reach, chosen) >= 0.1 * fock.DEFAULT_TAIL_TOL:
             chosen += 2
     while True:
@@ -561,7 +574,8 @@ def certify(
     (number-conserving) right-compositions, to 1e-8 or, at a scale where
     that is below rounding, 8 eps times the largest of |E| and the
     |eigenvalues| of D.  The directions, displacements and gauges are
-    drawn from ``CERTIFY_SEED`` in that order.
+    drawn from ``CERTIFY_SEED`` in that order.  A number of the report
+    past the float range raises QuasivacError.
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
@@ -599,8 +613,12 @@ def certify(
     sector = np.flatnonzero((parity == (mode is Mode.FERMI_ODD)) | (mode is Mode.BOSE_FULL))
     # a Fortran-ordered dense sector that LAPACK may overwrite is not copied again
     sector_matrix = matrix[sector][:, sector].toarray(order="F")
-    ground = float(scipy.linalg.eigh(sector_matrix, eigvals_only=True, overwrite_a=True,
-                                     subset_by_index=(0, 0), driver="evx")[0])
+    try:  # LAPACK fails on entries at the float range's edge; the check below reports it
+        ground = float(scipy.linalg.eigh(sector_matrix, eigvals_only=True, overwrite_a=True,
+                                         subset_by_index=(0, 0), driver="evx",
+                                         check_finite=False)[0])
+    except np.linalg.LinAlgError:
+        ground = math.nan
 
     fd_devs: list[float] = []
     fd_tols: list[float] = []
@@ -641,6 +659,10 @@ def certify(
     scale = max(abs(result.energy), float(np.max(np.abs(base_spec))))
     gauge_bound = max(1e-8, 8 * float(np.finfo(float).eps) * scale)
     gauge_passed = all(d < gauge_bound for vals in deltas.values() for d in vals)
+    numbers = [e_zero, ground, *fd_devs, *fd_tols, *(quad_errors or ()),
+               *(d for vals in deltas.values() for d in vals)]
+    if not all(map(math.isfinite, numbers)):
+        raise QuasivacError("the certification's numbers overflow the float range")
 
     return CertificationReport(
         residual_linear=blocks.linear_norm,

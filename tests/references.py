@@ -16,8 +16,8 @@ import numpy as np
 from scipy.sparse.linalg import expm_multiply
 
 from quasivac import Statistics, WickPolynomial, from_generator, quantize
-from quasivac.bogoliubov import ThoulessChart, chart_from_map
-from quasivac.errors import ChartDomainError, StatisticsMismatchError
+from quasivac.bogoliubov import chart_arrays
+from quasivac.errors import StatisticsMismatchError
 from quasivac.fock import DEFAULT_TAIL_TOL, FockVector, gaussian_vectors
 
 
@@ -57,16 +57,16 @@ def _matrix_function_times(pair, fn):
 
 
 def chart_from_generator(g):
-    """Pair-amplitude chart of the generated state.
+    """(z, shift) arrays of the pair-amplitude chart of the generated state.
 
     Bose:  z = i tanh(s)/s pair;  Fermi:  z = i tan(s)/s pair with the chart
-    domain restricted to spectral norm below pi/2.
+    domain restricted to spectral norm below pi/2 (ValueError beyond).
     """
     n = g.n_modes
     if g.stats is Statistics.FERMI:
         top = float(np.linalg.norm(g.pair, 2)) if n else 0.0
         if top >= math.pi / 2:
-            raise ChartDomainError(
+            raise ValueError(
                 f"generator norm {top:.6f} >= pi/2 leaves the nondegenerate chart"
             )
         fn = lambda s: np.where(s > 1e-30, np.tan(s) / np.where(s > 1e-30, s, 1.0), 1.0)
@@ -75,15 +75,12 @@ def chart_from_generator(g):
     z = 1j * _matrix_function_times(g.pair, fn)
     if g.stats is Statistics.BOSE:
         z = (z + z.T) / 2
-        shift = (
-            chart_from_map(from_generator(g)).shift
-            if np.any(g.shift != 0)
-            else np.zeros(n, complex)
-        )
+        m = from_generator(g)
+        shift = chart_arrays(g.stats, m.u, m.v, m.shift)[1]
     else:
         z = (z - z.T) / 2
         shift = np.zeros(n, complex)
-    return ThoulessChart(g.stats, z, shift)
+    return z, shift
 
 
 def generator_polynomial(g):
@@ -104,9 +101,9 @@ def generator_polynomial(g):
     return WickPolynomial.from_terms(n, g.stats, entries)
 
 
-def gaussian_vector(chart, basis, tail_tol=DEFAULT_TAIL_TOL):
-    """Vector of one charted Gaussian state."""
-    amps, defects = gaussian_vectors([chart], basis, tail_tol)
+def gaussian_vector(z, shift, basis, tail_tol=DEFAULT_TAIL_TOL):
+    """Vector of the Gaussian state of one chart's (z, shift) arrays."""
+    amps, defects = gaussian_vectors(np.array([z]), np.array([shift]), basis, tail_tol)
     return FockVector(basis, amps[0], norm_defect=float(defects[0]))
 
 

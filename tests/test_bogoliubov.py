@@ -19,7 +19,7 @@ from quasivac import (
 )
 from quasivac import bogoliubov
 from quasivac.bogoliubov import (
-    chart_from_map,
+    chart_arrays,
     compose_arrays,
     exponential_map,
     identity,
@@ -29,7 +29,7 @@ from quasivac.bogoliubov import (
     reflection,
     relative_overlap,
 )
-from quasivac.errors import ChartDomainError, DegeneracyError, InvalidGeneratorError
+from quasivac.errors import InvalidGeneratorError
 
 from conftest import random_bounded_hamiltonian, random_valid_map
 from references import (
@@ -48,6 +48,11 @@ FERMI = Statistics.FERMI
 def bose_squeeze(t):
     """One-mode map with u = cosh t, v = sinh t."""
     return from_generator(Generator(BOSE, np.array([[1j * t]]), np.zeros(1, complex)))
+
+
+def chart_of(m):
+    """(z, shift) chart arrays of a map's state."""
+    return chart_arrays(m.stats, m.u, m.v, m.shift)
 
 
 def unit_vector(n, rng):
@@ -208,27 +213,27 @@ class TestFromGenerator:
 class TestCharts:
     def test_zero_generator_chart(self):
         zero = Generator(BOSE, np.zeros((2, 2), complex), np.zeros(2, complex))
-        chart = chart_from_generator(zero)
-        assert np.allclose(chart.z, 0)
-        assert np.allclose(chart.shift, 0)
+        z, shift = chart_from_generator(zero)
+        assert np.allclose(z, 0)
+        assert np.allclose(shift, 0)
 
     def test_bose_scalar_tanh(self):
         s = 0.6
         g = Generator(BOSE, np.array([[1j * s / 2]]), np.zeros(1, complex))
-        chart = chart_from_generator(g)
+        z, _ = chart_from_generator(g)
         # z = i tanh(|pair|) pair/|pair| = -tanh(s/2)
-        assert np.allclose(chart.z, [[-math.tanh(s / 2)]], atol=1e-12)
+        assert np.allclose(z, [[-math.tanh(s / 2)]], atol=1e-12)
 
     def test_fermi_scalar_tan(self):
         t = 0.4
         pair = np.array([[0, t], [-t, 0]], dtype=complex)
-        chart = chart_from_generator(Generator(FERMI, pair, np.zeros(2, complex)))
-        assert np.allclose(chart.z[0, 1], 1j * math.tan(t), atol=1e-12)
-        assert np.allclose(chart.z, -chart.z.T)
+        z, _ = chart_from_generator(Generator(FERMI, pair, np.zeros(2, complex)))
+        assert np.allclose(z[0, 1], 1j * math.tan(t), atol=1e-12)
+        assert np.allclose(z, -z.T)
 
     def test_fermi_chart_domain(self):
         pair = np.array([[0, 1.7], [-1.7, 0]], dtype=complex)
-        with pytest.raises(ChartDomainError):
+        with pytest.raises(ValueError, match="leaves the nondegenerate chart"):
             chart_from_generator(Generator(FERMI, pair, np.zeros(2, complex)))
 
     def test_fermi_generator_beyond_chart_still_valid_group_element(self):
@@ -236,22 +241,24 @@ class TestCharts:
         m = from_generator(Generator(FERMI, pair, np.zeros(2, complex)))
         assert max(residual_norms(m)) <= 1e-10
 
-    def test_chart_from_map_identity(self):
-        chart = chart_from_map(identity(2, BOSE))
-        assert np.allclose(chart.z, 0)
-        assert np.allclose(chart.shift, 0)
+    def test_chart_of_identity(self):
+        z, shift = chart_of(identity(2, BOSE))
+        assert np.allclose(z, 0)
+        assert np.allclose(shift, 0)
 
     def test_chart_of_squeeze(self):
         t = 0.8
-        chart = chart_from_map(bose_squeeze(t))
-        assert np.allclose(chart.z, [[-math.tanh(t)]], atol=1e-12)
+        z, _ = chart_of(bose_squeeze(t))
+        assert np.allclose(z, [[-math.tanh(t)]], atol=1e-12)
 
-    def test_fermi_swap_degenerate(self):
+    def test_fermi_swap_is_peeled(self):
+        # u = 0 has no chart: one reflection is peeled off, and the state is
+        # a*|0> up to phase
         swap = BogoliubovMap(
             FERMI, np.zeros((1, 1), complex), np.eye(1, dtype=complex), np.zeros(1, complex)
         )
-        with pytest.raises(DegeneracyError):
-            chart_from_map(swap)
+        vec = state_of_map(swap, FockBasis.build(FERMI, 1))
+        assert np.allclose(np.abs(vec.amplitudes), [0.0, 1.0], atol=1e-12)
 
     def test_chart_matches_generator_route(self):
         rng = np.random.default_rng(13)
@@ -259,17 +266,14 @@ class TestCharts:
             for _ in range(5):
                 g = random_generator(3, stats, rng, pair_scale=0.2,
                                      shift_scale=0.3 if stats is BOSE else 0.0)
-                direct = chart_from_generator(g)
-                via_map = chart_from_map(from_generator(g))
-                assert np.max(np.abs(direct.z - via_map.z)) < 1e-11
-                assert np.max(np.abs(direct.shift - via_map.shift)) < 1e-11
+                for direct, via_map in zip(chart_from_generator(g), chart_of(from_generator(g))):
+                    assert np.max(np.abs(direct - via_map)) < 1e-11
 
     def test_bose_chart_norm_below_one(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
             m = random_valid_map(BOSE, 3, rng, pair_scale=0.8, gauge=True)
-            chart = chart_from_map(m)
-            assert np.linalg.norm(chart.z, 2) < 1.0
+            assert np.linalg.norm(chart_of(m)[0], 2) < 1.0
 
 
 class TestStateLevelConsistency:
@@ -278,7 +282,7 @@ class TestStateLevelConsistency:
     def overlap(self, stats, n, cutoff, g):
         basis = FockBasis.build(stats, n, cutoff)
         via_exp = exp_generator(g, basis, vacuum_vector(basis))
-        via_chart = gaussian_vector(chart_from_generator(g), basis)
+        via_chart = gaussian_vector(*chart_from_generator(g), basis)
         return abs(np.vdot(via_exp.amplitudes, via_chart.amplitudes))
 
     def test_bose_one_mode(self):

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from quasivac.cli import (
     serialize_hamiltonian,
 )
 from quasivac.ordering import CompiledPolynomial
-from quasivac.variational import HERMITIAN_TOL, Mode, result_at
+from quasivac.variational import HERMITIAN_TOL, Mode, RunStatus, result_at
 
 from conftest import engine_builds, perfbench_module, random_bounded_hamiltonian
 from references import max_abs_diff
@@ -339,6 +340,24 @@ def test_spec_boundary_admits_only_finite_hermitian_polynomials(spec):
     assert dict(_hamiltonian_of(block, "block").terms) == dict(poly.terms)
 
 
+@given(WELL_FORMED)
+@settings(max_examples=50, deadline=None)
+def test_every_accepted_spec_runs_to_a_strict_report(spec):
+    # whatever the terms, a spec the parser accepts runs through cli.run to a
+    # report that re-reads as strict JSON, with a status run can write
+    try:
+        _hamiltonian_of(spec, "spec")
+    except QuasivacError:
+        return
+    mode = Mode.BOSE_FULL if spec["statistics"] == "bose" else Mode.FERMI_EVEN
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "spec.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(spec))
+        run(str(path), mode, report_path=str(out), max_iterations=50, multistarts=1)
+        report = cli.load_spec(str(out))
+    assert report["status"] in {s.value for s in RunStatus} | {"error"}
+
+
 class TestRun:
     def test_squeezed_report_content(self, tmp_path):
         report = run(
@@ -617,15 +636,67 @@ class TestRun:
         assert certify_report(path) == first
         assert caps == [fock.DEFAULT_DIMENSION_CAP, 8192, fock.DEFAULT_DIMENSION_CAP]
 
-    @pytest.mark.parametrize("value", [0, -8, 8.5, "8", None, True])
-    def test_report_with_bad_dimension_cap_is_rejected(self, value, tmp_path):
+    @pytest.mark.parametrize("field,value", [
+        *(("dimension_cap", value) for value in [0, -8, 8.5, "8", None, True]),
+        *(("tol_grad", value) for value in [-1e-8, "1e-8", None, True, [1e-8]]),
+    ])
+    def test_report_with_bad_tolerance_is_rejected(self, field, value, tmp_path):
         def edit(report):
-            report["tolerances"]["dimension_cap"] = value
+            report["tolerances"][field] = value
 
         result = certify_report(self._malformed_report(tmp_path, edit))
         assert result["passed"] is False
         assert "malformed report" in result["reason"]
-        assert "dimension_cap" in result["reason"]
+        assert field in result["reason"]
+
+    @pytest.mark.parametrize("stored", [True, False])
+    def test_certify_fails_a_map_that_is_not_stationary(self, stored, tmp_path):
+        # the vacuum is a valid map, but not the squeezed oscillator's
+        # minimum: its residual 0.3 is far above the stored tol_grad, or the
+        # default one of a report that records none
+        def edit(report):
+            report["map"]["u"], report["map"]["v"] = [[[1, 0]]], [[[0, 0]]]
+            report["energy"] = 0.0
+            if not stored:
+                del report["tolerances"]["tol_grad"]
+
+        result = certify_report(self._malformed_report(tmp_path, edit))
+        assert result["passed"] is False
+        assert "not stationary" in result["reason"]
+
+    @pytest.mark.parametrize("mode,modes,terms,multistarts,reason", [
+        # the pairing or linear block at the start is finite, its norm is
+        # not: the descent stalled with a NaN residual, or wrote Infinity
+        (Mode.BOSE_EVEN, 1, [([1], [1], 1e308), ([1, 1], [1, 1], 1e308),
+                             ([1, 1], [], 1e308), ([], [1, 1], 1e308)], None, "at a start"),
+        (Mode.BOSE_FULL, 1, [([1], [], 1e300), ([], [1], 1e300)], None, "at a start"),
+        # D at the vacuum holds 1e308 i off the diagonal, which LAPACK fails
+        # to diagonalize: LinAlgError
+        (Mode.BOSE_EVEN, 2, [([1], [2], -1e308j), ([2], [1], 1e308j)], None, "at the result"),
+        # stationary at the vacuum, but the quantized cubic overflows in the
+        # oracle's box (ValueError), and the Hessian of the start test
+        # overflows too (LinAlgError)
+        (Mode.BOSE_FULL, 1, [([], [1, 1, 1], 1e308j), ([1, 1, 1], [], -1e308j)], 1,
+         "certification's numbers"),
+        (Mode.BOSE_FULL, 1, [([], [1, 1, 1], 1e308j), ([1, 1, 1], [], -1e308j)], None,
+         "at a start"),
+        # a quartic with D = 0 at the vacuum: the quadratic check's relative
+        # error against 0 is inf, which the report wrote as Infinity
+        (Mode.BOSE_FULL, 1, [([1, 1], [1, 1], 1e17)], 1, "certification's numbers"),
+    ])
+    def test_overflow_is_an_error(self, mode, modes, terms, multistarts, reason, tmp_path):
+        # a number past the float range ends the run with a QuasivacError
+        # naming the overflow, and the report is strict JSON
+        spec = write_spec(tmp_path, {"statistics": "bose", "modes": modes, "terms": [
+            {"creation": cr, "annihilation": an, "coeff": [complex(c).real, complex(c).imag]}
+            for cr, an, c in terms]})
+        out = tmp_path / "report.json"
+        report = run(spec, mode, report_path=str(out), multistarts=multistarts)
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "QuasivacError"
+        assert "overflow" in report["error"]["message"]
+        assert reason in report["error"]["message"]
+        assert cli.load_spec(str(out))["status"] == "error"
 
     def test_one_engine_per_run_and_certify(self, tmp_path, monkeypatch):
         # minimize, result_at and certify share the polynomial's engine,

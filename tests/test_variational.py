@@ -740,6 +740,21 @@ class TestDescentInvariants:
             if (len(cr), len(an)) in ((2, 0), (0, 2)):
                 assert abs(coeff) < 2e-8
 
+    def test_a_trial_with_non_finite_norms_is_never_accepted(self):
+        # an engine whose every moved state lowers the energy but overflows
+        # the pairing block: no trial is taken, and the start stalls at a
+        # finite trace
+        class Engine:
+            def vacuum_blocks(self, u, v, shift, single=False):
+                moved = np.count_nonzero(v) > 0
+                pairing = np.array([[math.inf if moved else 1.0]], complex)
+                return complex(-1.0 if moved else 0.0), np.zeros(1, complex), pairing, None
+
+        _, status, iterations, trace = variational._descend(
+            Engine(), identity(1, BOSE), MinimizeOptions(), math.inf, [])
+        assert (status, iterations) == (RunStatus.STALLED, 0)
+        assert np.isfinite(trace).all()
+
     def test_even_runs_never_generate_odd_terms(self):
         rng = np.random.default_rng(29)
         h = random_bounded_hamiltonian(FERMI, 3, rng, quartic=True)
