@@ -1,13 +1,17 @@
 """Normal ordering of ladder-operator products.
 
-Rewrites products and linear substitutions into Wick order by bubbling the
-inserted operator through a canonical monomial one adjacent swap at a time,
-emitting a contraction term at every matching pair:
+One kernel, ``_mul_linear_dict``, normal orders a polynomial times an affine
+combination of a*_j and a_j: a*_j appended on the right moves left past the
+annihilators, emitting a contraction term at every a_j it passes,
 
-    a_i a*_j = s a*_j a_i + delta_ij,   s = +1 (Bose), -1 (Fermi)
+    a_i a*_j = s a*_j a_i + delta_ij,   s = +1 (Bose), -1 (Fermi),
 
-Fermionic signs are accumulated as exact integer factors before any floating
-multiplication, so antisymmetry cancellations are exact.
+and either operator then joins its sorted index tuple with the exchange
+sign of the greater indices it passes.  Signs are exact factors of +-1, so
+antisymmetry cancellations are exact, and each product is pruned relative to
+its largest coefficient (``wick._finalize``), so results scale with the
+input.  ``substitute_linear`` chains the kernel over each monomial with the
+images of the a_i and, as their adjoints, of the a*_i.
 
 ``CompiledPolynomial`` evaluates vacuum expectations of substituted
 products without ordering (Wick's theorem), through gather-product-scatter
@@ -26,7 +30,7 @@ import numpy as np
 
 from .bogoliubov import inverse_arrays
 from .errors import StatisticsMismatchError
-from .wick import PRUNE_THRESHOLD, Statistics, TermKey, WickPolynomial, _finalize
+from .wick import Statistics, TermKey, WickPolynomial, _finalize
 
 
 @dataclass(frozen=True)
@@ -62,64 +66,33 @@ def _acc(out: dict, key: TermKey, val: complex) -> None:
     out[key] = out.get(key, 0j) + val
 
 
-def _insert(stats: Statistics, tup: tuple, j: int) -> tuple | None:
-    """Insert index j, appended on the right, into a sorted tuple.
-
-    Returns (tuple, sign), the exchange sign to the number of greater
-    indices j is swapped past, or None for a repeated fermionic index.
-    """
-    if stats is Statistics.FERMI and j in tup:
-        return None
-    pos = 0
-    while pos < len(tup) and tup[pos] <= j:
-        pos += 1
-    return tup[:pos] + (j,) + tup[pos:], stats.sign ** (len(tup) - pos)
-
-
-def _mul_right_creator(stats: Statistics, terms: dict, j: int) -> dict:
-    """Normal order  terms * a*_j."""
-    exchange, out = stats.sign, {}
-    for (cr, an), c in terms.items():
-        sign = 1
-        for t in range(len(an) - 1, -1, -1):
-            if an[t] == j:
-                _acc(out, (cr, an[:t] + an[t + 1:]), c * sign)
-            sign *= exchange
-        merged = _insert(stats, cr, j)
-        if merged is not None:
-            new_cr, msign = merged
-            _acc(out, (new_cr, an), c * sign * msign)
-    return out
-
-
-def _mul_right_annihilator(stats: Statistics, terms: dict, j: int) -> dict:
-    """Normal order  terms * a_j."""
-    out: dict = {}
-    for (cr, an), c in terms.items():
-        merged = _insert(stats, an, j)
-        if merged is not None:
-            new_an, msign = merged
-            _acc(out, (cr, new_an), c * msign)
-    return out
-
-
-def _mul_linear_dict(stats: Statistics, terms: dict, op: LinearOperator) -> dict:
-    """Normal order  terms * op."""
-    out: dict = {}
+def _mul_linear_dict(stats: Statistics, terms, op: LinearOperator):
+    """Normal order  terms * op,  one mode j at a time, as the module
+    docstring says (a repeated fermionic index kills the term), and prune
+    the product by ``_finalize``'s rule."""
+    exchange, fermi, out = stats.sign, stats is Statistics.FERMI, {}
     if op.scalar != 0:
         for key, c in terms.items():
             _acc(out, key, op.scalar * c)
     for j in range(1, op.n_modes + 1):
-        u = op.creation[j - 1]
-        if u != 0:
-            for key, c in _mul_right_creator(stats, terms, j).items():
-                _acc(out, key, u * c)
-        v = op.annihilation[j - 1]
-        if v != 0:
-            for key, c in _mul_right_annihilator(stats, terms, j).items():
-                _acc(out, key, v * c)
-    # intermediate pruning keeps cancelled keys from riding along the chain
-    return {key: c for key, c in out.items() if abs(c) >= PRUNE_THRESHOLD}
+        for creator, w in ((True, op.creation[j - 1]), (False, op.annihilation[j - 1])):
+            if w == 0:
+                continue
+            for (cr, an), c in terms.items():
+                c = w * c
+                if creator:
+                    for t in range(len(an) - 1, -1, -1):
+                        if an[t] == j:
+                            _acc(out, (cr, an[:t] + an[t + 1:]), c)
+                        c = exchange * c
+                tup = cr if creator else an
+                if fermi and j in tup:
+                    continue
+                greater = sum(i > j for i in tup)
+                pos = len(tup) - greater
+                tup = tup[:pos] + (j,) + tup[pos:]
+                _acc(out, (tup, an) if creator else (cr, tup), exchange**greater * c)
+    return _finalize(op.n_modes, stats, out).terms
 
 
 def multiply_linear(poly: WickPolynomial, op: LinearOperator) -> WickPolynomial:
@@ -128,38 +101,26 @@ def multiply_linear(poly: WickPolynomial, op: LinearOperator) -> WickPolynomial:
         raise StatisticsMismatchError(
             f"operator has {op.n_modes} modes, polynomial has {poly.n_modes}"
         )
-    out = _mul_linear_dict(poly.stats, dict(poly.terms), op)
-    return _finalize(poly.n_modes, poly.stats, out)
+    return _finalize(poly.n_modes, poly.stats, _mul_linear_dict(poly.stats, poly.terms, op))
 
 
-def substitute_linear(
-    poly: WickPolynomial,
-    subst_creation: Sequence[LinearOperator],
-    subst_annihilation: Sequence[LinearOperator],
-) -> WickPolynomial:
-    """Replace a*_i / a_i by the given affine combinations and normal order.
-
-    The i-th creation operator is replaced by ``subst_creation[i-1]`` and the
-    i-th annihilation operator by ``subst_annihilation[i-1]``; each monomial is
-    expanded factor by factor in its stored order.
-    """
+def substitute_linear(poly: WickPolynomial, images: Sequence[LinearOperator]) -> WickPolynomial:
+    """Replace a_i by ``images[i-1]`` and a*_i by its adjoint, and normal
+    order; each monomial is expanded factor by factor in its stored order."""
     n = poly.n_modes
-    if len(subst_creation) != n or len(subst_annihilation) != n:
-        raise StatisticsMismatchError("substitution arrays must have length n_modes")
-    for op in (*subst_creation, *subst_annihilation):
-        if op.n_modes != n:
-            raise StatisticsMismatchError("substitution operator has wrong mode count")
-    stats = poly.stats
+    if len(images) != n or any(op.n_modes != n for op in images):
+        raise StatisticsMismatchError("substitute n_modes images of n_modes modes each")
+    adjoints = [op.adjoint() for op in images]
     result: dict = {}
     for (cr, an), c in poly.terms.items():
-        acc: dict = {((), ()): c}
+        acc = {((), ()): c}
         for i in cr:
-            acc = _mul_linear_dict(stats, acc, subst_creation[i - 1])
+            acc = _mul_linear_dict(poly.stats, acc, adjoints[i - 1])
         for i in an:
-            acc = _mul_linear_dict(stats, acc, subst_annihilation[i - 1])
+            acc = _mul_linear_dict(poly.stats, acc, images[i - 1])
         for key, val in acc.items():
             _acc(result, key, val)
-    return _finalize(n, stats, result)
+    return _finalize(n, poly.stats, result)
 
 
 def _matchings(positions: tuple, partial: bool):
@@ -206,8 +167,13 @@ def _matching_table(probes: int, d: int, sign: int, partial: bool):
     return table
 
 
-def _compile(groups, images: int, sign: int, partial: bool, tables) -> tuple:
-    """Plan of the sums of ``tables`` (probe counts) over terms whose factors
+#: The probe counts of the plan's tables, in slot order: the constant
+#: (1 slot), the linear block (2n) and the pairing sums M ((2n)^2).
+PLANS = (0, 1, 2)
+
+
+def _compile(groups, images: int, sign: int, partial: bool) -> tuple:
+    """Plan of the sums of ``PLANS`` (probe counts) over terms whose factors
     are rows of ``images`` images: per (table, term, matching) the positions
     of its values in [Gram matrix, scalars, 1] (padded with the 1; stored
     transposed), its weight c_t * sign, and its slot (its probes' partners,
@@ -215,7 +181,7 @@ def _compile(groups, images: int, sign: int, partial: bool, tables) -> tuple:
     one = images * images + images
     index, weights, slots = [np.zeros((0, 1), int)], [np.zeros(0)], [np.zeros(0, int)]
     offset = 0
-    for probes in tables:
+    for probes in PLANS:
         for rows, coeffs in groups:
             t, d = rows.shape
             table, partners, signs = _matching_table(probes, d, sign, partial)
@@ -253,8 +219,8 @@ def product_vacuum_expectation(stats: Statistics, ops: Sequence[LinearOperator])
     part of an earlier factor with the creation part of a later one, with the
     fermionic crossing sign, and every unmatched factor contributes its
     scalar.  This is an independent route to the same number as normal
-    ordering the product and reading off its constant term, run as the plan
-    of one term whose factors are the operators themselves.
+    ordering the product and reading off its constant term, read from slot 0
+    of the plan of one term whose factors are the operators themselves.
     """
     if not ops:
         return 1.0 + 0j
@@ -263,13 +229,8 @@ def product_vacuum_expectation(stats: Statistics, ops: Sequence[LinearOperator])
     cre, ann = np.array([op.creation for op in ops]), np.array([op.annihilation for op in ops])
     values = np.concatenate([(ann @ cre.T).ravel(), [op.scalar for op in ops], [1.0]])
     term = [(np.arange(len(ops))[None, :], np.ones(1, complex))]
-    plan = _compile(term, len(ops), stats.sign, True, (0,))
+    plan = _compile(term, len(ops), stats.sign, True)
     return complex(_gather_product_scatter(plan, values)[0])
-
-
-#: The probe counts of the plan's tables, in slot order: the constant
-#: (1 slot), the linear block (2n) and the pairing sums M ((2n)^2).
-PLANS = (0, 1, 2)
 
 
 class CompiledPolynomial:
@@ -343,7 +304,7 @@ class CompiledPolynomial:
         values[-1] = 1
         partial = np.count_nonzero(shift) > 0
         if partial not in self.plans:
-            self.plans[partial] = _compile(self.groups, big, self.stats.sign, partial, PLANS)
+            self.plans[partial] = _compile(self.groups, big, self.stats.sign, partial)
         sums = _gather_product_scatter(self.plans[partial], values)
         left = cre.T @ sums[1 + big:].reshape(big, big)
         p = left @ cre

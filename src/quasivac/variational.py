@@ -173,18 +173,11 @@ class MinimizationResult:
     n_starts: int = 1
 
 
-def substitution_rows(m: BogoliubovMap) -> tuple[list[LinearOperator], list[LinearOperator]]:
-    """Affine expressions of the original operators in the transformed ones.
-
-    Row i of the returned (creation images, annihilation images) is what
-    a*_i / a_i becomes when written in the b operators of the map.
-    """
+def substitution_rows(m: BogoliubovMap) -> list[LinearOperator]:
+    """Affine expressions of the original operators in the transformed ones:
+    row i is what a_i becomes when written in the b operators of the map."""
     inv = inverse(m)
-    ann = [
-        LinearOperator(inv.v[i, :], inv.u[i, :], inv.shift[i]) for i in range(m.n_modes)
-    ]
-    cre = [op.adjoint() for op in ann]
-    return cre, ann
+    return [LinearOperator(inv.v[i, :], inv.u[i, :], inv.shift[i]) for i in range(m.n_modes)]
 
 
 def residual_blocks(h: WickPolynomial, m: BogoliubovMap) -> TransformedBlocks:
@@ -195,9 +188,7 @@ def residual_blocks(h: WickPolynomial, m: BogoliubovMap) -> TransformedBlocks:
     """
     if h.stats is not m.stats or h.n_modes != m.n_modes:
         raise StatisticsMismatchError("polynomial and map disagree")
-    cre, ann = substitution_rows(m)
-    transformed = substitute_linear(h, cre, ann)
-    return extract_blocks(transformed)
+    return extract_blocks(substitute_linear(h, substitution_rows(m)))
 
 
 def descent_direction(stats: Statistics, linear: np.ndarray, pairing: np.ndarray) -> tuple:
@@ -229,6 +220,11 @@ def _check_mode(h: WickPolynomial, mode: Mode) -> None:
         raise HermiticityError("the polynomial must be Hermitian")
     if mode is not Mode.BOSE_FULL and h.parity() is not TermParity.EVEN:
         raise ParityError(f"mode {mode.value} requires an even polynomial")
+
+
+def _coefficient_scale(h: WickPolynomial) -> float:
+    """The largest non-constant |coefficient| of a polynomial."""
+    return max((abs(c) for (cr, an), c in h.items() if cr or an), default=0.0)
 
 
 def _noise(energy: float) -> float:
@@ -405,7 +401,7 @@ def minimize(
     opts = opts or MinimizeOptions()
     _check_mode(h, mode)
     compiled = CompiledPolynomial.of(h)
-    scale = max((abs(c) for (cr, an), c in h.items() if cr or an), default=0.0)
+    scale = _coefficient_scale(h)
     runs = []
     minima: list[tuple[BogoliubovMap, float]] = []
     for start in _starts(h, mode, opts, lambda: _settled(compiled, _best(runs), mode)):
@@ -568,8 +564,10 @@ def certify(
     ``FD_STEP``, of the truncated-Fock energy along ``FD_DIRECTIONS`` random
     generator directions against the analytic first-order values; for the full
     bosonic mode, the quadratic growth of the energy along five random
-    displacements against the particle-conserving block D, whose lowest
-    eigenvalue must not be negative beyond 1e-8 of its largest; invariance
+    displacements y against the particle-conserving block D, to 0.05 of
+    |y* D y| or, where D is flat, of a floor that clears the fit's
+    O(FD_STEP^2) term and rounding at H's scale, with D's lowest
+    eigenvalue not negative beyond 1e-8 of its largest; invariance
     of the reported data under ``GAUGE_SWEEPS`` random gauge
     (number-conserving) right-compositions, to 1e-8 or, at a scale where
     that is below rounding, 8 eps times the largest of |E| and the
@@ -635,11 +633,18 @@ def certify(
     quad_passed = None
     if mode is Mode.BOSE_FULL:
         errs = []
+        # a flat D leaves the fit its O(FD_STEP^2) term, FD_STEP^2 times the s^4
+        # coefficient of E along y (taken up to 50 times H's scale), and its
+        # rounding: the floor holds both within the 0.05 bound, and it is never
+        # 0, so a constant H, whose fit is exactly 0, reads 0
+        truncation = 50 * _coefficient_scale(h) * FD_STEP**2
         for y, (e_plus, e_minus) in zip(displacements, e_pairs[FD_DIRECTIONS:]):
             # second central difference estimates E'' = 2c for E = B + c s^2
             fitted = (e_plus - 2 * e_zero + e_minus) / (2 * FD_STEP**2)
             analytic = float(np.real(np.conj(y) @ blocks.single_particle @ y))
-            errs.append(abs(fitted - analytic) / max(abs(analytic), 1e-300))
+            rounding = 8 * float(np.finfo(float).eps) * max(map(abs, (e_plus, e_zero, e_minus)))
+            floor = 20 * max(truncation, rounding / FD_STEP**2, np.finfo(float).smallest_subnormal)
+            errs.append(abs(fitted - analytic) / max(abs(analytic), floor))
         # y* D y < 0 for some y: a displacement lowers the energy, a saddle
         saddle = result.spectrum[0] < -1e-8 * float(np.max(np.abs(result.spectrum)))
         quad_errors = tuple(errs)

@@ -97,8 +97,7 @@ def test_criterion_1_stationary_block_residuals(converged_corpus):
     for h, mode, res in converged_corpus:
         assert res.status is RunStatus.CONVERGED
         assert res.blocks.linear_norm + res.blocks.pairing_norm < 1e-8
-        cre, ann = substitution_rows(res.map)
-        transformed = substitute_linear(h, cre, ann)
+        transformed = substitute_linear(h, substitution_rows(res.map))
         for (cr, an), coeff in transformed.items():
             degree = (len(cr), len(an))
             if degree in ((1, 0), (0, 1), (2, 0), (0, 2)):

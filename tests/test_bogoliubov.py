@@ -24,12 +24,13 @@ from quasivac.bogoliubov import (
     exponential_map,
     identity,
     inverse_arrays,
+    number_conserving,
     random_generator,
     random_number_conserving,
     reflection,
     relative_overlap,
 )
-from quasivac.errors import InvalidGeneratorError
+from quasivac.errors import InvalidGeneratorError, InvalidMapError, StatisticsMismatchError
 
 from conftest import random_bounded_hamiltonian, random_valid_map
 from references import (
@@ -572,3 +573,20 @@ class TestZeroShiftKernels:
             inv_u, inv_v = u.conj().T, -1.0 * v.T
             want = inv_u, inv_v, -(inv_u @ s + inv_v @ np.conj(s))
             assert all(map(same_bytes, inverse_arrays(BOSE, moved[0]), want))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: BogoliubovMap(BOSE, np.eye(2), np.zeros((2, 3)), np.zeros(2)), InvalidMapError),
+    (lambda: BogoliubovMap(FERMI, np.eye(1), np.zeros((1, 1)), np.ones(1)), InvalidMapError),
+    (lambda: BogoliubovMap(BOSE, np.eye(1), np.zeros((1, 1)), np.zeros(1), odd=True),
+     InvalidMapError),
+    (lambda: compose(identity(1, BOSE), identity(2, BOSE)), StatisticsMismatchError),
+    (lambda: compose(identity(1, BOSE), identity(1, FERMI)), StatisticsMismatchError),
+    (lambda: number_conserving(np.array([[2.0]]), BOSE), InvalidMapError),
+    (lambda: reflection(np.array([1.0, 1.0])), InvalidMapError),
+    (lambda: Generator(BOSE, np.zeros((2, 3)), np.zeros(2)), InvalidGeneratorError),
+], ids=["map-shape", "fermi-shift", "bose-odd", "compose-modes", "compose-stats",
+        "non-unitary", "non-unit-reflection", "generator-shape"])
+def test_invalid_input_is_rejected(build, error):
+    with pytest.raises(error):
+        build()

@@ -214,6 +214,16 @@ class TestParse:
         with pytest.raises(SpecFormatError, match="line"):
             parse_hamiltonian(str(path))
 
+    @pytest.mark.parametrize("content, reason", [(None, "file not found"),
+                                                 ("[]", "top level must be an object")],
+                             ids=["missing-file", "top-level-list"])
+    def test_unreadable_spec_is_a_spec_error(self, content, reason, tmp_path):
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SpecFormatError, match=reason):
+            cli.load_spec(str(path))
+
     def test_round_trip(self, tmp_path):
         path = write_spec(
             tmp_path,
@@ -529,6 +539,16 @@ class TestRun:
         assert abs(report["energy"]) < 1e-10
         assert report["residual_K"] + report["residual_O"] < 1e-10
 
+    def test_flat_bose_full_minimum_certifies(self, tmp_path):
+        # a*a*aa: the vacuum is its minimum, with D = [0]
+        path = write_spec(tmp_path, {"statistics": "bose", "modes": 1, "terms": [
+            {"creation": [1, 1], "annihilation": [1, 1], "coeff": [1.0, 0.0]}]})
+        report = run(path, Mode.BOSE_FULL)
+        assert report["status"] == "converged"
+        assert (report["energy"], report["D_spectrum"]) == (0.0, [0.0])
+        assert report["certification"]["quadratic_check"]["passed"] is True
+        assert report["certification"]["passed"] is True
+
     def test_unbounded_status(self):
         report = run(str(SPECS / "unstable_oscillator.json"), Mode.BOSE_EVEN, seed=1)
         assert report["status"] == "unbounded_below"
@@ -680,9 +700,6 @@ class TestRun:
          "certification's numbers"),
         (Mode.BOSE_FULL, 1, [([], [1, 1, 1], 1e308j), ([1, 1, 1], [], -1e308j)], None,
          "at a start"),
-        # a quartic with D = 0 at the vacuum: the quadratic check's relative
-        # error against 0 is inf, which the report wrote as Infinity
-        (Mode.BOSE_FULL, 1, [([1, 1], [1, 1], 1e17)], 1, "certification's numbers"),
     ])
     def test_overflow_is_an_error(self, mode, modes, terms, multistarts, reason, tmp_path):
         # a number past the float range ends the run with a QuasivacError

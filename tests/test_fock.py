@@ -23,8 +23,9 @@ from quasivac.bogoliubov import (
     random_number_conserving,
     reflection,
 )
-from quasivac.errors import DimensionCapError, TailToleranceError
+from quasivac.errors import DimensionCapError, StatisticsMismatchError, TailToleranceError
 from quasivac.fock import (
+    FockVector,
     _chart_through_reflections,
     apply_linear,
     sparse_matrix,
@@ -531,3 +532,16 @@ class TestEngineOracleAgreement:
             discrepancies.append(abs(engine - oracle))
         for before, after in zip(discrepancies, discrepancies[1:]):
             assert after <= before + 1e-13
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FockBasis.build(BOSE, 2, cutoff=(3, 3, 3)),
+    lambda: FockVector(FockBasis.build(BOSE, 1, cutoff=3), np.ones(3)),
+    lambda: sparse_matrix(squeezed_oscillator(), FockBasis.build(FERMI, 1)),
+    lambda: sparse_matrix(squeezed_oscillator(), FockBasis.build(BOSE, 2, cutoff=3)),
+    lambda: states_of_maps([random_valid_map(BOSE, 2, np.random.default_rng(0))],
+                           FockBasis.build(BOSE, 1, cutoff=3)),
+], ids=["cutoffs-per-mode", "vector-length", "matrix-stats", "matrix-modes", "state-modes"])
+def test_mismatched_basis_is_rejected(build):
+    with pytest.raises(StatisticsMismatchError):
+        build()

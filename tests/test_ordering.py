@@ -81,9 +81,8 @@ class TestSubstitute:
         for stats in (BOSE, FERMI):
             n = 2
             poly = random_free_hermitian(stats, n, rng, include_odd=True)
-            cre = [ladder(n, i, True) for i in range(1, n + 1)]
             ann = [ladder(n, i, False) for i in range(1, n + 1)]
-            out = substitute_linear(poly, cre, ann)
+            out = substitute_linear(poly, ann)
             assert max_abs_diff(poly, out) < 1e-14
 
     def test_bose_squeeze_expansion(self):
@@ -92,8 +91,7 @@ class TestSubstitute:
         c, s = math.cosh(r), math.sinh(r)
         poly = WickPolynomial.empty(1, BOSE).add_term([1], [1], 1.0)
         ann = [LinearOperator(np.array([s + 0j]), np.array([c + 0j]))]
-        cre = [ann[0].adjoint()]
-        out = substitute_linear(poly, cre, ann)
+        out = substitute_linear(poly, ann)
         assert out.terms[((), ())] == pytest.approx(s * s)
         assert out.terms[((1, 1), ())] == pytest.approx(c * s)
         assert out.terms[((), (1, 1))] == pytest.approx(c * s)
@@ -104,8 +102,7 @@ class TestSubstitute:
         # a -> b*:  a*a -> 1 - b*b
         poly = WickPolynomial.empty(1, FERMI).add_term([1], [1], 1.0)
         ann = [LinearOperator(np.array([1.0 + 0j]), np.array([0j]))]
-        cre = [ann[0].adjoint()]
-        out = substitute_linear(poly, cre, ann)
+        out = substitute_linear(poly, ann)
         assert out.terms[((), ())] == 1.0
         assert out.terms[((1,), (1,))] == -1.0
 
@@ -116,12 +113,10 @@ class TestSubstitute:
         for _ in range(5):
             poly = random_free_hermitian(stats, n, rng, include_odd=(stats is BOSE))
             m = random_valid_map(stats, n, rng, shift_scale=0.2 if stats is BOSE else 0.0)
-            cre, ann = substitution_rows(m)
-            forward = substitute_linear(poly, cre, ann)
+            forward = substitute_linear(poly, substitution_rows(m))
             from quasivac import inverse
 
-            cre_b, ann_b = substitution_rows(inverse(m))
-            back = substitute_linear(forward, cre_b, ann_b)
+            back = substitute_linear(forward, substitution_rows(inverse(m)))
             assert max_abs_diff(poly, back) < 1e-10
 
     @pytest.mark.parametrize("stats", [BOSE, FERMI])
@@ -131,8 +126,7 @@ class TestSubstitute:
         poly = random_free_hermitian(stats, n, rng, include_odd=False)
         assert poly.parity() is TermParity.EVEN
         m = random_valid_map(stats, n, rng)
-        cre, ann = substitution_rows(m)
-        out = substitute_linear(poly, cre, ann)
+        out = substitute_linear(poly, substitution_rows(m))
         for (cr, an) in out.terms:
             assert (len(cr) + len(an)) % 2 == 0
 
@@ -141,8 +135,7 @@ class TestSubstitute:
         poly = WickPolynomial.empty(n, BOSE).add_term([1] * 4, [1] * 4, 1.0)
         rng = np.random.default_rng(1)
         m = random_valid_map(BOSE, n, rng, pair_scale=0.1)
-        cre, ann = substitution_rows(m)
-        out = substitute_linear(poly, cre, ann)
+        out = substitute_linear(poly, substitution_rows(m))
         assert out.degree() <= 8
         assert len(out) > 0
 
@@ -161,7 +154,7 @@ class TestVacuumExpectation:
         c, s = math.cosh(r), math.sinh(r)
         poly = WickPolynomial.empty(1, BOSE).add_term([1], [1], 1.0)
         ann = [LinearOperator(np.array([s + 0j]), np.array([c + 0j]))]
-        out = substitute_linear(poly, [ann[0].adjoint()], ann)
+        out = substitute_linear(poly, ann)
         assert out.coefficient((), ()) == pytest.approx(s * s)
 
 
@@ -199,3 +192,18 @@ class TestParityAlgebra:
         assert poly_product(even, odd).parity() is TermParity.ODD
         prod = poly_product(odd, odd)
         assert prod.parity() in (TermParity.EVEN,)
+
+
+def _one_mode(stats=BOSE):
+    return WickPolynomial.empty(1, stats).add_term([1], [1], 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LinearOperator(np.ones(2), np.ones(3)),
+    lambda: product_vacuum_expectation(BOSE, [ladder(1, 1, True), ladder(2, 1, False)]),
+    lambda: substitute_linear(_one_mode(), [ladder(1, 1, False)] * 2),
+    lambda: substitute_linear(_one_mode(), [ladder(2, 1, False)]),
+], ids=["operator-lengths", "mixed-mode-counts", "image-count", "image-modes"])
+def test_mismatched_operators_are_rejected(build):
+    with pytest.raises(StatisticsMismatchError):
+        build()

@@ -28,7 +28,7 @@ from quasivac import (
 )
 from quasivac import bogoliubov, variational
 from quasivac.bogoliubov import identity, reflection
-from quasivac.errors import HermiticityError, ParityError
+from quasivac.errors import HermiticityError, ParityError, StatisticsMismatchError
 from quasivac.ordering import CompiledPolynomial, substitute_linear
 from quasivac.variational import (
     descent_direction,
@@ -141,6 +141,29 @@ class TestResidualBlocks:
             d_scale = max(1.0, abs(blocks.constant), np.max(np.abs(blocks.single_particle)))
             d_diff = engine.single_particle - blocks.single_particle
             assert np.max(np.abs(d_diff)) <= 1e-12 * d_scale
+
+    @pytest.mark.parametrize("stats", [BOSE, FERMI])
+    @pytest.mark.parametrize("k", [-60, -20, 20, 60])
+    def test_scaling_h_by_a_power_of_two_scales_every_block_exactly(self, stats, k):
+        # normal ordering prunes relative to the largest coefficient, so no
+        # scale of H drops a term (the bosonic maps are shifted)
+        rng = np.random.default_rng(11)
+        bose = stats is BOSE
+        h = random_free_hermitian(stats, 2, rng, include_odd=bose)
+        m = random_valid_map(stats, 2, rng, pair_scale=0.3, shift_scale=0.3 if bose else 0.0)
+        base, scaled = residual_blocks(h, m), residual_blocks(h.scaled(2.0**k), m)
+        assert len(base.remainder) > 0
+        assert scaled.remainder.terms == {key: 2.0**k * c for key, c in base.remainder.items()}
+        for name in ("constant", "linear", "pairing", "single_particle",
+                     "linear_defect", "pairing_defect"):
+            assert np.array_equal(getattr(scaled, name), 2.0**k * getattr(base, name)), name
+
+
+    @pytest.mark.parametrize("m", [identity(1, FERMI), identity(2, BOSE)],
+                             ids=["statistics", "modes"])
+    def test_mismatched_map_is_rejected(self, m):
+        with pytest.raises(StatisticsMismatchError):
+            residual_blocks(squeezed_oscillator(), m)
 
 
 class TestDescentDirection:
@@ -732,8 +755,7 @@ class TestDescentInvariants:
         for before, after in zip(energies, energies[1:]):
             assert after <= before + 1e-11 * max(1.0, abs(before))
         # converged residual means no linear or anomalous coefficients survive
-        cre, ann = substitution_rows(res.map)
-        transformed = substitute_linear(h, cre, ann)
+        transformed = substitute_linear(h, substitution_rows(res.map))
         for (cr, an), coeff in transformed.items():
             if len(cr) + len(an) == 1:
                 assert abs(coeff) < 1e-8
@@ -759,8 +781,7 @@ class TestDescentInvariants:
         rng = np.random.default_rng(29)
         h = random_bounded_hamiltonian(FERMI, 3, rng, quartic=True)
         res = minimize(h, Mode.FERMI_EVEN, MinimizeOptions(seed=5))
-        cre, ann = substitution_rows(res.map)
-        transformed = substitute_linear(h, cre, ann)
+        transformed = substitute_linear(h, substitution_rows(res.map))
         for (cr, an) in transformed.terms:
             assert (len(cr) + len(an)) % 2 == 0
 
@@ -819,6 +840,19 @@ class TestCertify:
         assert report.fd_passed and report.gauge_passed
         assert report.quadratic_passed is False
         assert not report.passed
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**20])
+    def test_bose_full_minimum_with_a_flat_curvature_certifies(self, scale):
+        # a*a*aa is least at the vacuum, where D = [0]: along a displacement
+        # E = scale s^4, so the curvature fit reads scale FD_STEP^2 against
+        # y* D y = 0, and its floor follows the scale
+        h = WickPolynomial.from_terms(1, BOSE, [([1, 1], [1, 1], scale)])
+        res = minimize(h, Mode.BOSE_FULL)
+        assert (res.status, res.energy) == (RunStatus.CONVERGED, 0.0)
+        assert np.array_equal(res.spectrum, [0.0])
+        report = certify(res, h, Mode.BOSE_FULL)
+        assert max(report.quadratic_rel_errors) <= 0.05
+        assert report.quadratic_passed is True
 
     def test_bose_full_saddle_with_one_descending_mode(self):
         # D = diag(-1, 100): y* D y > 0 on each of the five random

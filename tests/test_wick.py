@@ -286,3 +286,16 @@ class TestRoundTrip:
                                           include_odd=True)
             rebuilt = reassemble(extract_blocks(poly))
             assert max_abs_diff(poly, rebuilt) < 1e-12
+
+
+@pytest.mark.parametrize("check, outcome", [
+    (lambda: WickPolynomial.empty(0, BOSE), IndexRangeError),
+    (lambda: WickPolynomial.empty(2, FERMI).add_term([1], [1], 1.0).coefficient([1, 1], []), 0),
+    (lambda: WickPolynomial.empty(1, BOSE).is_hermitian(0), ValueError),
+], ids=["no-modes", "repeated-fermi-index", "zero-tolerance"])
+def test_invalid_input(check, outcome):
+    if outcome == 0:
+        assert check() == 0
+    else:
+        with pytest.raises(outcome):
+            check()
