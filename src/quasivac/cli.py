@@ -51,7 +51,6 @@ from .errors import (
 )
 from .ordering import CompiledPolynomial
 from .variational import (
-    HERMITIAN_TOL,
     CertificationReport,
     MinimizeOptions,
     MinimizationResult,
@@ -70,8 +69,8 @@ REPORT_SCHEMA = "quasivac-report/4"
 #: most 3.4e-15.
 MAP_RTOL = 1e-8
 
-#: Bound on |stored energy - <psi|H psi>| when a report is re-certified.
-ENERGY_TOL = 1e-6
+#: Bound on |stored energy - <psi|H psi>|, relative to max(H's scale, |<psi|H psi>|).
+ENERGY_RTOL = 1e-7
 
 
 def _fail(path: str, message: str) -> SpecFormatError:
@@ -165,7 +164,7 @@ def _hamiltonian_of(data: Any, path: str) -> WickPolynomial:
         poly = WickPolynomial.from_terms(n_modes, stats, entries)
         if complete:
             poly = _hermitian_completion(poly)
-        hermitian = poly.is_hermitian(HERMITIAN_TOL)
+        hermitian = poly.is_hermitian()
     except QuasivacError:
         raise
     except ValueError as exc:  # a sum, modulus or mirror difference past the range
@@ -178,10 +177,7 @@ def _hamiltonian_of(data: Any, path: str) -> WickPolynomial:
 
 def _hermitian_completion(poly: WickPolynomial) -> WickPolynomial:
     """Add the adjoint of every term whose mirror key is absent."""
-    terms = dict(poly.terms)
-    for key, coeff in poly.adjoint().items():
-        terms.setdefault(key, coeff)
-    return _finalize(poly.n_modes, poly.stats, terms)
+    return _finalize(poly.n_modes, poly.stats, {**poly.adjoint().terms, **poly.terms})
 
 
 def serialize_hamiltonian(poly: WickPolynomial) -> dict:
@@ -372,10 +368,10 @@ def run(
     return report
 
 
-def _recertify(report_path: str) -> tuple[float, CertificationReport | str]:
-    """A stored report's energy and ``_certificate`` at its map and its
-    ``tolerances.dimension_cap``, with the constant FD step and seed; a
-    ``quasivac-report/3`` report, which records no cap, re-runs at the
+def _recertify(report_path: str) -> tuple[float, float, CertificationReport | str]:
+    """A stored report's energy, its H's ``scale`` and ``_certificate`` at
+    its map and ``tolerances.dimension_cap``, with the constant FD step and
+    seed; a ``quasivac-report/3`` report, which records no cap, re-runs at the
     default cap and ``tol_grad``.  Raises QuasivacError when the report is
     not converged, fails the spec checks, lacks a valid energy, map, mode,
     cap or ``tol_grad``, or its map's residual is not below ``tol_grad``."""
@@ -399,25 +395,25 @@ def _recertify(report_path: str) -> tuple[float, CertificationReport | str]:
     if not result.residual < tol:
         raise QuasivacError(f"the stored map is not stationary: its residual "
                             f"{result.residual:.3g} is not below tol_grad {tol:.3g}")
-    return energy, _certificate(result, poly, mode, cap)
+    return energy, poly.scale, _certificate(result, poly, mode, cap)
 
 
 def certify_report(report_path: str) -> dict:
     """Re-run the certification battery for a stored converged report, at
     the dimension cap it was certified at, with the ``oracle`` block of the
     state it builds and an ``energy_check``: the stored energy against the
-    oracle's <psi|H psi>, within ``ENERGY_TOL`` (difference and ``passed``
-    null when the battery is skipped).  ``passed`` is the battery's and the
-    energy check's."""
+    oracle's <psi|H psi>, within ``ENERGY_RTOL`` max(H's scale, |<psi|H psi>|)
+    (difference and ``passed`` null when the battery is skipped).  ``passed``
+    is the battery's and the energy check's."""
     try:
-        energy, cert = _recertify(report_path)
+        energy, scale, cert = _recertify(report_path)
     except QuasivacError as exc:
         return {"passed": False, "reason": str(exc)}
     out = _certification_payload(cert)
     check = {"stored": energy, "difference": None, "passed": None}
     if not isinstance(cert, str):
         check["difference"] = abs(energy - cert.expectation)
-        check["passed"] = check["difference"] < ENERGY_TOL
+        check["passed"] = check["difference"] <= ENERGY_RTOL * max(scale, abs(cert.expectation))
         out["passed"] = out["passed"] and check["passed"]
     return {**out, "oracle": _oracle_payload(cert), "energy_check": check}
 

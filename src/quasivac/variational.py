@@ -89,9 +89,6 @@ class RunStatus(Enum):
     UNBOUNDED_BELOW = "unbounded_below"
 
 
-#: Polynomials must equal their adjoint coefficientwise within this.
-HERMITIAN_TOL = 1e-10
-
 # Line search: Armijo sufficient-decrease constant, first trial step, its
 # shrink factor per backtrack and the number of backtracks before a stall;
 # trial steps are also capped at this generator norm.
@@ -102,8 +99,8 @@ MAX_BACKTRACKS = 60
 STEP_NORM_CAP = 20.0
 
 # Divergence guards: a run is unbounded below once the mixing norm |v|_F
-# passes MIXING_CAP or its energy falls this many times the largest
-# non-constant |coefficient| below its start energy.
+# passes MIXING_CAP or its energy falls this many times H's ``scale`` (the
+# largest non-constant |coefficient|) below its start energy.
 MIXING_CAP = 1e4
 ENERGY_FLOOR_SPAN = 1e6
 
@@ -126,6 +123,11 @@ GAUGE_SWEEPS = 5
 #: report's certification re-runs to the same numbers.
 FD_STEP = 3e-4
 CERTIFY_SEED = 1234
+
+# certify's cross-check and gauge-sweep bounds, relative to max(s, |E|) and
+# max(s, |E|, |eigenvalues of D|) with H's scale s (``WickPolynomial.scale``)
+CROSSCHECK_RTOL = 1e-8
+GAUGE_RTOL = 1e-13
 
 
 @dataclass
@@ -216,15 +218,10 @@ def _check_mode(h: WickPolynomial, mode: Mode) -> None:
         raise StatisticsMismatchError(
             f"mode {mode.value} needs {mode.statistics.value} statistics"
         )
-    if not h.is_hermitian(HERMITIAN_TOL):
+    if not h.is_hermitian():
         raise HermiticityError("the polynomial must be Hermitian")
     if mode is not Mode.BOSE_FULL and h.parity() is not TermParity.EVEN:
         raise ParityError(f"mode {mode.value} requires an even polynomial")
-
-
-def _coefficient_scale(h: WickPolynomial) -> float:
-    """The largest non-constant |coefficient| of a polynomial."""
-    return max((abs(c) for (cr, an), c in h.items() if cr or an), default=0.0)
 
 
 def _noise(energy: float) -> float:
@@ -383,10 +380,10 @@ def minimize(
     Runs steepest descent in the recentered generator chart from one or more
     starts, stops at gradient norm ``tol_grad``, the iteration cap, a
     line-search stall, or a divergence guard (``MIXING_CAP``, or an energy
-    ``ENERGY_FLOOR_SPAN`` times the largest non-constant |coefficient| below
-    the start's), and reports the blocks at the final map, D included, from
-    the same engine as the descent.  Nothing here normal orders: ``certify``
-    checks the blocks against the Fock state.  The starts run in order,
+    ``ENERGY_FLOOR_SPAN`` times ``h.scale`` below the start's), and reports
+    the blocks at the final map, D included, from the same engine as the
+    descent.  Nothing here normal orders: ``certify`` checks the blocks
+    against the Fock state.  The starts run in order,
     and one whose state overlaps an earlier converged minimum to within
     ``MERGE_DELTA`` of 1 (``bogoliubov.relative_overlap``), at an energy no lower than
     that minimum's beyond the line-search noise, stops as merged: it found
@@ -401,11 +398,10 @@ def minimize(
     opts = opts or MinimizeOptions()
     _check_mode(h, mode)
     compiled = CompiledPolynomial.of(h)
-    scale = _coefficient_scale(h)
     runs = []
     minima: list[tuple[BogoliubovMap, float]] = []
     for start in _starts(h, mode, opts, lambda: _settled(compiled, _best(runs), mode)):
-        runs.append(_descend(compiled, start, opts, ENERGY_FLOOR_SPAN * scale, minima))
+        runs.append(_descend(compiled, start, opts, ENERGY_FLOOR_SPAN * h.scale, minima))
         if runs[-1][1] is RunStatus.CONVERGED:
             minima.append((inverse(runs[-1][0]), runs[-1][3][-1, 0]))
     u_map, status, iterations, trace = _best(runs)
@@ -472,13 +468,11 @@ def _state_blocks(m: BogoliubovMap, basis: fock.FockBasis, psi: np.ndarray, hpsi
     )
 
 
-def _crosscheck_routes(blocks: Blocks, oracle: Blocks) -> None:
-    """The batched engine must reproduce the blocks read from the state."""
-    scale = max(1.0, abs(blocks.constant))
-    if abs(blocks.constant - oracle.constant) > 1e-8 * scale or any(
-        np.max(np.abs(getattr(blocks, name) - getattr(oracle, name)), initial=0.0) > 1e-8 * scale
-        for name in ("linear", "pairing", "single_particle")
-    ):
+def _crosscheck_routes(blocks: Blocks, oracle: Blocks, scale: float) -> None:
+    """The engine's blocks equal those read from the state, to CROSSCHECK_RTOL max(scale, |E|)."""
+    bound = CROSSCHECK_RTOL * max(scale, abs(blocks.constant))
+    if any(np.max(np.abs(getattr(blocks, name) - getattr(oracle, name)), initial=0.0) > bound
+           for name in ("constant", "linear", "pairing", "single_particle")):
         raise RuntimeError("internal inconsistency between block evaluation routes")
 
 
@@ -555,25 +549,29 @@ def certify(
     (``fock.sparse_matrix``).  The report carries <psi|H psi>, psi's norm
     defect and the lowest eigenvalue of that matrix restricted to psi's
     parity sector (even occupation in ``bose-even`` and ``fermi-even``, odd
-    in ``fermi-odd``, the whole box in ``bose-full``).  The result's
-    blocks must first equal those read from psi to 1e-8 relative (else
-    RuntimeError): E = <psi|H psi>, linear_i = <b*_i psi|H psi>,
-    pairing_ij = 1/2 <b*_j b*_i psi|H psi> and
+    in ``fermi-odd``, the whole box in ``bose-full``).  Every bound is
+    relative to H's ``scale`` s (``WickPolynomial.scale``), so certifying
+    ``h.scaled(c)`` at the same map scales every number by c.  The result's
+    blocks must first equal those read from psi to ``CROSSCHECK_RTOL``
+    max(s, |E|) (else RuntimeError): E = <psi|H psi>,
+    linear_i = <b*_i psi|H psi>, pairing_ij = 1/2 <b*_j b*_i psi|H psi> and
     D_ij = <b*_i psi|H b*_j psi> - E delta_ij.  Then four checks: residual
     norms of the linear and anomalous blocks; central differences, at step
     ``FD_STEP``, of the truncated-Fock energy along ``FD_DIRECTIONS`` random
-    generator directions against the analytic first-order values; for the full
+    generator directions against the analytic first-order values, to the
+    largest of 10 s FD_STEP^2 (the difference's truncation), its rounding
+    8 eps max|E+-| / FD_STEP and 1e-4 |analytic|; for the full
     bosonic mode, the quadratic growth of the energy along five random
     displacements y against the particle-conserving block D, to 0.05 of
     |y* D y| or, where D is flat, of a floor that clears the fit's
     O(FD_STEP^2) term and rounding at H's scale, with D's lowest
     eigenvalue not negative beyond 1e-8 of its largest; invariance
     of the reported data under ``GAUGE_SWEEPS`` random gauge
-    (number-conserving) right-compositions, to 1e-8 or, at a scale where
-    that is below rounding, 8 eps times the largest of |E| and the
-    |eigenvalues| of D.  The directions, displacements and gauges are
-    drawn from ``CERTIFY_SEED`` in that order.  A number of the report
-    past the float range raises QuasivacError.
+    (number-conserving) right-compositions, to ``GAUGE_RTOL`` times the
+    largest of s, |E| and the |eigenvalues| of D.  The directions,
+    displacements and gauges are drawn from ``CERTIFY_SEED`` in that
+    order.  A number of the report past the float range raises
+    QuasivacError.
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
@@ -603,7 +601,7 @@ def certify(
     acted = (matrix @ np.vstack([states, excited]).T).T
     count = len(states)
     oracle = _state_blocks(u_map, basis, states[0], acted[0], excited, acted[count:])
-    _crosscheck_routes(blocks, oracle)
+    _crosscheck_routes(blocks, oracle, h.scale)
     energies = np.sum(states.conj() * acted[:count], axis=1).real.tolist()
     e_zero, e_pairs = energies[0], list(zip(energies[1::2], energies[2::2]))
     # psi's parity sector: the whole box in bose-full, odd rows in fermi-odd, else even
@@ -624,9 +622,10 @@ def certify(
         fd = (e_plus - e_minus) / (2 * FD_STEP)
         analytic = directional_derivative(blocks, g)
         fd_devs.append(abs(fd - analytic))
-        # the floor also clears the central difference's own rounding
         rounding = 8 * float(np.finfo(float).eps) * max(abs(e_plus), abs(e_minus)) / FD_STEP
-        fd_tols.append(max(1e-6, rounding, 1e-4 * abs(analytic)))
+        # the central difference's O(FD_STEP^2) truncation (its coefficient taken
+        # up to 10 times H's scale) and its rounding
+        fd_tols.append(max(10 * h.scale * FD_STEP**2, rounding, 1e-4 * abs(analytic)))
     fd_passed = all(d <= t for d, t in zip(fd_devs, fd_tols))
 
     quad_errors = None
@@ -637,7 +636,7 @@ def certify(
         # coefficient of E along y (taken up to 50 times H's scale), and its
         # rounding: the floor holds both within the 0.05 bound, and it is never
         # 0, so a constant H, whose fit is exactly 0, reads 0
-        truncation = 50 * _coefficient_scale(h) * FD_STEP**2
+        truncation = 50 * h.scale * FD_STEP**2
         for y, (e_plus, e_minus) in zip(displacements, e_pairs[FD_DIRECTIONS:]):
             # second central difference estimates E'' = 2c for E = B + c s^2
             fitted = (e_plus - 2 * e_zero + e_minus) / (2 * FD_STEP**2)
@@ -660,10 +659,8 @@ def certify(
         deltas["linear_norm"].append(abs(sweep.blocks.linear_norm - blocks.linear_norm))
         deltas["pairing_norm"].append(abs(sweep.blocks.pairing_norm - blocks.pairing_norm))
         deltas["spectrum"].append(float(np.max(np.abs(sweep.spectrum - base_spec))))
-    # like the FD floor, the bound clears a few ulps of the result's scale
-    scale = max(abs(result.energy), float(np.max(np.abs(base_spec))))
-    gauge_bound = max(1e-8, 8 * float(np.finfo(float).eps) * scale)
-    gauge_passed = all(d < gauge_bound for vals in deltas.values() for d in vals)
+    scale = max(h.scale, abs(result.energy), float(np.max(np.abs(base_spec))))
+    gauge_passed = all(d <= GAUGE_RTOL * scale for vals in deltas.values() for d in vals)
     numbers = [e_zero, ground, *fd_devs, *fd_tols, *(quad_errors or ()),
                *(d for vals in deltas.values() for d in vals)]
     if not all(map(math.isfinite, numbers)):

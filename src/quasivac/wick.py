@@ -13,7 +13,7 @@ coefficient at insertion time, and a repeated fermionic index kills the term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
@@ -25,6 +25,9 @@ from .errors import DegreeCapError, IndexRangeError
 #: Coefficients below this times the largest non-constant |coefficient| are
 #: dropped at insertion, as are exact zeros.
 PRUNE_THRESHOLD = 1e-14
+
+#: ``is_hermitian``'s default tolerance, relative to the polynomial's ``scale``.
+HERMITIAN_RTOL = 1e-11
 
 #: Largest supported total degree; normal-ordering cost grows combinatorially.
 DEGREE_CAP = 8
@@ -102,6 +105,13 @@ def _modulus(c: complex, key: TermKey, what: str = "coefficient") -> float:
         raise ValueError(f"{what} {c} of term {key} is not finite") from None
 
 
+def _mirror(stats: Statistics, key: TermKey, c: complex) -> tuple[TermKey, complex]:
+    """The adjoint of c at canonical key (cr, an): (an, cr) and conj(c) times an exchange
+    sign per transposition reversing both tuples, C(|cr|, 2) + C(|an|, 2) in all."""
+    cr, an = key
+    return (an, cr), c.conjugate() * stats.sign ** (math.comb(len(cr), 2) + math.comb(len(an), 2))
+
+
 def _finalize(n_modes: int, stats: Statistics, accum: dict[TermKey, complex]) -> "WickPolynomial":
     terms: dict[TermKey, complex] = {}
     keys = sorted(accum)
@@ -109,11 +119,12 @@ def _finalize(n_modes: int, stats: Statistics, accum: dict[TermKey, complex]) ->
         sizes = list(map(abs, map(accum.__getitem__, keys)))
     except OverflowError:  # raise _modulus's ValueError at the first such term
         sizes = [_modulus(accum[key], key) for key in keys]
-    # The cut is relative to the largest non-constant |c| (the constant key
-    # sorts first), so no scaling prunes a term its unscaled polynomial keeps,
-    # and never below the least positive float, so exact zeros always go.
-    rest = sizes[1:] if keys and keys[0] == ((), ()) else sizes
-    cut = max(PRUNE_THRESHOLD * max(rest, default=0.0), np.finfo(float).smallest_subnormal)
+    # The scale is the largest non-constant |c| (the constant key sorts
+    # first), and the cut is relative to it, so no scaling prunes a term its
+    # unscaled polynomial keeps; never below the least positive float, so
+    # exact zeros always go.
+    scale = max(sizes[1:] if keys and keys[0] == ((), ()) else sizes, default=0.0)
+    cut = max(PRUNE_THRESHOLD * scale, np.finfo(float).smallest_subnormal)
     for key, size in zip(keys, sizes):
         c = accum[key]
         if size < cut:
@@ -130,22 +141,23 @@ def _finalize(n_modes: int, stats: Statistics, accum: dict[TermKey, complex]) ->
     object.__setattr__(poly, "n_modes", n_modes)
     object.__setattr__(poly, "stats", stats)
     object.__setattr__(poly, "terms", MappingProxyType(terms))
+    object.__setattr__(poly, "scale", scale)
     return poly
 
 
 @dataclass(frozen=True)
 class WickPolynomial:
-    """Immutable normal-ordered polynomial in ladder operators."""
+    """Immutable normal-ordered polynomial in ladder operators.  ``scale``, the
+    largest non-constant |coefficient|, is the one problem scale every guard reads."""
 
     n_modes: int
     stats: Statistics
     terms: Mapping[TermKey, complex]
+    scale: float = field(default=math.nan, kw_only=True, repr=False, compare=False)
 
     @classmethod
     def empty(cls, n_modes: int, stats: Statistics) -> "WickPolynomial":
-        if n_modes < 1:
-            raise IndexRangeError("n_modes must be positive")
-        return _finalize(n_modes, stats, {})
+        return cls.from_terms(n_modes, stats, ())
 
     @classmethod
     def from_terms(
@@ -154,7 +166,8 @@ class WickPolynomial:
         stats: Statistics,
         entries: Iterable[tuple[Sequence[int], Sequence[int], complex]],
     ) -> "WickPolynomial":
-        poly = cls.empty(n_modes, stats)
+        if n_modes < 1:
+            raise IndexRangeError("n_modes must be positive")
         accum: dict[TermKey, complex] = {}
         for creation, annihilation, coeff in entries:
             key, c = canonicalize_term(stats, creation, annihilation, coeff, n_modes)
@@ -206,28 +219,21 @@ class WickPolynomial:
         return TermParity.EVEN
 
     def adjoint(self) -> "WickPolynomial":
-        """Hermitian adjoint, with exact fermionic reordering signs."""
-        accum: dict[TermKey, complex] = {}
-        for (cr, an), c in self.terms.items():
-            # (a*_{i1}..a*_{ik} a_{j1}..a_{jm})^† = a*_{jm}..a*_{j1} a_{ik}..a_{i1}
-            key, cc = canonicalize_term(
-                self.stats, tuple(reversed(an)), tuple(reversed(cr)), np.conj(c)
-            )
-            if cc != 0:
-                accum[key] = accum.get(key, 0j) + cc
-        return _finalize(self.n_modes, self.stats, accum)
+        """Hermitian adjoint: every term's mirror (``_mirror``)."""
+        terms = dict(_mirror(self.stats, key, c) for key, c in self.terms.items())
+        return _finalize(self.n_modes, self.stats, terms)
 
-    def is_hermitian(self, tol: float) -> bool:
-        """True iff the polynomial equals its adjoint coefficientwise within
-        tol; False on a non-finite difference, and a ValueError on finite
-        parts whose modulus passes the float range."""
+    def is_hermitian(self, tol: float = HERMITIAN_RTOL) -> bool:
+        """True iff each coefficient is within tol ``scale`` (tol max(``scale``, |c|)
+        for the constant c) of its mirror's; False on a non-finite difference,
+        and a ValueError on finite parts whose modulus passes the float range."""
         if tol <= 0:
             raise ValueError("tol must be positive")
-        for (cr, an), c in self.terms.items():
-            # the adjoint maps keys one to one: its coefficient at this term's mirror
-            key, mirror = canonicalize_term(self.stats, an[::-1], cr[::-1], np.conj(c))
-            diff = self.terms.get(key, 0j) - mirror
-            if not _modulus(diff, key, "mirror difference") <= tol:
+        for key, c in self.terms.items():
+            mirror_key, mirror = _mirror(self.stats, key, c)
+            diff = self.terms.get(mirror_key, 0j) - mirror
+            bound = tol * (max(self.scale, abs(c)) if key == ((), ()) else self.scale)
+            if not _modulus(diff, key, "mirror difference") <= bound:
                 return False
         return True
 

@@ -24,7 +24,7 @@ from quasivac.cli import (
     serialize_hamiltonian,
 )
 from quasivac.ordering import CompiledPolynomial
-from quasivac.variational import HERMITIAN_TOL, Mode, RunStatus, result_at
+from quasivac.variational import Mode, RunStatus, result_at
 
 from conftest import engine_builds, perfbench_module, random_bounded_hamiltonian
 from references import max_abs_diff
@@ -106,6 +106,28 @@ class TestParse:
             parse_hamiltonian(write_spec(tmp_path, payload))
         payload["hermitian_complete"] = True
         assert parse_hamiltonian(write_spec(tmp_path, payload)) is not None
+
+    def test_rounding_skew_at_a_large_coefficient_is_hermitian(self, tmp_path):
+        # a 1e12 hopping whose mirror is one ulp off: 1.2e-4 apart, which an
+        # absolute bound rejected, but 1.2e-16 of the scale of H
+        big = 1e12
+        mirror = math.nextafter(big, math.inf)
+        payload = {"statistics": "bose", "modes": 2, "terms": [
+            {"creation": [1], "annihilation": [2], "coeff": [big, 0.0]},
+            {"creation": [2], "annihilation": [1], "coeff": [mirror, 0.0]},
+        ]}
+        assert parse_hamiltonian(write_spec(tmp_path, payload)).scale == mirror
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+    def test_skewed_mirror_is_rejected_at_every_scale(self, scale, tmp_path):
+        # a hopping whose mirror is half of it is not Hermitian in any
+        # units; at 2**-40 the skew, 4.5e-13, passed an absolute bound
+        payload = {"statistics": "bose", "modes": 2, "terms": [
+            {"creation": [1], "annihilation": [2], "coeff": [scale, 0.0]},
+            {"creation": [2], "annihilation": [1], "coeff": [0.5 * scale, 0.0]},
+        ]}
+        with pytest.raises(HermiticityError):
+            parse_hamiltonian(write_spec(tmp_path, payload))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
     def test_non_finite_coefficient_rejected(self, value, tmp_path):
@@ -344,7 +366,7 @@ def test_spec_boundary_admits_only_finite_hermitian_polynomials(spec):
     assert type(spec["modes"]) is int and type(poly.n_modes) is int
     assert all(type(i) is int for term in spec["terms"]
                for i in term["creation"] + term["annihilation"])
-    assert poly.is_hermitian(HERMITIAN_TOL)
+    assert poly.is_hermitian()
     assert all(math.isfinite(c.real) and math.isfinite(c.imag) for c in poly.terms.values())
     block = json.loads(json.dumps(serialize_hamiltonian(poly)))
     assert dict(_hamiltonian_of(block, "block").terms) == dict(poly.terms)
@@ -590,9 +612,9 @@ class TestRun:
 
     @pytest.mark.parametrize("moved", [0.0, 1e-3])
     def test_certify_checks_the_stored_energy(self, moved, tmp_path, capsys):
-        # the stored energy must lie within ENERGY_TOL of <psi|H psi>: a
-        # report whose energy was moved by 1e-3 fails, though its battery
-        # passes
+        # the stored energy must lie within ENERGY_RTOL max(scale, |E|) of
+        # <psi|H psi>: a report whose energy was moved by 1e-3 fails, though
+        # its battery passes
         out = tmp_path / "report.json"
         report = run(str(SPECS / "squeezed_oscillator.json"), Mode.BOSE_EVEN, seed=7,
                      tol=1e-9, report_path=str(out))
@@ -604,7 +626,9 @@ class TestRun:
         check = result["energy_check"]
         assert check["stored"] == report["energy"] + moved
         assert check["difference"] == abs(check["stored"] - report["oracle"]["expectation"])
-        assert check["passed"] is (check["difference"] < cli.ENERGY_TOL) is (not moved)
+        scale = parse_hamiltonian(str(SPECS / "squeezed_oscillator.json")).scale
+        bound = cli.ENERGY_RTOL * max(scale, abs(report["oracle"]["expectation"]))
+        assert check["passed"] is (check["difference"] <= bound) is (not moved)
         assert result["passed"] is check["passed"]
         assert result["oracle"] == report["oracle"]
         for key in ("fd_check", "quadratic_check", "gauge_check", "skipped_reason"):

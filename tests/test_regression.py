@@ -22,7 +22,7 @@ import os
 import numpy as np
 import pytest
 
-from quasivac import minimize
+from quasivac import MinimizeOptions, minimize
 
 from conftest import perfbench_module
 
@@ -60,6 +60,15 @@ def test_minimum_matches_reference(reference, p):
     assert got["status"] == want["status"]
     np.testing.assert_allclose(got["energy"], want["energy"], rtol=RTOL, atol=0)
     np.testing.assert_allclose(got["spectrum"], want["spectrum"], rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+def test_scaled_problems_pass_the_hermiticity_guard(k):
+    # 2**k scales every coefficient exactly, and with it the rounding-level
+    # skew between mirror terms: the guard reads it relative to h.scale
+    for p in problems():
+        res = minimize(p.h.scaled(2.0**k), p.mode, MinimizeOptions(max_iterations=0, multistarts=1))
+        assert res.iterations == 0
 
 
 if __name__ == "__main__":

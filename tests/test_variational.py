@@ -28,7 +28,8 @@ from quasivac import (
 )
 from quasivac import bogoliubov, variational
 from quasivac.bogoliubov import identity, reflection
-from quasivac.errors import HermiticityError, ParityError, StatisticsMismatchError
+from quasivac.errors import (DimensionCapError, HermiticityError, ParityError,
+                             StatisticsMismatchError)
 from quasivac.ordering import CompiledPolynomial, substitute_linear
 from quasivac.variational import (
     descent_direction,
@@ -794,6 +795,21 @@ class TestDescentInvariants:
         assert np.allclose(res.spectrum, [-eps], atol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def corpus_certificates():
+    """(h, mode, map, certificate) at each corpus minimum that ``certify``
+    reaches: corpus-105 and 106 stop at the dimension cap."""
+    out = []
+    for p in perfbench_module("inputs").corpus_problems():
+        m = minimize(p.h, p.mode, p.opts).map
+        try:
+            out.append((p.h, p.mode, m, certify(result_at(CompiledPolynomial.of(p.h), m),
+                                                p.h, p.mode)))
+        except DimensionCapError:
+            continue
+    return out
+
+
 class TestCertify:
     def test_number_operator_trivial_pass(self):
         h = WickPolynomial.empty(1, BOSE).add_term([1], [1], 1.0)
@@ -845,7 +861,9 @@ class TestCertify:
     def test_bose_full_minimum_with_a_flat_curvature_certifies(self, scale):
         # a*a*aa is least at the vacuum, where D = [0]: along a displacement
         # E = scale s^4, so the curvature fit reads scale FD_STEP^2 against
-        # y* D y = 0, and its floor follows the scale
+        # y* D y = 0, and its floor follows the scale; so does the FD floor,
+        # which the central difference's truncation (0.51 scale FD_STEP^2)
+        # cleared at scale 1 but not at 2**20 while it was an absolute 1e-6
         h = WickPolynomial.from_terms(1, BOSE, [([1, 1], [1, 1], scale)])
         res = minimize(h, Mode.BOSE_FULL)
         assert (res.status, res.energy) == (RunStatus.CONVERGED, 0.0)
@@ -853,6 +871,7 @@ class TestCertify:
         report = certify(res, h, Mode.BOSE_FULL)
         assert max(report.quadratic_rel_errors) <= 0.05
         assert report.quadratic_passed is True
+        assert report.fd_passed and report.passed
 
     def test_bose_full_saddle_with_one_descending_mode(self):
         # D = diag(-1, 100): y* D y > 0 on each of the five random
@@ -888,7 +907,7 @@ class TestCertify:
 
     def test_fd_floor_follows_the_scale_of_h(self):
         # scaled by 1e7, the central difference rounds to about
-        # eps |E| / fd_step = 7e-7, near the absolute 1e-6 floor
+        # eps |E| / fd_step = 7e-7, under the floor 10 h.scale FD_STEP^2 = 0.9
         h = squeezed_oscillator().scaled(1e7)
         res = minimize(h, Mode.BOSE_EVEN)
         assert res.status is RunStatus.CONVERGED
@@ -915,15 +934,39 @@ class TestCertify:
         wrong = dataclasses.replace(res, spectrum=res.spectrum * (1 + 1e-12))
         assert not certify(wrong, h, Mode.BOSE_EVEN).gauge_passed
 
-    def test_fd_check_catches_a_wrong_pairing_block_at_scale(self, monkeypatch):
-        # with the cross-check off, a pairing block off by 1e-12 of the
-        # scale of H must still fail the FD check, whose floor is 6e-6 here
+    @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 1e7])
+    def test_fd_check_catches_a_wrong_pairing_block_at_scale(self, scale, monkeypatch):
+        # with the cross-check off, a pairing block off by 1e-5 of the scale
+        # of H must still fail the FD check, whose floor is 10 h.scale
+        # FD_STEP^2 (9e-7 of it) at every scale; an absolute 1e-6 floor
+        # missed it at 2**-20.  The result is the scaled H's at the minimum
+        # of the unscaled one, which the descent's absolute constants cannot move
         monkeypatch.setattr(variational, "_crosscheck_routes", lambda *args: None)
-        h = squeezed_oscillator().scaled(1e7)
-        res = minimize(h, Mode.BOSE_EVEN)
-        blocks = dataclasses.replace(res.blocks, pairing=res.blocks.pairing + 1e-5)
+        h = squeezed_oscillator().scaled(scale)
+        m = minimize(squeezed_oscillator(), Mode.BOSE_EVEN).map
+        res = result_at(CompiledPolynomial.of(h), m)
+        blocks = dataclasses.replace(res.blocks, pairing=res.blocks.pairing + 1e-5 * scale)
         report = certify(dataclasses.replace(res, blocks=blocks), h, Mode.BOSE_EVEN)
         assert not report.fd_passed
+
+    @pytest.mark.parametrize("k", [-40, -20, 20, 40])
+    def test_certification_scales_with_h(self, corpus_certificates, k):
+        # at the unscaled minimum, certify on h.scaled(2**k) passes and fails
+        # as on h, and its energies, deviations and tolerances are 2**k
+        # times h's: every bound reads h.scale
+        assert len(corpus_certificates) == 18
+        for h, mode, m, base in corpus_certificates:
+            scaled = h.scaled(2.0**k)
+            cert = certify(result_at(CompiledPolynomial.of(scaled), m), scaled, mode)
+            verdicts = ("fd_passed", "quadratic_passed", "gauge_passed", "passed")
+            assert [getattr(cert, v) for v in verdicts] == [getattr(base, v) for v in verdicts]
+            for name in ("expectation", "ground_energy", "fd_deviations", "fd_tolerances"):
+                np.testing.assert_allclose(getattr(cert, name),
+                                           2.0**k * np.asarray(getattr(base, name)),
+                                           rtol=1e-12, atol=0)
+            if base.quadratic_rel_errors is not None:
+                np.testing.assert_allclose(cert.quadratic_rel_errors, base.quadratic_rel_errors,
+                                           rtol=1e-12, atol=0)
 
     def test_fermi_odd_certification(self):
         h = WickPolynomial.empty(1, FERMI).add_term([1], [1], 1.0)

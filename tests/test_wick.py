@@ -23,6 +23,24 @@ from references import max_abs_diff, reassemble
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
 
+#: Term lists of degree up to 8 on three modes, repeated indices included.
+TERMS = st.lists(st.tuples(
+    st.lists(st.integers(1, 3), max_size=4),
+    st.lists(st.integers(1, 3), max_size=4),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+), max_size=8)
+
+
+def adjoint_by_reordering(poly):
+    """The adjoint's coefficients through ``canonicalize_term``: each key
+    reversed and sorted again, its coefficient conjugated."""
+    accum = {}
+    for (cr, an), c in poly.items():
+        key, cc = canonicalize_term(poly.stats, an[::-1], cr[::-1], np.conj(c))
+        if cc != 0:
+            accum[key] = accum.get(key, 0j) + cc
+    return accum
+
 
 class TestCanonicalize:
     def test_fermi_transposition_sign(self):
@@ -178,6 +196,32 @@ class TestHermitian:
                                                    ([], [1, 1], complex(0.7e308, 0.7e308))])
         with pytest.raises(ValueError, match="mirror difference .* is not finite"):
             poly.is_hermitian(1e-12)
+
+    @given(st.sampled_from([BOSE, FERMI]), TERMS, st.floats(1e-15, 1e-3))
+    @settings(max_examples=300, deadline=None)
+    def test_mirror_closed_form_matches_reordering(self, stats, terms, tol):
+        # the adjoint's closed form against reversing and re-sorting every
+        # key, and is_hermitian against the coefficientwise difference
+        # relative to the scale (to |c| too for the constant c)
+        poly = WickPolynomial.from_terms(3, stats, terms)
+        reference = adjoint_by_reordering(poly)
+        assert dict(poly.adjoint().terms) == reference
+        constant = abs(poly.terms.get(((), ()), 0j))
+        assert poly.is_hermitian(tol) is all(
+            abs(poly.terms.get(key, 0j) - reference.get(key, 0j))
+            <= tol * (max(poly.scale, constant) if key == ((), ()) else poly.scale)
+            for key in {*poly.terms, *reference})
+
+    @given(st.sampled_from([BOSE, FERMI]), TERMS, st.sampled_from([-40, 0, 40]))
+    @settings(max_examples=200, deadline=None)
+    def test_hermitian_in_any_units(self, stats, terms, k):
+        # every term summed with its mirror, then scaled by 2**k: the
+        # rounding of the sums is relative, and so is the check
+        mirrored = terms + [(an[::-1], cr[::-1], np.conj(c)) for cr, an, c in terms]
+        poly = WickPolynomial.from_terms(3, stats, mirrored).scaled(2.0**k)
+        assert poly.is_hermitian()
+        assert poly.scale == max((abs(c) for (cr, an), c in poly.items() if cr or an),
+                                 default=0.0)
 
     def test_adjoint_involution(self):
         rng = np.random.default_rng(7)
