@@ -94,12 +94,13 @@ def identity(n: int, stats: Statistics) -> BogoliubovMap:
 
 
 def compose_arrays(m1: tuple, m2: tuple) -> tuple:
-    """(u, v, shift) of ``compose`` of two maps' (u, v, shift) arrays."""
+    """(u, v, shift) of ``compose`` of two maps' (u, v, shift) arrays; m2 may
+    be a stack of maps, each composed after m1."""
     (u1, v1, s1), (u2, v2, s2) = m1, m2
     u, v = u2 @ u1 + v2 @ np.conj(v1), u2 @ v1 + v2 @ np.conj(u1)
     if np.count_nonzero(s1) or np.count_nonzero(s2):
         return u, v, u2 @ s1 + v2 @ np.conj(s1) + s2
-    return u, v, np.zeros(len(s1), complex)
+    return u, v, np.zeros_like(s2)
 
 
 def compose(m1: BogoliubovMap, m2: BogoliubovMap) -> BogoliubovMap:
@@ -259,12 +260,15 @@ def chart_arrays(stats: Statistics, u: np.ndarray, v: np.ndarray, shift: np.ndar
     shift) arrays reach from the vacuum: z = -u^-1 v, symmetrized (Bose) or
     antisymmetrized (Fermi), and the chart shift i (u^dag shift - v^T
     conj(shift)).  u must be invertible: an odd or degenerate fermionic map
-    is peeled first (``fock.states_of_maps``)."""
+    is peeled first (``fock.states_of_maps``).  Stacks of arrays give stacks
+    of charts."""
     z = -np.linalg.solve(u, v)
-    z = (z + stats.sign * z.T) / 2
+    z = (z + stats.sign * np.swapaxes(z, -1, -2)) / 2
     if np.count_nonzero(shift):
-        return z, 1j * (u.conj().T @ shift - v.T @ np.conj(shift))
-    return z, np.zeros(len(shift), complex)
+        shift = shift[..., None]
+        moved = np.swapaxes(u.conj(), -1, -2) @ shift - np.swapaxes(v, -1, -2) @ np.conj(shift)
+        return z, 1j * moved[..., 0]
+    return z, np.zeros(shift.shape, complex)
 
 
 def random_generator(

@@ -177,7 +177,10 @@ def _hamiltonian_of(data: Any, path: str) -> WickPolynomial:
 
 def _hermitian_completion(poly: WickPolynomial) -> WickPolynomial:
     """Add the adjoint of every term whose mirror key is absent."""
-    return _finalize(poly.n_modes, poly.stats, {**poly.adjoint().terms, **poly.terms})
+    terms = dict(poly.terms)
+    for key, coeff in poly.adjoint().items():
+        terms.setdefault(key, coeff)
+    return _finalize(poly.n_modes, poly.stats, terms)
 
 
 def serialize_hamiltonian(poly: WickPolynomial) -> dict:

@@ -291,22 +291,37 @@ def states_of_maps(
     maps: list[BogoliubovMap], basis: FockBasis, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectors of the Gaussian states the maps reach from the vacuum, as rows
-    of a (K, dim) block, and their ``norm_defect`` values.
+    of a (K, dim) block, and their ``norm_defect`` values: ``states_of_arrays``
+    of the maps' stacked arrays, once the maps match the basis."""
+    if any(m.stats is not basis.stats or m.n_modes != basis.n_modes for m in maps):
+        raise StatisticsMismatchError("map and basis disagree")
+    u, v, shift = (np.array([getattr(m, name) for m in maps]) for name in ("u", "v", "shift"))
+    return states_of_arrays(basis, u, v, shift, [m.odd for m in maps], tail_tol)
+
+
+def states_of_arrays(basis: FockBasis, u: np.ndarray, v: np.ndarray, shift: np.ndarray,
+                     odd: list[bool], tail_tol: float = DEFAULT_TAIL_TOL
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``states_of_maps`` of K maps of the basis's statistics and mode count,
+    as their stacked (K, n, n) u and v, (K, n) shift and K parities.
 
     Bosonic maps go through their charts directly.  Fermionic maps are
     factored through unit-vector reflections into an even map with a
-    bounded chart (``_chart_through_reflections``); the reflections are then
-    applied through the basis's ladder maps.  All charts go through one
-    ``gaussian_vectors`` call.
+    bounded chart (``_reflections``); the reflections are then applied
+    through the basis's ladder maps.  The charts are solved as one stack and
+    go through one ``gaussian_vectors`` call.
     """
-    if any(m.stats is not basis.stats or m.n_modes != basis.n_modes for m in maps):
-        raise StatisticsMismatchError("map and basis disagree")
-    peeled = [_chart_through_reflections(m) for m in maps]
-    n = basis.n_modes
-    z = np.array([chart[0] for chart, _ in peeled]).reshape(-1, n, n)
-    shift = np.array([chart[1] for chart, _ in peeled]).reshape(-1, n)
-    amps, defects = gaussian_vectors(z, shift, basis, tail_tol)
-    for row, (_, applied) in zip(amps, peeled):
+    u, v, shift = (np.array(a, dtype=complex) for a in (u, v, shift))  # the peel writes rows
+    peeled: list[list[np.ndarray]] = [[] for _ in odd]
+    if basis.stats is Statistics.FERMI:
+        _, svals, vh = np.linalg.svd(u)
+        peeled = [_reflections(*each) for each in zip(odd, svals, vh)]
+        for k, applied in enumerate(peeled):
+            for direction in applied:
+                u[k], v[k], shift[k] = compose_arrays(reflection_arrays(direction),
+                                                      (u[k], v[k], shift[k]))
+    amps, defects = gaussian_vectors(*chart_arrays(basis.stats, u, v, shift), basis, tail_tol)
+    for row, applied in zip(amps, peeled):
         # the last reflection peeled off is the first applied to the vector
         for direction in reversed(applied):
             row[:] = apply_linear(basis, direction[None], direction.conj()[None], row[None])[0]
@@ -315,25 +330,16 @@ def states_of_maps(
     return amps, defects
 
 
-def _chart_through_reflections(m: BogoliubovMap) -> tuple[tuple, list[np.ndarray]]:
-    """(z, shift) chart of the map after the unit-vector reflections peeled
-    off it, and those reflections in order.
-
-    A fermionic map is reflected through each right-singular direction of its
-    u block below 1/sqrt(2), smallest first, and one more when that count's
-    parity is not the map's (a pair split by rounding).  A reflection swaps
-    cos and sin on its level (Bloch & Messiah, Nucl. Phys. 39, 95 (1962)), so
-    the chart left has |z|_2 <= 1, also at and near a Slater determinant.
-    """
-    arrays = m.u, m.v, m.shift
-    if m.stats is not Statistics.FERMI:
-        return chart_arrays(m.stats, *arrays), []
-    _, svals, vh = np.linalg.svd(m.u)
+def _reflections(odd: bool, svals: np.ndarray, vh: np.ndarray) -> list[np.ndarray]:
+    """The unit-vector reflections peeled off a fermionic map of parity odd
+    whose u has singular values svals and right-singular rows vh: each
+    direction below 1/sqrt(2), smallest first, and one more when that
+    count's parity is not the map's (a pair split by rounding).  A
+    reflection swaps cos and sin on its level (Bloch & Messiah, Nucl. Phys.
+    39, 95 (1962)), so the chart left has |z|_2 <= 1, also at and near a
+    Slater determinant."""
     count = int(np.sum(svals < 2 ** -0.5))
-    applied = list(vh[::-1][: count + (count % 2 != m.odd)].conj())
-    for direction in applied:
-        arrays = compose_arrays(reflection_arrays(direction), arrays)
-    return chart_arrays(m.stats, *arrays), applied
+    return list(vh[::-1][: count + (count % 2 != odd)].conj())
 
 
 def state_of_map(

@@ -112,6 +112,11 @@ def _mirror(stats: Statistics, key: TermKey, c: complex) -> tuple[TermKey, compl
     return (an, cr), c.conjugate() * stats.sign ** (math.comb(len(cr), 2) + math.comb(len(an), 2))
 
 
+def _scale(sizes: Iterable[tuple[TermKey, float]]) -> float:
+    """The problem scale of (key, |coefficient|) pairs: the largest non-constant |c|."""
+    return max((size for (cr, an), size in sizes if cr or an), default=0.0)
+
+
 def _finalize(n_modes: int, stats: Statistics, accum: dict[TermKey, complex]) -> "WickPolynomial":
     terms: dict[TermKey, complex] = {}
     keys = sorted(accum)
@@ -119,11 +124,10 @@ def _finalize(n_modes: int, stats: Statistics, accum: dict[TermKey, complex]) ->
         sizes = list(map(abs, map(accum.__getitem__, keys)))
     except OverflowError:  # raise _modulus's ValueError at the first such term
         sizes = [_modulus(accum[key], key) for key in keys]
-    # The scale is the largest non-constant |c| (the constant key sorts
-    # first), and the cut is relative to it, so no scaling prunes a term its
-    # unscaled polynomial keeps; never below the least positive float, so
-    # exact zeros always go.
-    scale = max(sizes[1:] if keys and keys[0] == ((), ()) else sizes, default=0.0)
+    # The cut is relative to the scale, so no scaling prunes a term its
+    # unscaled polynomial keeps, and never below the least positive float,
+    # so exact zeros always go.
+    scale = _scale(zip(keys, sizes))
     cut = max(PRUNE_THRESHOLD * scale, np.finfo(float).smallest_subnormal)
     for key, size in zip(keys, sizes):
         c = accum[key]
@@ -153,7 +157,11 @@ class WickPolynomial:
     n_modes: int
     stats: Statistics
     terms: Mapping[TermKey, complex]
-    scale: float = field(default=math.nan, kw_only=True, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sizes = ((key, _modulus(c, key)) for key, c in self.terms.items())
+        object.__setattr__(self, "scale", _scale(sizes))
 
     @classmethod
     def empty(cls, n_modes: int, stats: Statistics) -> "WickPolynomial":

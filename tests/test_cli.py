@@ -755,13 +755,14 @@ class TestRun:
         assert report["certification"]["passed"]
 
     @pytest.mark.parametrize("name,mode,charts", [
-        ("displaced_oscillator", Mode.BOSE_FULL, 31),
-        ("squeezed_oscillator", Mode.BOSE_EVEN, 21),
+        ("displaced_oscillator", Mode.BOSE_FULL, 51),
+        ("squeezed_oscillator", Mode.BOSE_EVEN, 41),
     ])
     def test_one_fock_pass_per_report(self, name, mode, charts, monkeypatch):
         # the oracle state psi is built once, by certify, and the oracle
-        # block reads it: the charts built are psi's and the probes' (one
-        # per FD direction and sign, two per bose-full displacement)
+        # block reads it: the charts built are psi's and the probes' (two
+        # per FD direction and sign, at one and two steps, and two per
+        # bose-full displacement)
         built = []
         original = fock.gaussian_vectors
 

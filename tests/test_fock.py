@@ -26,7 +26,7 @@ from quasivac.bogoliubov import (
 from quasivac.errors import DimensionCapError, StatisticsMismatchError, TailToleranceError
 from quasivac.fock import (
     FockVector,
-    _chart_through_reflections,
+    _reflections,
     apply_linear,
     sparse_matrix,
     states_of_maps,
@@ -417,7 +417,7 @@ class TestStackedStates:
         m = compose(m, random_number_conserving(n, FERMI, rng))
         assert not m.odd
         assert np.linalg.matrix_rank(m.u, tol=1e-8) == n - 2
-        _, applied = _chart_through_reflections(m)
+        applied = _reflections(m.odd, *np.linalg.svd(m.u)[1:])
         assert len(applied) == 2
         # the pair at angle pi/4 under four gauges, whose two singular values
         # 1/sqrt(2) rounding puts on either side of the peeling bound in some
@@ -436,7 +436,7 @@ class TestStackedStates:
         assert np.linalg.svd(moved.u, compute_uv=False)[-1] < 10 * FD_STEP
         pairs = ladders(basis)
         for each in (m, *edges, moved):
-            assert len(_chart_through_reflections(each)[1]) % 2 == 0
+            assert len(_reflections(each.odd, *np.linalg.svd(each.u)[1:])) % 2 == 0
             vec = states_of_maps([each], basis)[0][0]
             for i in range(n):
                 bop = sum(each.u[i, j] * pairs[j][0] + each.v[i, j] * pairs[j][1]

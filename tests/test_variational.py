@@ -32,6 +32,7 @@ from quasivac.errors import (DimensionCapError, HermiticityError, ParityError,
                              StatisticsMismatchError)
 from quasivac.ordering import CompiledPolynomial, substitute_linear
 from quasivac.variational import (
+    FD_STEP,
     descent_direction,
     directional_derivative,
     result_at,
@@ -861,9 +862,10 @@ class TestCertify:
     def test_bose_full_minimum_with_a_flat_curvature_certifies(self, scale):
         # a*a*aa is least at the vacuum, where D = [0]: along a displacement
         # E = scale s^4, so the curvature fit reads scale FD_STEP^2 against
-        # y* D y = 0, and its floor follows the scale; so does the FD floor,
-        # which the central difference's truncation (0.51 scale FD_STEP^2)
-        # cleared at scale 1 but not at 2**20 while it was an absolute 1e-6
+        # y* D y = 0, and its floor follows the scale; so does the FD bound,
+        # the truncation measured at twice the step: the central difference's
+        # truncation (0.51 scale FD_STEP^2) passed an absolute 1e-6 floor at
+        # scale 1 but not at 2**20
         h = WickPolynomial.from_terms(1, BOSE, [([1, 1], [1, 1], scale)])
         res = minimize(h, Mode.BOSE_FULL)
         assert (res.status, res.energy) == (RunStatus.CONVERGED, 0.0)
@@ -906,8 +908,8 @@ class TestCertify:
         assert report.passed
 
     def test_fd_floor_follows_the_scale_of_h(self):
-        # scaled by 1e7, the central difference rounds to about
-        # eps |E| / fd_step = 7e-7, under the floor 10 h.scale FD_STEP^2 = 0.9
+        # scaled by 1e7, the energies round to about eps |H psi| = 2e-9 and
+        # the slope to 8e-6; the FD bound counts that rounding at its size
         h = squeezed_oscillator().scaled(1e7)
         res = minimize(h, Mode.BOSE_EVEN)
         assert res.status is RunStatus.CONVERGED
@@ -936,18 +938,37 @@ class TestCertify:
 
     @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 1e7])
     def test_fd_check_catches_a_wrong_pairing_block_at_scale(self, scale, monkeypatch):
-        # with the cross-check off, a pairing block off by 1e-5 of the scale
-        # of H must still fail the FD check, whose floor is 10 h.scale
-        # FD_STEP^2 (9e-7 of it) at every scale; an absolute 1e-6 floor
-        # missed it at 2**-20.  The result is the scaled H's at the minimum
-        # of the unscaled one, which the descent's absolute constants cannot move
+        # with the cross-check off, a pairing block off by 1e-8 of the scale
+        # of H must still fail the FD check, whose bound, the truncation and
+        # rounding measured at the state, is below 1e-10 of it at every
+        # scale; an absolute 1e-6 floor missed it at 2**-20 and at 1.  The
+        # result is the scaled H's at the minimum of the unscaled one, which
+        # the descent's absolute constants cannot move
         monkeypatch.setattr(variational, "_crosscheck_routes", lambda *args: None)
         h = squeezed_oscillator().scaled(scale)
         m = minimize(squeezed_oscillator(), Mode.BOSE_EVEN).map
         res = result_at(CompiledPolynomial.of(h), m)
-        blocks = dataclasses.replace(res.blocks, pairing=res.blocks.pairing + 1e-5 * scale)
+        clean = certify(res, h, Mode.BOSE_EVEN)
+        assert clean.fd_passed and max(clean.fd_tolerances) < 1e-10 * scale
+        blocks = dataclasses.replace(res.blocks, pairing=res.blocks.pairing + 1e-8 * scale)
         report = certify(dataclasses.replace(res, blocks=blocks), h, Mode.BOSE_EVEN)
         assert not report.fd_passed
+
+    @pytest.mark.parametrize("mu", [8.0, 16.0])
+    def test_fd_bound_is_the_measured_truncation(self, mu):
+        # -mu a*a + a*a*aa + 0.1 (a* + a) in bose-full is least at a displaced
+        # squeezed state whose central difference misses the slope by 1.7
+        # (mu = 8) and 1.3 (mu = 16) h.scale FD_STEP^2, past an absolute 1e-6
+        # floor; the probes at twice the step measure that truncation, and
+        # the extrapolated slope matches the analytic one to 1e-3 h.scale FD_STEP^2
+        h = WickPolynomial.from_terms(1, BOSE, [([1], [1], -mu), ([1, 1], [1, 1], 1.0),
+                                                ([1], [], 0.1), ([], [1], 0.1)])
+        res = minimize(h, Mode.BOSE_FULL)
+        assert res.status is RunStatus.CONVERGED
+        report = certify(res, h, Mode.BOSE_FULL)
+        assert max(report.fd_tolerances) > 1e-6
+        assert max(report.fd_deviations) < 1e-3 * h.scale * FD_STEP**2
+        assert report.fd_passed and report.passed
 
     @pytest.mark.parametrize("k", [-40, -20, 20, 40])
     def test_certification_scales_with_h(self, corpus_certificates, k):

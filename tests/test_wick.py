@@ -1,5 +1,6 @@
 """Canonical polynomial representation and block extraction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -185,8 +186,11 @@ class TestHermitian:
         assert not bad.is_hermitian(1e-12)
 
     def test_non_finite_coefficient_is_not_hermitian(self):
-        # built past the constructors, which reject it: abs(nan) > tol is False
-        poly = WickPolynomial(1, BOSE, {((1,), (1,)): complex(math.nan, 0.0)})
+        # built past the constructors, which reject it: abs(nan) > tol is False;
+        # the finite quartic term keeps the scale finite
+        poly = WickPolynomial(1, BOSE, {((1, 1), (1, 1)): 1.0,
+                                        ((1,), (1,)): complex(math.nan, 0.0)})
+        assert poly.scale == 1.0
         assert not poly.is_hermitian(1e-12)
 
     def test_overflowing_difference_is_not_finite(self):
@@ -222,6 +226,18 @@ class TestHermitian:
         assert poly.is_hermitian()
         assert poly.scale == max((abs(c) for (cr, an), c in poly.items() if cr or an),
                                  default=0.0)
+        # the dataclass constructor and replace derive the same scale from the terms
+        direct = WickPolynomial(3, stats, dict(poly.terms))
+        assert direct.scale == poly.scale and direct.is_hermitian()
+        assert dataclasses.replace(poly, terms={((), ()): 2.0}).scale == 0.0
+
+    def test_scale_is_read_from_the_terms_only(self):
+        # no caller sets the scale: it is not a constructor argument
+        with pytest.raises(TypeError):
+            WickPolynomial(1, BOSE, {((1,), (1,)): 2.0}, scale=1e-20)
+        poly = WickPolynomial(1, BOSE, {((), ()): 5.0, ((1,), (1,)): 2.0 + 1e-12j})
+        assert poly.scale == abs(2.0 + 1e-12j)
+        assert poly.is_hermitian() and not poly.is_hermitian(1e-13)
 
     def test_adjoint_involution(self):
         rng = np.random.default_rng(7)
