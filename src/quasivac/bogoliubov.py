@@ -148,15 +148,6 @@ def relative_overlap(inv1: BogoliubovMap, m: tuple, odd: bool) -> float:
     return det if inv1.stats is Statistics.FERMI else 1.0 / det
 
 
-def number_conserving(p: np.ndarray, stats: Statistics) -> BogoliubovMap:
-    """Gauge map mixing only like operators; p must be unitary."""
-    p = np.asarray(p, dtype=complex)
-    n = p.shape[0]
-    if np.linalg.norm(p @ p.conj().T - np.eye(n)) > 1e-10:
-        raise InvalidMapError("number-conserving maps require a unitary matrix")
-    return BogoliubovMap(stats, p, np.zeros((n, n), complex), np.zeros(n, complex))
-
-
 def reflection_arrays(y: np.ndarray) -> tuple:
     """(u, v, shift) of ``reflection`` along the unit vector y, unchecked."""
     return np.outer(y, np.conj(y)) - np.eye(len(y)), np.outer(y, y), np.zeros(len(y), complex)
@@ -260,7 +251,7 @@ def chart_arrays(stats: Statistics, u: np.ndarray, v: np.ndarray, shift: np.ndar
     shift) arrays reach from the vacuum: z = -u^-1 v, symmetrized (Bose) or
     antisymmetrized (Fermi), and the chart shift i (u^dag shift - v^T
     conj(shift)).  u must be invertible: an odd or degenerate fermionic map
-    is peeled first (``fock.states_of_maps``).  Stacks of arrays give stacks
+    is peeled first (``fock.states_of_arrays``).  Stacks of arrays give stacks
     of charts."""
     z = -np.linalg.solve(u, v)
     z = (z + stats.sign * np.swapaxes(z, -1, -2)) / 2
@@ -294,4 +285,4 @@ def random_number_conserving(
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(raw)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return number_conserving(q, stats)
+    return _adopt(stats, q, np.zeros((n, n), complex), np.zeros(n, complex))

@@ -41,5 +41,9 @@ class TailToleranceError(QuasivacError, ValueError):
     """The configured occupation cutoff cannot meet the tail tolerance."""
 
 
+class InconsistencyError(QuasivacError, RuntimeError):
+    """Two evaluation routes of the same blocks disagree."""
+
+
 class SpecFormatError(QuasivacError, ValueError):
     """A Hamiltonian spec file is malformed."""

@@ -17,7 +17,7 @@ The Gaussian vectors of K charts, displaced or not, are the amplitudes of
 exp(1/2 a*.z.a* + beta.a*)|0>, filled shell by shell of total occupation
 from a_i psi = (beta_i + sum_j z_ij a*_j) psi; each amplitude in the box
 needs only lower ones, so the block is the exact projection of the states
-onto the box.
+onto the box.  ``states_in_box`` holds the rule that picks the box.
 """
 
 from __future__ import annotations
@@ -287,23 +287,12 @@ def gaussian_vectors(
     return total / norm[:, None], np.abs(norm - 1.0)
 
 
-def states_of_maps(
-    maps: list[BogoliubovMap], basis: FockBasis, tail_tol: float = DEFAULT_TAIL_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors of the Gaussian states the maps reach from the vacuum, as rows
-    of a (K, dim) block, and their ``norm_defect`` values: ``states_of_arrays``
-    of the maps' stacked arrays, once the maps match the basis."""
-    if any(m.stats is not basis.stats or m.n_modes != basis.n_modes for m in maps):
-        raise StatisticsMismatchError("map and basis disagree")
-    u, v, shift = (np.array([getattr(m, name) for m in maps]) for name in ("u", "v", "shift"))
-    return states_of_arrays(basis, u, v, shift, [m.odd for m in maps], tail_tol)
-
-
 def states_of_arrays(basis: FockBasis, u: np.ndarray, v: np.ndarray, shift: np.ndarray,
                      odd: list[bool], tail_tol: float = DEFAULT_TAIL_TOL
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """``states_of_maps`` of K maps of the basis's statistics and mode count,
-    as their stacked (K, n, n) u and v, (K, n) shift and K parities.
+    """Vectors of the Gaussian states of K maps of the basis's statistics and
+    mode count, given as stacked (K, n, n) u and v, (K, n) shift and K
+    parities: rows of a (K, dim) block, and their ``norm_defect`` values.
 
     Bosonic maps go through their charts directly.  Fermionic maps are
     factored through unit-vector reflections into an even map with a
@@ -346,6 +335,37 @@ def state_of_map(
     m: BogoliubovMap, basis: FockBasis, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> FockVector:
     """Vector of the Gaussian state reached by applying the map to the
-    vacuum: ``states_of_maps`` of one map."""
-    amps, defects = states_of_maps([m], basis, tail_tol)
+    vacuum: ``states_of_arrays`` of one map, once it matches the basis."""
+    if m.stats is not basis.stats or m.n_modes != basis.n_modes:
+        raise StatisticsMismatchError("map and basis disagree")
+    amps, defects = states_of_arrays(basis, m.u[None], m.v[None], m.shift[None], [m.odd], tail_tol)
     return FockVector(basis, amps[0], norm_defect=float(defects[0]))
+
+
+def states_in_box(stats: Statistics, u: np.ndarray, v: np.ndarray, shift: np.ndarray,
+                  odd: list[bool], dimension_cap: int = DEFAULT_DIMENSION_CAP
+                  ) -> tuple[FockBasis, np.ndarray, np.ndarray]:
+    """(basis, amplitudes, defects) of K maps' states (``states_of_arrays``)
+    in the box row 0 sizes: the bosonic per-mode cutoff starts where the
+    series tail at a radius 0.1 past row 0's pair amplitude clears a tenth
+    of ``DEFAULT_TAIL_TOL``, and grows by 2 until every row clears that
+    tolerance too, the weight the box cuts off included; a fermionic box is
+    the whole space.  A box past ``dimension_cap`` raises DimensionCapError."""
+    tail_tol = 0.1 * DEFAULT_TAIL_TOL
+    cutoff = DEFAULT_CUTOFF
+    if stats is Statistics.BOSE:
+        # the 0.1 margin makes room for more than row 0: certify's cross-check
+        # reads b*_i psi and H b*_j psi, which reach higher occupations, in
+        # this box too; the least box holding psi's weight alone fails it
+        radius = float(np.linalg.norm(chart_arrays(stats, u[0], v[0], shift[0])[0], 2))
+        reach = min(radius + 0.1, 0.999)
+        while series_tail(reach, cutoff) >= tail_tol:
+            cutoff += 2
+    while True:
+        basis = FockBasis.build(stats, u.shape[-1], cutoff, dimension_cap)
+        try:
+            return (basis, *states_of_arrays(basis, u, v, shift, odd, tail_tol))
+        except TailToleranceError:
+            if stats is Statistics.FERMI:
+                raise
+            cutoff += 2

@@ -39,7 +39,6 @@ from . import fock
 from .bogoliubov import (
     BogoliubovMap,
     Generator,
-    chart_arrays,
     compose,
     compose_arrays,
     exponential_map,
@@ -52,8 +51,8 @@ from .bogoliubov import (
     reflection,
     relative_overlap,
 )
-from .errors import (HermiticityError, ParityError, QuasivacError, StatisticsMismatchError,
-                     TailToleranceError)
+from .errors import (HermiticityError, InconsistencyError, ParityError, QuasivacError,
+                     StatisticsMismatchError)
 from .ordering import (
     CompiledPolynomial,
     LinearOperator,
@@ -478,7 +477,7 @@ def _crosscheck_routes(blocks: Blocks, oracle: Blocks) -> None:
         np.max(np.abs(getattr(blocks, name) - getattr(oracle, name)), initial=0.0) > 1e-8 * scale
         for name in ("linear", "pairing", "single_particle")
     ):
-        raise RuntimeError("internal inconsistency between block evaluation routes")
+        raise InconsistencyError("internal inconsistency between block evaluation routes")
 
 
 @dataclass(frozen=True)
@@ -488,8 +487,6 @@ class CertificationReport:
     <psi|H psi> and ``norm_defect`` of the map's state psi in that box, and
     the exact ground energy of H in the box's parity sector of psi."""
 
-    residual_linear: float
-    residual_pairing: float
     fd_deviations: tuple
     fd_tolerances: tuple
     fd_passed: bool
@@ -508,35 +505,6 @@ class CertificationReport:
         return self.fd_passed and quad_ok and self.gauge_passed
 
 
-def oracle_state(
-    m: BogoliubovMap, h: WickPolynomial, dimension_cap: int = fock.DEFAULT_DIMENSION_CAP
-) -> fock.FockVector:
-    """Vector of the map's state in a truncated basis able to represent it.
-
-    The bosonic per-mode cutoff starts where the series tail at a radius
-    0.1 past the state's pair amplitude clears a tenth of
-    ``fock.DEFAULT_TAIL_TOL``, and grows until the state built in the box
-    clears that tolerance too, the weight the box cuts off included.
-    """
-    chosen = fock.DEFAULT_CUTOFF
-    if h.stats is Statistics.BOSE:
-        # the 0.1 margin makes room for more than psi: certify's cross-check
-        # reads b*_i psi and H b*_j psi, which reach higher occupations, in
-        # this box too; the least box holding psi's weight alone fails it
-        radius = float(np.linalg.norm(chart_arrays(m.stats, m.u, m.v, m.shift)[0], 2))
-        reach = min(radius + 0.1, 0.999)
-        while fock.series_tail(reach, chosen) >= 0.1 * fock.DEFAULT_TAIL_TOL:
-            chosen += 2
-    while True:
-        basis = fock.FockBasis.build(h.stats, h.n_modes, chosen, dimension_cap=dimension_cap)
-        try:
-            return fock.state_of_map(m, basis, 0.1 * fock.DEFAULT_TAIL_TOL)
-        except TailToleranceError:
-            if h.stats is Statistics.FERMI:
-                raise  # the fermionic box is the whole space
-            chosen += 2
-
-
 def certify(
     result: MinimizationResult,
     h: WickPolynomial,
@@ -545,18 +513,17 @@ def certify(
 ) -> CertificationReport:
     """Check the stationarity structure of a converged run against brute force.
 
-    The state psi of the result's map is built first, in the box
-    ``oracle_state`` picks: if that exceeds ``dimension_cap`` the
-    DimensionCapError ends the call before anything else runs.  The probe
-    states of the checks below are built in the same box as one stacked
-    block (``fock.states_of_arrays``), and H acts on psi, the probes and the
+    The state psi of the result's map and the probe states of the checks
+    below are built as one stack, psi its row 0, in the box
+    ``fock.states_in_box`` picks for it: if that exceeds ``dimension_cap``
+    the DimensionCapError ends the call.  H acts on psi, the probes and the
     excitations b*_i psi in one product with its sparse matrix
     (``fock.sparse_matrix``).  The report carries <psi|H psi>, psi's norm
     defect and the lowest eigenvalue of that matrix restricted to psi's
     parity sector (even occupation in ``bose-even`` and ``fermi-even``, odd
     in ``fermi-odd``, the whole box in ``bose-full``).  The result's blocks
     must first equal those read from psi to 1e-8 max(1, |E|) (else
-    RuntimeError): E = <psi|H psi>, linear_i = <b*_i psi|H psi>,
+    InconsistencyError, a RuntimeError): E = <psi|H psi>, linear_i = <b*_i psi|H psi>,
     pairing_ij = 1/2 <b*_j b*_i psi|H psi> and
     D_ij = <b*_i psi|H b*_j psi> - E delta_ij.  Every other bound is
     measured at the state or relative to H's ``scale`` s
@@ -580,8 +547,6 @@ def certify(
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
-    psi = oracle_state(result.map, h, dimension_cap)
-    basis = psi.basis
     rng = np.random.default_rng(CERTIFY_SEED)
     u_map = result.map
     blocks = result.blocks
@@ -602,9 +567,11 @@ def certify(
     ahead = [exponential_map(h.stats, FD_STEP * g.pair, FD_STEP * g.shift) for g in steps]
     moves = [m for e in ahead for m in (e, inverse_arrays(h.stats, e))]
     moves += [compose_arrays(m, m) for m in moves[: 2 * FD_DIRECTIONS]]
-    probes = compose_arrays((u_map.u, u_map.v, u_map.shift), tuple(map(np.array, zip(*moves))))
-    amplitudes, defects = fock.states_of_arrays(basis, *probes, [u_map.odd] * len(moves))
-    states = np.vstack([psi.amplitudes[None], amplitudes])
+    arrays = (u_map.u, u_map.v, u_map.shift)
+    probes = compose_arrays(arrays, tuple(map(np.array, zip(*moves))))
+    basis, states, defects = fock.states_in_box(
+        h.stats, *(np.concatenate([a[None], p]) for a, p in zip(arrays, probes)),
+        [u_map.odd] * (1 + len(moves)), dimension_cap)
     excited = _quasiparticle_ladders(u_map, basis, states[0], adjoint=True)
     matrix = fock.sparse_matrix(h, basis)
     acted = (matrix @ np.vstack([states, excited]).T).T
@@ -618,7 +585,7 @@ def certify(
     # the box cuts off, times H's largest absolute row sum, the energy it can carry
     sizes = np.linalg.norm(acted[1:count], axis=1).reshape(-1, 2).max(axis=1)
     sizes = (sizes * math.sqrt(len(basis.occupations)) * float(np.finfo(float).eps)).tolist()
-    cuts = np.abs(np.diff((1 - (1 - defects) ** 2).reshape(-1, 2), axis=1))[:, 0]
+    cuts = np.abs(np.diff((1 - (1 - defects[1:]) ** 2).reshape(-1, 2), axis=1))[:, 0]
     cuts = (cuts * float(abs(matrix).sum(axis=1).max())).tolist()
     # psi's parity sector: the whole box in bose-full, odd rows in fermi-odd, else even
     parity = basis.occupations.sum(axis=1) % 2
@@ -690,8 +657,6 @@ def certify(
         raise QuasivacError("the certification's numbers overflow the float range")
 
     return CertificationReport(
-        residual_linear=blocks.linear_norm,
-        residual_pairing=blocks.pairing_norm,
         fd_deviations=tuple(fd_devs),
         fd_tolerances=tuple(fd_tols),
         fd_passed=fd_passed,
@@ -701,6 +666,6 @@ def certify(
         gauge_passed=gauge_passed,
         oracle_cutoff=basis.cutoffs[0],
         expectation=e_zero,
-        tail_defect=psi.norm_defect,
+        tail_defect=float(defects[0]),
         ground_energy=ground,
     )

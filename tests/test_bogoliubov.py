@@ -24,7 +24,6 @@ from quasivac.bogoliubov import (
     exponential_map,
     identity,
     inverse_arrays,
-    number_conserving,
     random_generator,
     random_number_conserving,
     reflection,
@@ -582,11 +581,10 @@ class TestZeroShiftKernels:
      InvalidMapError),
     (lambda: compose(identity(1, BOSE), identity(2, BOSE)), StatisticsMismatchError),
     (lambda: compose(identity(1, BOSE), identity(1, FERMI)), StatisticsMismatchError),
-    (lambda: number_conserving(np.array([[2.0]]), BOSE), InvalidMapError),
     (lambda: reflection(np.array([1.0, 1.0])), InvalidMapError),
     (lambda: Generator(BOSE, np.zeros((2, 3)), np.zeros(2)), InvalidGeneratorError),
 ], ids=["map-shape", "fermi-shift", "bose-odd", "compose-modes", "compose-stats",
-        "non-unitary", "non-unit-reflection", "generator-shape"])
+        "non-unit-reflection", "generator-shape"])
 def test_invalid_input_is_rejected(build, error):
     with pytest.raises(error):
         build()

@@ -739,6 +739,29 @@ class TestRun:
         assert reason in report["error"]["message"]
         assert cli.load_spec(str(out))["status"] == "error"
 
+    def test_a_cross_check_failure_is_an_error(self, tmp_path, monkeypatch):
+        # with an engine whose D is off by 1e-6, certify's blocks read from
+        # the state disagree with the result's: minimize ends with status
+        # "error" and a strict-JSON report, and certify fails a stored report
+        # with the reason, neither with a traceback
+        spec = str(SPECS / "squeezed_oscillator.json")
+        stored, out = tmp_path / "stored.json", tmp_path / "report.json"
+        run(spec, Mode.BOSE_EVEN, report_path=str(stored))
+        vacuum_blocks = CompiledPolynomial.vacuum_blocks
+
+        def off(self, *args, **kwargs):
+            constant, linear, pairing, single = vacuum_blocks(self, *args, **kwargs)
+            return constant, linear, pairing, None if single is None else single + 1e-6
+
+        monkeypatch.setattr(CompiledPolynomial, "vacuum_blocks", off)
+        report = run(spec, Mode.BOSE_EVEN, report_path=str(out))
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "InconsistencyError"
+        assert cli.load_spec(str(out))["error"] == report["error"]
+        result = certify_report(str(stored))
+        assert result["passed"] is False
+        assert "inconsistency" in result["reason"]
+
     def test_one_engine_per_run_and_certify(self, tmp_path, monkeypatch):
         # minimize, result_at and certify share the polynomial's engine,
         # and no report outlives it
@@ -762,12 +785,13 @@ class TestRun:
         # the oracle state psi is built once, by certify, and the oracle
         # block reads it: the charts built are psi's and the probes' (two
         # per FD direction and sign, at one and two steps, and two per
-        # bose-full displacement)
-        built = []
+        # bose-full displacement), all in one gaussian_vectors call
+        built, calls = [], []
         original = fock.gaussian_vectors
 
         def spy(batch, *args, **kwargs):
             built.extend(batch)
+            calls.append(len(batch))
             return original(batch, *args, **kwargs)
 
         monkeypatch.setattr(fock, "gaussian_vectors", spy)
@@ -775,6 +799,7 @@ class TestRun:
         assert report["certification"]["passed"]
         assert report["oracle"]["expectation"] == pytest.approx(report["energy"], abs=1e-10)
         assert len(built) == charts
+        assert calls == [charts]
 
     def _malformed_report(self, tmp_path, edit):
         out = tmp_path / "report.json"

@@ -25,13 +25,17 @@ from quasivac.bogoliubov import (
 )
 from quasivac.errors import DimensionCapError, StatisticsMismatchError, TailToleranceError
 from quasivac.fock import (
+    DEFAULT_CUTOFF,
+    DEFAULT_TAIL_TOL,
     FockVector,
     _reflections,
     apply_linear,
+    series_tail,
     sparse_matrix,
-    states_of_maps,
+    states_in_box,
+    states_of_arrays,
 )
-from quasivac.variational import FD_STEP, oracle_state
+from quasivac.variational import FD_STEP
 
 from conftest import bcs_hamiltonian, random_free_hermitian, random_valid_map, squeezed_oscillator
 from references import exp_generator, expectation, gaussian_vector, ladders, vacuum_vector
@@ -43,6 +47,12 @@ FERMI = Statistics.FERMI
 def row_of(basis, *occupation):
     """Row of an occupation tuple in the basis enumeration."""
     return int(np.dot(basis.strides, occupation))
+
+
+def stacked(maps):
+    """The maps' stacked (u, v, shift) arrays and parities, as ``states_of_arrays`` reads them."""
+    arrays = (np.array([getattr(m, name) for m in maps]) for name in ("u", "v", "shift"))
+    return (*arrays, [m.odd for m in maps])
 
 
 def number_operator(n, stats):
@@ -347,17 +357,15 @@ class TestStateOfMap:
     @pytest.mark.parametrize("n", [1, 2])
     def test_displaced_vector_is_exact_projection(self, n):
         # the in-box part of the state in a box 16 quanta wider, renormalized,
-        # is the state built in the oracle's own box
+        # is the state built in the box ``states_in_box`` picks for it
         rng = np.random.default_rng(29 + n)
-        h = number_operator(n, BOSE)
         for _ in range(3):
             m = random_valid_map(BOSE, n, rng, pair_scale=0.3, shift_scale=0.3, gauge=True)
-            vec = oracle_state(m, h)
-            basis = vec.basis
+            basis, amps, _ = states_in_box(BOSE, *stacked([m]))
             wide = FockBasis.build(BOSE, n, basis.cutoffs[0] + 16)
             inbox = state_of_map(m, wide).amplitudes[basis.occupations @ wide.strides]
             inbox = inbox / np.linalg.norm(inbox)
-            assert np.max(np.abs(vec.amplitudes - inbox)) < 1e-13
+            assert np.max(np.abs(amps[0] - inbox)) < 1e-13
 
     def test_fermi_odd_random_map_annihilated(self):
         rng = np.random.default_rng(13)
@@ -392,7 +400,7 @@ class TestStackedStates:
             if reflect:
                 m = compose(reflection(np.eye(n, dtype=complex)[k % n]), m)
             maps.append(m)
-        amps, defects = states_of_maps(maps, basis, tail_tol=1.0)
+        amps, defects = states_of_arrays(basis, *stacked(maps), tail_tol=1.0)
         assert amps.shape == (len(maps), basis.dimension)
         for row, defect, m in zip(amps, defects, maps):
             one = state_of_map(m, basis, tail_tol=1.0)
@@ -437,7 +445,7 @@ class TestStackedStates:
         pairs = ladders(basis)
         for each in (m, *edges, moved):
             assert len(_reflections(each.odd, *np.linalg.svd(each.u)[1:])) % 2 == 0
-            vec = states_of_maps([each], basis)[0][0]
+            vec = state_of_map(each, basis).amplitudes
             for i in range(n):
                 bop = sum(each.u[i, j] * pairs[j][0] + each.v[i, j] * pairs[j][1]
                           for j in range(n))
@@ -450,13 +458,40 @@ class TestStackedStates:
         basis = FockBasis.build(BOSE, 1, cutoff=10)
         near = BogoliubovMap(BOSE, np.eye(1), np.zeros((1, 1)), np.array([0.1 + 0j]))
         far = BogoliubovMap(BOSE, np.eye(1), np.zeros((1, 1)), np.array([3.0 + 0j]))
-        states_of_maps([near, near], basis)
+        states_of_arrays(basis, *stacked([near, near]))
         with pytest.raises(TailToleranceError, match="cuts off"):
-            states_of_maps([near, far, near], basis)
+            states_of_arrays(basis, *stacked([near, far, near]))
         squeezed = BogoliubovMap(BOSE, np.array([[math.cosh(1.5)]]),
                                  np.array([[math.sinh(1.5)]]), np.zeros(1, complex))
         with pytest.raises(TailToleranceError, match="estimated series tail"):
-            states_of_maps([near, squeezed], basis)
+            states_of_arrays(basis, *stacked([near, squeezed]))
+
+    def test_the_box_fits_row_zero_then_every_row(self):
+        # a squeezed row 0 sets the first cutoff: the least one from
+        # DEFAULT_CUTOFF up in steps of 2 where the series tail at its radius
+        # plus 0.1 clears a tenth of DEFAULT_TAIL_TOL
+        tol = 0.1 * DEFAULT_TAIL_TOL
+        squeezed = BogoliubovMap(BOSE, np.array([[math.cosh(0.8)]]),
+                                 np.array([[math.sinh(0.8)]]), np.zeros(1, complex))
+        first = DEFAULT_CUTOFF
+        while series_tail(math.tanh(0.8) + 0.1, first) >= tol:
+            first += 2
+        assert first > DEFAULT_CUTOFF
+        assert states_in_box(BOSE, *stacked([squeezed]))[0].cutoffs == (first,)
+        # a coherent state of amplitude 3 behind the vacuum grows the box by 2
+        # until it cuts off less than that tolerance of the state
+        vacuum = BogoliubovMap(BOSE, np.eye(1), np.zeros((1, 1)), np.zeros(1, complex))
+        far = BogoliubovMap(BOSE, np.eye(1), np.zeros((1, 1)), np.array([3.0 + 0j]))
+        assert states_in_box(BOSE, *stacked([vacuum]))[0].cutoffs == (DEFAULT_CUTOFF,)
+        basis, amps, defects = states_in_box(BOSE, *stacked([vacuum, far]))
+        cutoff = basis.cutoffs[0]
+        assert cutoff > DEFAULT_CUTOFF and (cutoff - DEFAULT_CUTOFF) % 2 == 0
+        with pytest.raises(TailToleranceError, match="cuts off"):
+            states_of_arrays(FockBasis.build(BOSE, 1, cutoff - 2), *stacked([vacuum, far]), tol)
+        want = states_of_arrays(basis, *stacked([vacuum, far]), tol)
+        assert np.array_equal(amps, want[0]) and np.array_equal(defects, want[1])
+        with pytest.raises(DimensionCapError):
+            states_in_box(BOSE, *stacked([vacuum, far]), dimension_cap=cutoff)
 
 
 class TestSparseAction:
@@ -539,8 +574,8 @@ class TestEngineOracleAgreement:
     lambda: FockVector(FockBasis.build(BOSE, 1, cutoff=3), np.ones(3)),
     lambda: sparse_matrix(squeezed_oscillator(), FockBasis.build(FERMI, 1)),
     lambda: sparse_matrix(squeezed_oscillator(), FockBasis.build(BOSE, 2, cutoff=3)),
-    lambda: states_of_maps([random_valid_map(BOSE, 2, np.random.default_rng(0))],
-                           FockBasis.build(BOSE, 1, cutoff=3)),
+    lambda: state_of_map(random_valid_map(BOSE, 2, np.random.default_rng(0)),
+                         FockBasis.build(BOSE, 1, cutoff=3)),
 ], ids=["cutoffs-per-mode", "vector-length", "matrix-stats", "matrix-modes", "state-modes"])
 def test_mismatched_basis_is_rejected(build):
     with pytest.raises(StatisticsMismatchError):

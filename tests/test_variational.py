@@ -26,7 +26,7 @@ from quasivac import (
     residual_blocks,
     state_of_map,
 )
-from quasivac import bogoliubov, variational
+from quasivac import bogoliubov, fock, variational
 from quasivac.bogoliubov import identity, reflection
 from quasivac.errors import (DimensionCapError, HermiticityError, ParityError,
                              StatisticsMismatchError)
@@ -1030,14 +1030,17 @@ class TestCertify:
 
     def test_reports_the_expectation_and_tail_of_its_state(self):
         # the oracle state is built once and read twice: its <psi|H psi> and
-        # norm defect are the report's, and psi is the oracle_state's
+        # norm defect are the report's, and psi is the state fock.states_in_box
+        # builds for the map alone, in the same box
         h = displaced_oscillator()
         res = minimize(h, Mode.BOSE_FULL, MinimizeOptions(tol_grad=1e-11))
         report = certify(res, h, Mode.BOSE_FULL)
-        psi = variational.oracle_state(res.map, h)
-        hpsi = quantize(h, psi.basis) @ psi.amplitudes
-        assert report.expectation == pytest.approx(np.vdot(psi.amplitudes, hpsi).real, abs=1e-12)
+        m = res.map
+        basis, amps, defects = fock.states_in_box(h.stats, m.u[None], m.v[None], m.shift[None],
+                                                  [m.odd])
+        hpsi = quantize(h, basis) @ amps[0]
+        assert report.expectation == pytest.approx(np.vdot(amps[0], hpsi).real, abs=1e-12)
         assert report.expectation == pytest.approx(res.energy, abs=1e-10)
-        assert report.tail_defect == psi.norm_defect
-        assert report.oracle_cutoff == psi.basis.cutoffs[0]
+        assert report.tail_defect == defects[0]
+        assert report.oracle_cutoff == basis.cutoffs[0]
 
