@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
-from .errors import InvalidGeneratorError, InvalidMapError, StatisticsMismatchError
-from .wick import Statistics
+from .errors import InvalidGeneratorError, InvalidMapError
+from .wick import Statistics, check_same_space
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -105,8 +105,7 @@ def compose_arrays(m1: tuple, m2: tuple) -> tuple:
 
 def compose(m1: BogoliubovMap, m2: BogoliubovMap) -> BogoliubovMap:
     """Map whose conjugation action applies m2 first, then m1."""
-    if m1.stats is not m2.stats or m1.n_modes != m2.n_modes:
-        raise StatisticsMismatchError("maps differ in statistics or mode count")
+    check_same_space(m1, m2, "maps")
     arrays = compose_arrays((m1.u, m1.v, m1.shift), (m2.u, m2.v, m2.shift))
     return _adopt(m1.stats, *arrays, m1.odd ^ m2.odd)
 

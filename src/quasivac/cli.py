@@ -57,6 +57,7 @@ from .variational import (
     Mode,
     RunStatus,
     certify,
+    check_certifiable,
     minimize,
     result_at,
 )
@@ -218,11 +219,14 @@ def serialize_map(m: BogoliubovMap) -> dict:
 
 
 def map_from_payload(payload: dict) -> BogoliubovMap:
-    """A stored map, checked as input from outside: its entries are finite,
-    and its group defects ||u u^dag - s v v^dag - 1||_F and
-    ||u v^T - s v u^T||_F (s the exchange sign) are at most ``MAP_RTOL``
-    max(1, ||u||_F^2); a defect that is NaN or overflows fails too.
-    Raises InvalidMapError otherwise."""
+    """A stored map, checked as input from outside: ``odd`` is a boolean, the
+    entries are finite, and the group defects ||u u^dag - s v v^dag - 1||_F
+    and ||u v^T - s v u^T||_F (s the exchange sign) are at most ``MAP_RTOL``
+    max(1, ||u||_F^2); a defect that is NaN or overflows fails too.  Raises
+    InvalidMapError otherwise."""
+    # exact type, as the spec's integers: a non-empty string is truthy
+    if type(payload["odd"]) is not bool:
+        raise InvalidMapError(f"odd must be true or false, got {payload['odd']!r}")
     m = BogoliubovMap(
         Statistics(payload["statistics"]),
         _matrix_from_payload(payload["u"]),
@@ -377,7 +381,8 @@ def _recertify(report_path: str) -> tuple[float, float, CertificationReport | st
     seed; a ``quasivac-report/3`` report, which records no cap, re-runs at the
     default cap and ``tol_grad``.  Raises QuasivacError when the report is
     not converged, fails the spec checks, lacks a valid energy, map, mode,
-    cap or ``tol_grad``, or its map's residual is not below ``tol_grad``."""
+    cap or ``tol_grad``, its H, map and mode disagree (``check_certifiable``),
+    or its map's residual is not below ``tol_grad``."""
     report = load_spec(report_path)
     if report.get("status") != "converged":
         raise QuasivacError(f"report status is {report.get('status')!r}")
@@ -394,6 +399,7 @@ def _recertify(report_path: str) -> tuple[float, float, CertificationReport | st
             raise ValueError(f"tolerances.tol_grad {tol!r} is not a finite non-negative number")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _fail(report_path, f"malformed report ({type(exc).__name__}: {exc})") from None
+    check_certifiable(poly, stored, mode)
     result = result_at(CompiledPolynomial.of(poly), stored)
     if not result.residual < tol:
         raise QuasivacError(f"the stored map is not stationary: its residual "

@@ -31,7 +31,7 @@ import scipy.sparse
 from .bogoliubov import BogoliubovMap, chart_arrays, compose_arrays, reflection_arrays
 from .bogoliubov import compose  # noqa: F401  (perfbench/spans.py wraps it in this namespace)
 from .errors import DimensionCapError, StatisticsMismatchError, TailToleranceError
-from .wick import Statistics, WickPolynomial
+from .wick import Statistics, WickPolynomial, check_same_space
 
 #: Default per-mode occupation cutoff for bosonic truncations.
 DEFAULT_CUTOFF = 10
@@ -144,22 +144,6 @@ class FockBasis:
         return order, bounds, mode, 1.0 / ladder[src, mode], gather, factor
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """Normalized dense state vector plus a truncation diagnostic."""
-
-    basis: FockBasis
-    amplitudes: np.ndarray
-    norm_defect: float = 0.0
-
-    def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.shape != (self.basis.dimension,):
-            raise StatisticsMismatchError("amplitude vector does not match the basis")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-
 def _monomial_rules(poly: WickPolynomial, basis: FockBasis):
     """(target rows, source columns, values) of each monomial on the basis.
 
@@ -167,8 +151,7 @@ def _monomial_rules(poly: WickPolynomial, basis: FockBasis):
     the ``raising`` map of each operator (read backwards for a_i), and drops
     a column that map does not reach.
     """
-    if poly.stats is not basis.stats or poly.n_modes != basis.n_modes:
-        raise StatisticsMismatchError("polynomial and basis disagree")
+    check_same_space(poly, basis, "polynomial and basis")
     dim = basis.dimension
     # (mode, +1 for a*_i or -1 for a_i) -> per row, its image row (-1: none) and factor
     ladders = {}
@@ -333,13 +316,12 @@ def _reflections(odd: bool, svals: np.ndarray, vh: np.ndarray) -> list[np.ndarra
 
 def state_of_map(
     m: BogoliubovMap, basis: FockBasis, tail_tol: float = DEFAULT_TAIL_TOL
-) -> FockVector:
-    """Vector of the Gaussian state reached by applying the map to the
-    vacuum: ``states_of_arrays`` of one map, once it matches the basis."""
-    if m.stats is not basis.stats or m.n_modes != basis.n_modes:
-        raise StatisticsMismatchError("map and basis disagree")
+) -> tuple[np.ndarray, float]:
+    """(amplitudes, norm_defect) of the Gaussian state the map reaches from
+    the vacuum: ``states_of_arrays`` of one map, once it matches the basis."""
+    check_same_space(m, basis, "map and basis")
     amps, defects = states_of_arrays(basis, m.u[None], m.v[None], m.shift[None], [m.odd], tail_tol)
-    return FockVector(basis, amps[0], norm_defect=float(defects[0]))
+    return amps[0], float(defects[0])
 
 
 def states_in_box(stats: Statistics, u: np.ndarray, v: np.ndarray, shift: np.ndarray,

@@ -11,7 +11,7 @@ sign of the greater indices it passes.  Signs are exact factors of +-1, so
 antisymmetry cancellations are exact, and each product is pruned relative to
 its largest coefficient (``wick._finalize``), so results scale with the
 input.  ``substitute_linear`` chains the kernel over each monomial with the
-images of the a_i and, as their adjoints, of the a*_i.
+images of the a_i, rows of bare (u, v, shift) arrays, and their adjoints.
 
 ``CompiledPolynomial`` evaluates vacuum expectations of substituted
 products without ordering (Wick's theorem), through gather-product-scatter
@@ -23,8 +23,6 @@ matrix of the substituted images, multiplies them and sums them into slots.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,49 +31,20 @@ from .errors import StatisticsMismatchError
 from .wick import Statistics, TermKey, WickPolynomial, _finalize
 
 
-@dataclass(frozen=True)
-class LinearOperator:
-    """Affine combination  sum_i creation_i b*_i + sum_i annihilation_i b_i + scalar."""
-
-    creation: np.ndarray
-    annihilation: np.ndarray
-    scalar: complex = 0j
-
-    def __post_init__(self):
-        cr = np.asarray(self.creation, dtype=complex)
-        an = np.asarray(self.annihilation, dtype=complex)
-        if cr.ndim != 1 or an.ndim != 1 or cr.shape != an.shape:
-            raise StatisticsMismatchError("creation/annihilation vectors must share one length")
-        cr.setflags(write=False)
-        an.setflags(write=False)
-        object.__setattr__(self, "creation", cr)
-        object.__setattr__(self, "annihilation", an)
-        object.__setattr__(self, "scalar", complex(self.scalar))
-
-    @property
-    def n_modes(self) -> int:
-        return self.creation.shape[0]
-
-    def adjoint(self) -> "LinearOperator":
-        return LinearOperator(
-            np.conj(self.annihilation), np.conj(self.creation), np.conj(self.scalar)
-        )
-
-
 def _acc(out: dict, key: TermKey, val: complex) -> None:
     out[key] = out.get(key, 0j) + val
 
 
-def _mul_linear_dict(stats: Statistics, terms, op: LinearOperator):
-    """Normal order  terms * op,  one mode j at a time, as the module
-    docstring says (a repeated fermionic index kills the term), and prune
-    the product by ``_finalize``'s rule."""
+def _mul_linear_dict(stats: Statistics, terms, creation, annihilation, scalar):
+    """Normal order  terms * (creation . a* + annihilation . a + scalar),  one
+    mode j at a time, as the module docstring says (a repeated fermionic
+    index kills the term), and prune the product by ``_finalize``'s rule."""
     exchange, fermi, out = stats.sign, stats is Statistics.FERMI, {}
-    if op.scalar != 0:
+    if scalar != 0:
         for key, c in terms.items():
-            _acc(out, key, op.scalar * c)
-    for j in range(1, op.n_modes + 1):
-        for creator, w in ((True, op.creation[j - 1]), (False, op.annihilation[j - 1])):
+            _acc(out, key, scalar * c)
+    for j in range(1, len(creation) + 1):
+        for creator, w in ((True, creation[j - 1]), (False, annihilation[j - 1])):
             if w == 0:
                 continue
             for (cr, an), c in terms.items():
@@ -92,32 +61,32 @@ def _mul_linear_dict(stats: Statistics, terms, op: LinearOperator):
                 pos = len(tup) - greater
                 tup = tup[:pos] + (j,) + tup[pos:]
                 _acc(out, (tup, an) if creator else (cr, tup), exchange**greater * c)
-    return _finalize(op.n_modes, stats, out).terms
+    return _finalize(len(creation), stats, out).terms
 
 
-def multiply_linear(poly: WickPolynomial, op: LinearOperator) -> WickPolynomial:
-    """Normal-ordered product poly * op."""
-    if op.n_modes != poly.n_modes:
-        raise StatisticsMismatchError(
-            f"operator has {op.n_modes} modes, polynomial has {poly.n_modes}"
-        )
-    return _finalize(poly.n_modes, poly.stats, _mul_linear_dict(poly.stats, poly.terms, op))
+def multiply_linear(poly: WickPolynomial, creation, annihilation, scalar=0j) -> WickPolynomial:
+    """Normal-ordered product  poly * (creation . a* + annihilation . a + scalar)."""
+    if np.shape(creation) != (poly.n_modes,) or np.shape(annihilation) != (poly.n_modes,):
+        raise StatisticsMismatchError(f"operator vectors need {poly.n_modes} entries each")
+    terms = _mul_linear_dict(poly.stats, poly.terms, creation, annihilation, scalar)
+    return _finalize(poly.n_modes, poly.stats, terms)
 
 
-def substitute_linear(poly: WickPolynomial, images: Sequence[LinearOperator]) -> WickPolynomial:
-    """Replace a_i by ``images[i-1]`` and a*_i by its adjoint, and normal
+def substitute_linear(poly: WickPolynomial, u, v, shift) -> WickPolynomial:
+    """Replace a_i by row i of a map's inverse arrays (``inverse_arrays``),
+    sum_j u_ij a_j + v_ij a*_j + shift_i, and a*_i by its adjoint, and normal
     order; each monomial is expanded factor by factor in its stored order."""
     n = poly.n_modes
-    if len(images) != n or any(op.n_modes != n for op in images):
-        raise StatisticsMismatchError("substitute n_modes images of n_modes modes each")
-    adjoints = [op.adjoint() for op in images]
+    if np.shape(u) != (n, n) or np.shape(v) != (n, n) or np.shape(shift) != (n,):
+        raise StatisticsMismatchError(f"substitute {n} rows of {n} modes each")
+    adjoints = [(np.conj(u[i]), np.conj(v[i]), np.conj(shift[i])) for i in range(n)]
     result: dict = {}
     for (cr, an), c in poly.terms.items():
         acc = {((), ()): c}
         for i in cr:
-            acc = _mul_linear_dict(poly.stats, acc, adjoints[i - 1])
+            acc = _mul_linear_dict(poly.stats, acc, *adjoints[i - 1])
         for i in an:
-            acc = _mul_linear_dict(poly.stats, acc, images[i - 1])
+            acc = _mul_linear_dict(poly.stats, acc, v[i - 1], u[i - 1], shift[i - 1])
         for key, val in acc.items():
             _acc(result, key, val)
     return _finalize(n, poly.stats, result)
@@ -211,8 +180,9 @@ def _gather_product_scatter(plan, values: np.ndarray) -> np.ndarray:
     return np.bincount(halves, terms.view(float), 2 * size).view(complex)
 
 
-def product_vacuum_expectation(stats: Statistics, ops: Sequence[LinearOperator]) -> complex:
-    """Vacuum expectation of an ordered product of affine ladder combinations.
+def product_vacuum_expectation(stats: Statistics, u, v, shift) -> complex:
+    """Vacuum expectation of an ordered product of affine ladder
+    combinations, factor k the row sum_j u_kj a_j + v_kj a*_j + shift_k.
 
     Evaluated as a sum over matchings (a loop hafnian for bosons, a Pfaffian
     with scalar loops for fermions): every pair contracts the annihilation
@@ -220,16 +190,14 @@ def product_vacuum_expectation(stats: Statistics, ops: Sequence[LinearOperator])
     fermionic crossing sign, and every unmatched factor contributes its
     scalar.  This is an independent route to the same number as normal
     ordering the product and reading off its constant term, read from slot 0
-    of the plan of one term whose factors are the operators themselves.
+    of the plan of one term whose factors are the rows themselves.
     """
-    if not ops:
-        return 1.0 + 0j
-    if any(op.n_modes != ops[0].n_modes for op in ops):
-        raise StatisticsMismatchError("operators must share one mode count")
-    cre, ann = np.array([op.creation for op in ops]), np.array([op.annihilation for op in ops])
-    values = np.concatenate([(ann @ cre.T).ravel(), [op.scalar for op in ops], [1.0]])
-    term = [(np.arange(len(ops))[None, :], np.ones(1, complex))]
-    plan = _compile(term, len(ops), stats.sign, True)
+    u, v, shift = (np.asarray(a, complex) for a in (u, v, shift))
+    if u.ndim != 2 or v.shape != u.shape or shift.shape != u.shape[:1]:
+        raise StatisticsMismatchError("u, v and shift must hold one row per factor")
+    values = np.concatenate([(u @ v.T).ravel(), shift, [1.0]])
+    term = [(np.arange(len(shift))[None, :], np.ones(1, complex))]
+    plan = _compile(term, len(shift), stats.sign, True)
     return complex(_gather_product_scatter(plan, values)[0])
 
 

@@ -55,7 +55,6 @@ from .errors import (HermiticityError, InconsistencyError, ParityError, Quasivac
                      StatisticsMismatchError)
 from .ordering import (
     CompiledPolynomial,
-    LinearOperator,
     product_vacuum_expectation,  # noqa: F401  (perfbench/spans.py wraps it in this namespace)
     substitute_linear,
 )
@@ -65,6 +64,7 @@ from .wick import (
     TermParity,
     TransformedBlocks,
     WickPolynomial,
+    check_same_space,
     extract_blocks,
 )
 
@@ -175,22 +175,14 @@ class MinimizationResult:
     n_starts: int = 1
 
 
-def substitution_rows(m: BogoliubovMap) -> list[LinearOperator]:
-    """Affine expressions of the original operators in the transformed ones:
-    row i is what a_i becomes when written in the b operators of the map."""
-    inv = inverse(m)
-    return [LinearOperator(inv.v[i, :], inv.u[i, :], inv.shift[i]) for i in range(m.n_modes)]
-
-
 def residual_blocks(h: WickPolynomial, m: BogoliubovMap) -> TransformedBlocks:
     """Blocks of the polynomial rewritten in the transformed operators.
 
-    This is the full normal-ordering route: substitute the inverse map into
-    the polynomial, Wick order, and split by degree.
+    This is the full normal-ordering route: substitute the inverse map's
+    arrays into the polynomial, Wick order, and split by degree.
     """
-    if h.stats is not m.stats or h.n_modes != m.n_modes:
-        raise StatisticsMismatchError("polynomial and map disagree")
-    return extract_blocks(substitute_linear(h, substitution_rows(m)))
+    check_same_space(h, m, "polynomial and map")
+    return extract_blocks(substitute_linear(h, *inverse_arrays(m.stats, (m.u, m.v, m.shift))))
 
 
 def descent_direction(stats: Statistics, linear: np.ndarray, pairing: np.ndarray) -> tuple:
@@ -222,6 +214,15 @@ def _check_mode(h: WickPolynomial, mode: Mode) -> None:
         raise HermiticityError("the polynomial must be Hermitian")
     if mode is not Mode.BOSE_FULL and h.parity() is not TermParity.EVEN:
         raise ParityError(f"mode {mode.value} requires an even polynomial")
+
+
+def check_certifiable(h: WickPolynomial, m: BogoliubovMap, mode: Mode) -> None:
+    """``certify``'s rule: H fits the mode (``_check_mode``) and the map's
+    statistics and mode count, and the map is odd exactly in fermi-odd."""
+    _check_mode(h, mode)
+    check_same_space(h, m, "polynomial and map")
+    if m.odd != (mode is Mode.FERMI_ODD):
+        raise ParityError(f"mode {mode.value} needs an {'even' if m.odd else 'odd'} map")
 
 
 def _noise(energy: float) -> float:
@@ -543,10 +544,12 @@ def certify(
     to ``GAUGE_RTOL`` times the largest of s, |E| and the |eigenvalues| of
     D.  The directions, displacements and gauges are drawn from
     ``CERTIFY_SEED`` in that order.  A number of the report past the float
-    range raises QuasivacError.
+    range raises QuasivacError, and so does a result whose map, H and mode
+    disagree (``check_certifiable``).
     """
     if result.status is not RunStatus.CONVERGED:
         raise ValueError("certification requires a converged result")
+    check_certifiable(h, result.map, mode)
     rng = np.random.default_rng(CERTIFY_SEED)
     u_map = result.map
     blocks = result.blocks

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegreeCapError, IndexRangeError
+from .errors import DegreeCapError, IndexRangeError, StatisticsMismatchError
 
 #: Coefficients below this times the largest non-constant |coefficient| are
 #: dropped at insertion, as are exact zeros.
@@ -44,6 +44,12 @@ class Statistics(Enum):
         """The exchange sign s of a_i a*_j = s a*_j a_i + delta_ij: +1 for
         bosons (CCR), -1 for fermions (CAR)."""
         return 1 if self is Statistics.BOSE else -1
+
+
+def check_same_space(first, second, names: str) -> None:
+    """StatisticsMismatchError, naming ``names``, unless both share stats and n_modes."""
+    if first.stats is not second.stats or first.n_modes != second.n_modes:
+        raise StatisticsMismatchError(f"{names} differ in statistics or mode count")
 
 
 class TermParity(Enum):

@@ -14,8 +14,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from quasivac import Generator, Statistics, WickPolynomial, compose, from_generator  # noqa: E402
-from quasivac.bogoliubov import random_number_conserving  # noqa: E402
-from quasivac.ordering import CompiledPolynomial, LinearOperator, multiply_linear  # noqa: E402
+from quasivac.bogoliubov import inverse_arrays, random_number_conserving  # noqa: E402
+from quasivac.ordering import CompiledPolynomial, multiply_linear, substitute_linear  # noqa: E402
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -104,43 +104,9 @@ def random_free_hermitian(stats, n, rng, degree=4, scale=0.5, include_odd=False)
     return poly
 
 
-def random_bounded_hamiltonian(stats, n, rng, *, quartic=False, linear=False):
-    """Random Hermitian polynomial with a Gaussian energy bounded below.
-
-    Positive-definite particle-conserving quadratic part, anomalous part
-    scaled well inside the stability region, optional non-negative diagonal
-    quartic and small linear part.
-    """
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    omega = raw @ raw.conj().T / n + np.eye(n) * (0.8 + 0.4 * rng.random())
-    lam_min = float(np.linalg.eigvalsh(omega)[0])
-    raw2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    anom = (raw2 + raw2.T) / 2 if stats is Statistics.BOSE else (raw2 - raw2.T) / 2
-    norm = float(np.linalg.norm(anom, 2))
-    if norm > 0:
-        anom *= 0.2 * lam_min / norm
-
-    poly = WickPolynomial.empty(n, stats)
-    for i in range(n):
-        for j in range(n):
-            if omega[i, j] != 0:
-                poly = poly.add_term([i + 1], [j + 1], omega[i, j])
-            if anom[i, j] != 0:
-                poly = poly.add_term([j + 1, i + 1], [], anom[i, j])
-                poly = poly.add_term([], [i + 1, j + 1], np.conj(anom[i, j]))
-    if quartic:
-        if stats is Statistics.BOSE:
-            for i in range(1, n + 1):
-                poly = poly.add_term([i, i], [i, i], 0.05 + 0.1 * rng.random())
-        elif n >= 2:
-            i, j = sorted(rng.choice(n, size=2, replace=False) + 1)
-            poly = poly.add_term([int(i), int(j)], [int(i), int(j)], 0.1 + 0.2 * rng.random())
-    if linear:
-        mu = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        for i in range(n):
-            poly = poly.add_term([i + 1], [], mu[i])
-            poly = poly.add_term([], [i + 1], np.conj(mu[i]))
-    return poly
+#: The acceptance corpus's builder is the benchmark's, so the tests' corpus
+#: is the benchmark's by construction.
+random_bounded_hamiltonian = perfbench_module("inputs").random_bounded_hamiltonian
 
 
 def random_valid_map(stats, n, rng, pair_scale=0.2, shift_scale=0.0, gauge=False):
@@ -159,9 +125,15 @@ def random_valid_map(stats, n, rng, pair_scale=0.2, shift_scale=0.0, gauge=False
 
 
 def ladder(n, i, creation):
-    """a*_i (``creation``) or a_i as a LinearOperator on n modes."""
+    """a*_i (``creation``) or a_i on n modes as (creation, annihilation) vectors."""
     unit, zero = np.eye(n, dtype=complex)[i - 1], np.zeros(n, complex)
-    return LinearOperator(unit, zero) if creation else LinearOperator(zero, unit)
+    return (unit, zero) if creation else (zero, unit)
+
+
+def rewritten(h, m):
+    """H in the map's b operators, normal ordered: a_i is replaced by row i
+    of the inverse map's arrays."""
+    return substitute_linear(h, *inverse_arrays(m.stats, (m.u, m.v, m.shift)))
 
 
 def poly_product(p, q):
@@ -171,8 +143,8 @@ def poly_product(p, q):
     for (cr, an), coeff in q.items():
         part = p.scaled(coeff)
         for i in cr:
-            part = multiply_linear(part, ladder(n, i, True))
+            part = multiply_linear(part, *ladder(n, i, True))
         for i in an:
-            part = multiply_linear(part, ladder(n, i, False))
+            part = multiply_linear(part, *ladder(n, i, False))
         entries += [(c, a, x) for (c, a), x in part.items()]
     return WickPolynomial.from_terms(n, p.stats, entries)

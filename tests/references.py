@@ -7,7 +7,9 @@ generator's state by exponentiating its quantized matrix, a block
 decomposition rebuilt into a polynomial, dense ladder matrices quantized
 from unit monomials, and expectations through dense matrices.  The vacuum
 vector and the one-chart case of ``fock.gaussian_vectors`` are kept here
-for the tests that build single states.  They use public names only.
+for the tests that build single states.  States are bare arrays, as
+``fock.state_of_map`` returns them: an amplitude vector, paired with its
+norm defect where the route measures one.  They use public names only.
 """
 
 import math
@@ -18,7 +20,7 @@ from scipy.sparse.linalg import expm_multiply
 from quasivac import Statistics, WickPolynomial, from_generator, quantize
 from quasivac.bogoliubov import chart_arrays
 from quasivac.errors import StatisticsMismatchError
-from quasivac.fock import DEFAULT_TAIL_TOL, FockVector, gaussian_vectors
+from quasivac.fock import DEFAULT_TAIL_TOL, gaussian_vectors
 
 
 def residual_norms(m):
@@ -102,31 +104,32 @@ def generator_polynomial(g):
 
 
 def gaussian_vector(z, shift, basis, tail_tol=DEFAULT_TAIL_TOL):
-    """Vector of the Gaussian state of one chart's (z, shift) arrays."""
+    """(amplitudes, norm_defect) of the Gaussian state of one chart's (z, shift) arrays."""
     amps, defects = gaussian_vectors(np.array([z]), np.array([shift]), basis, tail_tol)
-    return FockVector(basis, amps[0], norm_defect=float(defects[0]))
+    return amps[0], float(defects[0])
 
 
 def vacuum_vector(basis):
     amp = np.zeros(basis.dimension, complex)
     amp[0] = 1.0  # all occupations zero
-    return FockVector(basis, amp)
+    return amp
 
 
 def expectation(vec, matrix):
-    """<vec|matrix|vec> with a dense matrix, e.g. ``quantize``'s."""
-    if matrix.shape != (vec.basis.dimension, vec.basis.dimension):
+    """<vec|matrix|vec> of an amplitude vector with a dense matrix, e.g. ``quantize``'s."""
+    if matrix.shape != (len(vec), len(vec)):
         raise StatisticsMismatchError("matrix does not match the vector dimension")
-    return complex(np.vdot(vec.amplitudes, matrix @ vec.amplitudes))
+    return complex(np.vdot(vec, matrix @ vec))
 
 
 def exp_generator(g, basis, vec):
-    """Apply the exponential of the quantized generator to a vector."""
+    """(amplitudes, norm_defect) of the exponential of the quantized
+    generator applied to an amplitude vector."""
     assert g.stats is basis.stats and g.n_modes == basis.n_modes
     gmat = quantize(generator_polynomial(g), basis)
-    out = expm_multiply(1j * gmat, vec.amplitudes)
+    out = expm_multiply(1j * gmat, vec)
     norm = float(np.linalg.norm(out))
-    return FockVector(basis, out / norm, norm_defect=abs(norm - 1.0))
+    return out / norm, abs(norm - 1.0)
 
 
 def ladders(basis):

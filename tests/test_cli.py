@@ -873,6 +873,34 @@ class TestRun:
         assert out["passed"] is False
         assert "malformed report (InvalidMapError" in out["reason"]
 
+    @pytest.mark.parametrize("name,mode,edit,reason", [
+        *(("bcs_two_mode", "fermi-even", {"odd": odd}, "odd must be true or false")
+          for odd in ["false", 0, None]),
+        *(("fermi_single_mode", "fermi-odd", {"odd": odd}, "odd must be true or false")
+          for odd in ["false", None, []]),
+        ("bcs_two_mode", "fermi-even", {"odd": True}, "mode fermi-even needs an even map"),
+        ("bcs_two_mode", "fermi-even", {"u": [[[1, 0]]], "v": [[[0, 0]]], "shift": [[0, 0]]},
+         "polynomial and map differ"),
+        ("bcs_two_mode", "fermi-even", {"mode": "bose-even"}, "needs bose statistics"),
+        ("bcs_two_mode", "fermi-even", {"mode": "fermi-odd"}, "mode fermi-odd needs an odd map"),
+    ], ids=["odd-string", "odd-zero", "odd-null", "single-odd-string", "single-odd-null",
+            "single-odd-list", "odd-map-even-mode", "one-mode-map", "bose-mode", "odd-mode"])
+    def test_report_whose_parts_disagree_is_rejected(self, name, mode, edit, reason, tmp_path,
+                                                      capsys):
+        # a non-boolean parity, a map of one mode for a two-mode H, or a
+        # mode that the stored H or map does not fit fails the check with
+        # its reason instead of a traceback or a certificate
+        out = tmp_path / "report.json"
+        run(str(SPECS / f"{name}.json"), Mode(mode), tol=1e-9, report_path=str(out))
+        report = json.loads(out.read_text())
+        for key, value in edit.items():
+            (report if key == "mode" else report["map"])[key] = value
+        out.write_text(json.dumps(report))
+        assert main(["certify", str(out)]) == 1
+        result = json.loads(capsys.readouterr().out)
+        assert result["passed"] is False
+        assert reason in result["reason"]
+
     def test_certify_reports_skipped_oracle(self, tmp_path, capsys):
         # three Bose modes whose state needs cutoff 18: 6859 > 4096 states;
         # the skipped battery has no verdict, which exits 1 too

@@ -5,18 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from quasivac import FockBasis, Statistics, WickPolynomial, quantize
+from quasivac import FockBasis, Statistics, WickPolynomial, inverse, quantize
 from quasivac.errors import StatisticsMismatchError
-from quasivac.ordering import (
-    LinearOperator,
-    multiply_linear,
-    product_vacuum_expectation,
-    substitute_linear,
-)
+from quasivac.ordering import multiply_linear, product_vacuum_expectation, substitute_linear
 from quasivac.wick import TermParity
-from quasivac.variational import substitution_rows
 
-from conftest import ladder, poly_product, random_free_hermitian, random_valid_map
+from conftest import ladder, poly_product, random_free_hermitian, random_valid_map, rewritten
 from references import max_abs_diff
 
 BOSE = Statistics.BOSE
@@ -26,26 +20,26 @@ FERMI = Statistics.FERMI
 class TestMultiplyLinear:
     def test_bose_ccr(self):
         poly = WickPolynomial.empty(1, BOSE).add_term([], [1], 1.0)
-        out = multiply_linear(poly, ladder(1, 1, True))
+        out = multiply_linear(poly, *ladder(1, 1, True))
         assert out.terms[((), ())] == 1.0
         assert out.terms[((1,), (1,))] == 1.0
         assert len(out) == 2
 
     def test_fermi_car(self):
         poly = WickPolynomial.empty(1, FERMI).add_term([], [1], 1.0)
-        out = multiply_linear(poly, ladder(1, 1, True))
+        out = multiply_linear(poly, *ladder(1, 1, True))
         assert out.terms[((), ())] == 1.0
         assert out.terms[((1,), (1,))] == -1.0
 
     def test_fermi_anticommutation_distinct_modes(self):
         poly = WickPolynomial.empty(2, FERMI).add_term([], [1], 1.0)
-        out = multiply_linear(poly, ladder(2, 2, True))
+        out = multiply_linear(poly, *ladder(2, 2, True))
         assert out.terms == {((2,), (1,)): -1.0}
 
     def test_dimension_mismatch(self):
         poly = WickPolynomial.empty(2, BOSE).add_term([1], [], 1.0)
         with pytest.raises(StatisticsMismatchError):
-            multiply_linear(poly, ladder(3, 1, True))
+            multiply_linear(poly, *ladder(3, 1, True))
 
     @pytest.mark.parametrize("stats", [BOSE, FERMI])
     def test_matches_dense_matrices(self, stats):
@@ -55,16 +49,14 @@ class TestMultiplyLinear:
         basis = FockBasis.build(stats, n, cutoff=9)
         for _ in range(6):
             poly = random_free_hermitian(stats, n, rng, degree=4, include_odd=True)
-            op = LinearOperator(
-                rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                complex(rng.standard_normal()),
-            )
-            op_poly = WickPolynomial.empty(n, stats).add_term([], [], op.scalar)
+            creation = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            annihilation = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            scalar = complex(rng.standard_normal())
+            op_poly = WickPolynomial.empty(n, stats).add_term([], [], scalar)
             for i in range(1, n + 1):
-                op_poly = op_poly.add_term([i], [], op.creation[i - 1])
-                op_poly = op_poly.add_term([], [i], op.annihilation[i - 1])
-            product = multiply_linear(poly, op)
+                op_poly = op_poly.add_term([i], [], creation[i - 1])
+                op_poly = op_poly.add_term([], [i], annihilation[i - 1])
+            product = multiply_linear(poly, creation, annihilation, scalar)
             mat_poly = quantize(poly, basis)
             mat_op = quantize(op_poly, basis)
             expected = mat_poly @ mat_op
@@ -81,8 +73,7 @@ class TestSubstitute:
         for stats in (BOSE, FERMI):
             n = 2
             poly = random_free_hermitian(stats, n, rng, include_odd=True)
-            ann = [ladder(n, i, False) for i in range(1, n + 1)]
-            out = substitute_linear(poly, ann)
+            out = substitute_linear(poly, np.eye(n), np.zeros((n, n)), np.zeros(n))
             assert max_abs_diff(poly, out) < 1e-14
 
     def test_bose_squeeze_expansion(self):
@@ -90,8 +81,7 @@ class TestSubstitute:
         r = 0.37
         c, s = math.cosh(r), math.sinh(r)
         poly = WickPolynomial.empty(1, BOSE).add_term([1], [1], 1.0)
-        ann = [LinearOperator(np.array([s + 0j]), np.array([c + 0j]))]
-        out = substitute_linear(poly, ann)
+        out = substitute_linear(poly, [[c]], [[s]], [0])
         assert out.terms[((), ())] == pytest.approx(s * s)
         assert out.terms[((1, 1), ())] == pytest.approx(c * s)
         assert out.terms[((), (1, 1))] == pytest.approx(c * s)
@@ -101,8 +91,7 @@ class TestSubstitute:
     def test_fermi_swap(self):
         # a -> b*:  a*a -> 1 - b*b
         poly = WickPolynomial.empty(1, FERMI).add_term([1], [1], 1.0)
-        ann = [LinearOperator(np.array([1.0 + 0j]), np.array([0j]))]
-        out = substitute_linear(poly, ann)
+        out = substitute_linear(poly, [[0]], [[1]], [0])
         assert out.terms[((), ())] == 1.0
         assert out.terms[((1,), (1,))] == -1.0
 
@@ -113,10 +102,8 @@ class TestSubstitute:
         for _ in range(5):
             poly = random_free_hermitian(stats, n, rng, include_odd=(stats is BOSE))
             m = random_valid_map(stats, n, rng, shift_scale=0.2 if stats is BOSE else 0.0)
-            forward = substitute_linear(poly, substitution_rows(m))
-            from quasivac import inverse
-
-            back = substitute_linear(forward, substitution_rows(inverse(m)))
+            forward = rewritten(poly, m)
+            back = rewritten(forward, inverse(m))
             assert max_abs_diff(poly, back) < 1e-10
 
     @pytest.mark.parametrize("stats", [BOSE, FERMI])
@@ -126,7 +113,7 @@ class TestSubstitute:
         poly = random_free_hermitian(stats, n, rng, include_odd=False)
         assert poly.parity() is TermParity.EVEN
         m = random_valid_map(stats, n, rng)
-        out = substitute_linear(poly, substitution_rows(m))
+        out = rewritten(poly, m)
         for (cr, an) in out.terms:
             assert (len(cr) + len(an)) % 2 == 0
 
@@ -135,7 +122,7 @@ class TestSubstitute:
         poly = WickPolynomial.empty(n, BOSE).add_term([1] * 4, [1] * 4, 1.0)
         rng = np.random.default_rng(1)
         m = random_valid_map(BOSE, n, rng, pair_scale=0.1)
-        out = substitute_linear(poly, substitution_rows(m))
+        out = rewritten(poly, m)
         assert out.degree() <= 8
         assert len(out) > 0
 
@@ -153,8 +140,7 @@ class TestVacuumExpectation:
         r = 0.37
         c, s = math.cosh(r), math.sinh(r)
         poly = WickPolynomial.empty(1, BOSE).add_term([1], [1], 1.0)
-        ann = [LinearOperator(np.array([s + 0j]), np.array([c + 0j]))]
-        out = substitute_linear(poly, ann)
+        out = substitute_linear(poly, [[c]], [[s]], [0])
         assert out.coefficient((), ()) == pytest.approx(s * s)
 
 
@@ -166,18 +152,16 @@ class TestPairingExpectation:
         rng = np.random.default_rng(31)
         n = 2
         for n_ops in range(0, 7):
-            ops = [
-                LinearOperator(
-                    rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                    rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                    complex(rng.standard_normal()) if rng.random() < 0.5 else 0j,
-                )
-                for _ in range(n_ops)
-            ]
+            # factor k: sum_j u_kj a_j + v_kj a*_j + shift_k
+            u, v, shift = np.zeros((n_ops, n), complex), np.zeros((n_ops, n), complex), []
+            for k in range(n_ops):
+                v[k] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                u[k] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                shift.append(complex(rng.standard_normal()) if rng.random() < 0.5 else 0j)
             chain = WickPolynomial.empty(n, stats).add_term([], [], 1.0)
-            for op in ops:
-                chain = multiply_linear(chain, op)
-            direct = product_vacuum_expectation(stats, ops)
+            for k in range(n_ops):
+                chain = multiply_linear(chain, v[k], u[k], shift[k])
+            direct = product_vacuum_expectation(stats, u, v, shift)
             assert abs(direct - chain.coefficient((), ())) < 1e-10
 
 
@@ -199,10 +183,10 @@ def _one_mode(stats=BOSE):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: LinearOperator(np.ones(2), np.ones(3)),
-    lambda: product_vacuum_expectation(BOSE, [ladder(1, 1, True), ladder(2, 1, False)]),
-    lambda: substitute_linear(_one_mode(), [ladder(1, 1, False)] * 2),
-    lambda: substitute_linear(_one_mode(), [ladder(2, 1, False)]),
+    lambda: multiply_linear(_one_mode(), np.ones(1), np.ones(2)),
+    lambda: product_vacuum_expectation(BOSE, np.ones((2, 1)), np.ones((2, 2)), np.zeros(2)),
+    lambda: substitute_linear(_one_mode(), np.ones((2, 1)), np.ones((2, 1)), np.zeros(2)),
+    lambda: substitute_linear(_one_mode(), np.ones((1, 2)), np.ones((1, 2)), np.zeros(1)),
 ], ids=["operator-lengths", "mixed-mode-counts", "image-count", "image-modes"])
 def test_mismatched_operators_are_rejected(build):
     with pytest.raises(StatisticsMismatchError):

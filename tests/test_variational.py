@@ -30,13 +30,12 @@ from quasivac import bogoliubov, fock, variational
 from quasivac.bogoliubov import identity, reflection
 from quasivac.errors import (DimensionCapError, HermiticityError, ParityError,
                              StatisticsMismatchError)
-from quasivac.ordering import CompiledPolynomial, substitute_linear
+from quasivac.ordering import CompiledPolynomial
 from quasivac.variational import (
     FD_STEP,
     descent_direction,
     directional_derivative,
     result_at,
-    substitution_rows,
 )
 from quasivac.wick import DEGREE_CAP, Blocks
 
@@ -48,6 +47,7 @@ from conftest import (
     random_bounded_hamiltonian,
     random_free_hermitian,
     random_valid_map,
+    rewritten,
     squeezed_oscillator,
 )
 from references import expectation
@@ -225,7 +225,7 @@ class TestGradientAgainstOracle:
 
             def energy(s):
                 probe = compose(m, from_generator(g.scaled(s)))
-                vec = state_of_map(probe, basis)
+                vec, _ = state_of_map(probe, basis)
                 return expectation(vec, hmat).real
 
             fd = (energy(h_step) - energy(-h_step)) / (2 * h_step)
@@ -757,7 +757,7 @@ class TestDescentInvariants:
         for before, after in zip(energies, energies[1:]):
             assert after <= before + 1e-11 * max(1.0, abs(before))
         # converged residual means no linear or anomalous coefficients survive
-        transformed = substitute_linear(h, substitution_rows(res.map))
+        transformed = rewritten(h, res.map)
         for (cr, an), coeff in transformed.items():
             if len(cr) + len(an) == 1:
                 assert abs(coeff) < 1e-8
@@ -783,7 +783,7 @@ class TestDescentInvariants:
         rng = np.random.default_rng(29)
         h = random_bounded_hamiltonian(FERMI, 3, rng, quartic=True)
         res = minimize(h, Mode.FERMI_EVEN, MinimizeOptions(seed=5))
-        transformed = substitute_linear(h, substitution_rows(res.map))
+        transformed = rewritten(h, res.map)
         for (cr, an) in transformed.terms:
             assert (len(cr) + len(an)) % 2 == 0
 
@@ -994,6 +994,21 @@ class TestCertify:
         res = minimize(h, Mode.FERMI_ODD, MinimizeOptions(tol_grad=1e-10))
         report = certify(res, h, Mode.FERMI_ODD)
         assert report.passed
+
+    @pytest.mark.parametrize("mode,modes,error,reason", [
+        (Mode.FERMI_ODD, 2, ParityError, "mode fermi-odd needs an odd map"),
+        (Mode.BOSE_EVEN, 2, StatisticsMismatchError, "needs bose statistics"),
+        (Mode.FERMI_EVEN, 3, StatisticsMismatchError, "polynomial and map differ"),
+    ])
+    def test_certify_checks_h_map_and_mode_agree(self, mode, modes, error, reason):
+        # the even BCS minimum, certified in the odd sector, in a Bose mode,
+        # or against an H of another mode count
+        res = minimize(bcs_hamiltonian(), Mode.FERMI_EVEN)
+        h = WickPolynomial.from_terms(
+            modes, FERMI, [([k], [k], 1.0) for k in range(1, modes + 1)]
+            + [([1, 2], [], 0.5), ([], [1, 2], -0.5)])
+        with pytest.raises(error, match=reason):
+            certify(res, h, mode)
 
     @pytest.mark.parametrize("mode,stats,seed,linear", [
         (Mode.BOSE_EVEN, BOSE, 103, False),
